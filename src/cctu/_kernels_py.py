@@ -114,7 +114,9 @@ def _signing_exists(rows, n):
                 sums[j] -= sgn * row[j]
         return False
 
-    return rec(0)
+    found = rec(0)
+    del rec  # rec refers to itself through its closure; free it without the GC
+    return found
 
 
 def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c, minimize):
@@ -180,6 +182,7 @@ def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c, minimize):
         return False
 
     rec(0, 0)
+    del rec  # rec refers to itself through its closure; free it without the GC
     if best_x is None:
         return (False, None, 0)
     return (True, best_x, best_val)

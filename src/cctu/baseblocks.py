@@ -49,7 +49,7 @@ class NormalizedCctu:
 
     def lift(self, xhat):
         n = self.n_orig
-        return tuple(x0v + xhat[i] - xhat[n + i] for i, x0v in enumerate(self.x0))
+        return tuple([x0v + xhat[i] - xhat[n + i] for i, x0v in enumerate(self.x0)])
 
 
 def normalize(inst, r):
@@ -67,23 +67,23 @@ def normalize(inst, r):
     if out.tag == "unbounded":
         raise ValueError("cannot normalize an unbounded relaxation")
     x0 = out.vertex
-    shifted_b = tuple(bv - tv for bv, tv in zip(inst.P.b, inst.P.T.matrix.mul_vec(x0)))
+    shifted_b = tuple([bv - tv for bv, tv in zip(inst.P.b, inst.P.T.matrix.mul_vec(x0))])
     mat = inst.P.T.matrix
-    split_rows = tuple(row + tuple(-v for v in row) for row in mat.rows)
+    split_rows = tuple([row + tuple([-v for v in row]) for row in mat.rows])
     return NormalizedCctu(
         IntMatrix(split_rows),
         shifted_b,
-        inst.gamma + tuple(-v for v in inst.gamma),
+        inst.gamma + tuple([-v for v in inst.gamma]),
         inst.m,
         (r - sum(g * v for g, v in zip(inst.gamma, x0))) % inst.m,
-        c + tuple(-v for v in c),
+        c + tuple([-v for v in c]),
         x0,
         inst.nvars,
     )
 
 
 def _nonneg_rows(n):
-    return tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
+    return tuple([tuple([-1 if j == i else 0 for j in range(n)]) for i in range(n)])
 
 
 def _doubled_representation(rep):
@@ -92,7 +92,7 @@ def _doubled_representation(rep):
     return NetworkRepresentation(
         rep.nvertices,
         rep.tree_arcs,
-        rep.col_arcs + tuple((w, v) for (v, w) in rep.col_arcs),
+        rep.col_arcs + tuple([(w, v) for (v, w) in rep.col_arcs]),
     )
 
 
@@ -253,7 +253,7 @@ def _solve_flow_box(nvertices, edges, m, rmask, minimize, budget, exact_value=No
     for t in forest:
         rows.append(tuple(coeff[t]))
         rhs.append(edges[t].hi)
-        rows.append(tuple(-v for v in coeff[t]))
+        rows.append(tuple([-v for v in coeff[t]]))
         rhs.append(-edges[t].lo)
     rho = []
     kappa = []
@@ -269,7 +269,7 @@ def _solve_flow_box(nvertices, edges, m, rmask, minimize, budget, exact_value=No
     if exact_value is not None:
         rows.append(tuple(kappa))
         rhs.append(exact_value)
-        rows.append(tuple(-v for v in kappa))
+        rows.append(tuple([-v for v in kappa]))
         rhs.append(-exact_value)
     flat = [v for row in rows for v in row]
     use_cost = minimize and any(kappa)
@@ -421,7 +421,7 @@ def ccc_to_xlc(ccc):
     """
     na = len(ccc.arcs)
     scale = ccc.m * ccc.m * na if na else 1
-    lengths = tuple(l * scale + (e % ccc.m) for l, e in zip(ccc.lengths, ccc.eta))
+    lengths = tuple([l * scale + (e % ccc.m) for l, e in zip(ccc.lengths, ccc.eta)])
     inst = XlcInstance(ccc.nvertices, ccc.arcs, ccc.u, lengths)
     weight_max = sum((e % ccc.m) * u for e, u in zip(ccc.eta, ccc.u))
     r = ccc.r % ccc.m
@@ -576,7 +576,7 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
 
 def labeling_to_solution(ctc, labeling):
     """x(u) = level(tail) - level(head) per tree arc; the chain-cut sum."""
-    return tuple(labeling.levels[a] - labeling.levels[b] for (a, b) in ctc.tree_arcs)
+    return tuple([labeling.levels[a] - labeling.levels[b] for (a, b) in ctc.tree_arcs])
 
 
 def labeling_cost(ctc, labeling):
@@ -624,7 +624,7 @@ def _network_solve_for(inst, norm, rep, r, budget):
     assert circulation_residue(ccc, flows) == ccc.r
     ncols = len(norm.gamma)
     ntree = len(rep.tree_arcs)
-    xhat = tuple(flows[2 * ntree + j] for j in range(ncols))
+    xhat = tuple([flows[2 * ntree + j] for j in range(ncols)])
     x = norm.lift(xhat)
     # objective identity of the reduction, checked on every solve
     if inst.c is not None:
@@ -653,7 +653,7 @@ def _dedup_rows(mat, b):
         else:
             seen[row] = bv
             order.append(row)
-    return IntMatrix(tuple(order)), tuple(seen[row] for row in order)
+    return IntMatrix(tuple(order)), tuple([seen[row] for row in order])
 
 
 def _transposed_pipeline(inst):
@@ -733,10 +733,10 @@ def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET, core_col_cap=5):
     s_rows = []
     for i in range(ell):
         s_rows.append(
-            tuple(
+            tuple([
                 (col_stems[j][1] if col_stems[j] is not None and col_stems[j][0] == i else 0)
                 for j in range(nhat)
-            )
+            ])
         )
     stem_rows = [t for t in range(khat) if row_stems[t] is not None]
     other_rows = [t for t in range(khat) if row_stems[t] is None]
@@ -747,15 +747,15 @@ def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET, core_col_cap=5):
         for i in range(ell):
             rows.append(s_rows[i])
             rhs.append(sigma[i])
-            rows.append(tuple(-v for v in s_rows[i]))
+            rows.append(tuple([-v for v in s_rows[i]]))
             rhs.append(-sigma[i])
         valid = True
         for t in stem_rows:
             p, sgn = row_stems[t]
             tau = sgn * sum(core[p, i] * sigma[i] for i in range(ell))
-            zeroed = tuple(
+            zeroed = tuple([
                 0 if col_stems[j] is not None else norm.T[t, j] for j in range(nhat)
-            )
+            ])
             rows.append(zeroed)
             rhs.append(norm.b[t] - tau)
         for t in other_rows:

@@ -234,7 +234,7 @@ def cmd_generate(args):
 def cmd_verify(args):
     inst = _load(args)
     try:
-        x = tuple(int(t) for t in args.x.replace(",", " ").split())
+        x = tuple([int(t) for t in args.x.replace(",", " ").split()])
     except ValueError:
         print("error: --x must be a comma- or space-separated integer vector", file=sys.stderr)
         return EXIT_INPUT

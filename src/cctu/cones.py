@@ -7,10 +7,14 @@ procedure is fully constructive: shift to the origin, add
 orthant-sign rows so the cone is pointed, flip rows to put the target in the
 cone, then peel off one elementary extremal ray per iteration with an exact
 min-ratio step length.
+
+All arithmetic is on integers.  Ranks, null directions and the purification
+of the sliced LP's optimum to a vertex use the fraction-free elimination of
+`lp`; points with fractional coordinates are carried as integer numerators
+over one positive denominator, and ratios are compared by cross-products.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import lp
@@ -33,7 +37,7 @@ class ElementaryDecomposition:
         for lam, ray in zip(self.coeffs, self.rays):
             for i in range(n):
                 total[i] += lam * ray[i]
-        return tuple(total) == tuple(yv - xv for yv, xv in zip(self.y, self.x0))
+        return tuple(total) == tuple([yv - xv for yv, xv in zip(self.y, self.x0)])
 
     def point_for(self, mu):
         """x0 + sum(mu[i] * rays[i]) for 0 <= mu <= coeffs."""
@@ -47,99 +51,57 @@ class ElementaryDecomposition:
 def _row_rank(rows):
     if not rows:
         return 0
-    work = [[Fraction(v) for v in r] for r in rows]
-    ncols = len(work[0])
-    rank = 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1) / work[rank][j]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [a - f * p for a, p in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(lp.eliminate(rows, len(rows[0]))[1])
 
 
-def _primitive_int(vec):
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
-def _vertex_of_optimal_face(rows, rhs, x):
-    """Purify an optimal LP point to a vertex of {rows * x <= rhs}.
+def _vertex_of_optimal_face(rows, rhs, x, q):
+    """Purify an optimal LP point x / q to a vertex of {rows * x <= rhs}.
 
     Repeatedly moves along a null direction of the tight rows until a new
     constraint binds; requires the feasible set to be bounded along every
     such direction, which holds for the sliced-cone polytopes used here.
+    Works on integer numerators over the positive denominator q and returns
+    the vertex in the same form, (numerators, denominator).
     """
     x = list(x)
     n = len(x)
     while True:
-        tight = [r for r, bv in zip(rows, rhs) if sum(Fraction(a) * v for a, v in zip(r, x)) == bv]
+        # slack of each row, scaled by q
+        slacks = [bv * q - sum(a * v for a, v in zip(r, x)) for r, bv in zip(rows, rhs)]
+        tight = [r for r, sl in zip(rows, slacks) if sl == 0]
         null = _null_direction(tight, n)
         if null is None:
-            return tuple(x)
-        best_t = None
-        direction = null
+            return x, q
+        step = None  # (slack, rd): the step length along d is slack / (q * rd)
         for sgn in (1, -1):
             d = [sgn * v for v in null]
             # largest step keeping every constraint satisfied
-            t_max = None
-            for r, bv in zip(rows, rhs):
-                rd = sum(Fraction(a) * v for a, v in zip(r, d))
-                if rd > 0:
-                    slack = bv - sum(Fraction(a) * v for a, v in zip(r, x))
-                    t = slack / rd
-                    if t_max is None or t < t_max:
-                        t_max = t
-            if t_max is not None:
-                best_t = t_max
-                direction = d
+            for r, sl in zip(rows, slacks):
+                rd = sum(a * v for a, v in zip(r, d))
+                if rd > 0 and (step is None or sl * step[1] < step[0] * rd):
+                    step = (sl, rd)
+            if step is not None:
                 break
-        if best_t is None:
+        if step is None:
             raise CctuError("optimal face unbounded; cone is not pointed")
-        for i in range(n):
-            x[i] += best_t * direction[i]
+        # x / q + (sl / (q * rd)) * d == (rd * x + sl * d) / (q * rd)
+        sl, rd = step
+        x = [rd * v + sl * dv for v, dv in zip(x, d)]
+        q *= rd
+        g = gcd(q, *x)
+        if g > 1:
+            x = [v // g for v in x]
+            q //= g
 
 
 def _null_direction(rows, n):
-    """A nonzero rational vector orthogonal to all rows, or None."""
-    work = [[Fraction(v) for v in r] for r in rows]
-    pivots = {}
-    rank = 0
-    for j in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1) / work[rank][j]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [a - f * p for a, p in zip(work[i], work[rank])]
-        pivots[j] = rank
-        rank += 1
-    if rank == n:
+    """A nonzero integer vector orthogonal to all rows, or None."""
+    work, pivots, den = lp.eliminate(rows, n)
+    if len(pivots) == n:
         return None
     free = next(j for j in range(n) if j not in pivots)
-    d = [Fraction(0)] * n
-    d[free] = Fraction(1)
+    d = [0] * n
+    d[free] = den
     for j, i in pivots.items():
         d[j] = -work[i][free]
     return d
@@ -150,7 +112,8 @@ def _extremal_ray(eq_rows, lt_rows, n):
 
     Maximizes a functional that is strictly positive on the cone minus the
     origin (minus the sum of the strict rows), sliced at value one; the
-    optimal vertex, purified and rescaled to gcd one, is the ray.
+    optimal vertex, purified and rescaled to gcd one, is the ray.  The slice
+    row is not TU, so this is the LP whose tableau denominator exceeds one.
     """
     sigma = [-sum(r[j] for r in lt_rows) for j in range(n)]
     rows = []
@@ -158,7 +121,7 @@ def _extremal_ray(eq_rows, lt_rows, n):
     for r in eq_rows:
         rows.append(tuple(r))
         rhs.append(0)
-        rows.append(tuple(-v for v in r))
+        rows.append(tuple([-v for v in r]))
         rhs.append(0)
     for r in lt_rows:
         rows.append(tuple(r))
@@ -166,13 +129,14 @@ def _extremal_ray(eq_rows, lt_rows, n):
     rows.append(tuple(sigma))
     rhs.append(1)
     res = lp.solve_lp(rows, rhs, [-v for v in sigma], "min")  # maximize sigma.x
-    assert res.status == "optimal", "sliced pointed cone must be a polytope"
+    if res.status != "optimal":
+        raise CctuError(f"sliced pointed cone must be a polytope, LP says {res.status}")
     if -res.value != 1:
         return None  # cone is {0}
-    vertex = _vertex_of_optimal_face(rows, [Fraction(v) for v in rhs], res.x)
-    ray = _primitive_int(vertex)
-    assert any(ray), "extremal ray must be nonzero"
-    return ray
+    vertex, _ = _vertex_of_optimal_face(rows, rhs, res.x, res.den)
+    if not any(vertex):
+        raise CctuError("extremal ray must be nonzero")
+    return lp._primitive(vertex)
 
 
 def decompose_pointed_tu_cone(T, y, max_iter_slack=2):
@@ -201,27 +165,34 @@ def decompose_pointed_tu_cone(T, y, max_iter_slack=2):
         eq_rows = [r for r, p in zip(mat.rows, prods) if p == 0]
         lt_all = [(r, p) for r, p in zip(mat.rows, prods) if p != 0]
         # strict rows dependent on the tight ones are redundant
-        base_rank = _row_rank(eq_rows)
+        work, pivots, den = lp.eliminate(eq_rows, n)
         lt_rows = []
         lt_prods = []
-        for r, p in zip((r for r, _ in lt_all), (p for _, p in lt_all)):
-            if _row_rank(eq_rows + [r]) > base_rank:
+        for r, p in lt_all:
+            # den * r minus its part in the row space of the tight rows
+            rest = [den * v for v in r]
+            for j, i in pivots.items():
+                if r[j]:
+                    rest = [a - r[j] * w for a, w in zip(rest, work[i])]
+            if any(rest):
                 lt_rows.append(r)
                 lt_prods.append(p)
-        assert lt_rows, "nonzero point with all constraints tight contradicts pointedness"
+        if not lt_rows:
+            raise CctuError("nonzero point with all constraints tight contradicts pointedness")
         ray = _extremal_ray(eq_rows, lt_rows, n)
-        assert ray is not None
+        if ray is None:
+            raise CctuError("cone is {0} although it holds a nonzero point")
         # step length: exact min ratio over rows the ray pushes toward tightness
-        lam = None
+        best = None  # (-p, a): the step length is -p / a
         for r, p in zip(lt_rows, lt_prods):
             a = -sum(rv * qv for rv, qv in zip(r, ray))
-            if a > 0:
-                ratio = Fraction(-p, a)
-                if lam is None or ratio < lam:
-                    lam = ratio
-        assert lam is not None, "ray escapes every strict constraint; cone not pointed"
-        assert lam.denominator == 1 and lam > 0, f"non-integral step length {lam}"
-        lam = int(lam)
+            if a > 0 and (best is None or -p * best[1] < best[0] * a):
+                best = (-p, a)
+        if best is None:
+            raise CctuError("ray escapes every strict constraint; cone not pointed")
+        lam, rem = divmod(*best)
+        if rem or lam <= 0:
+            raise CctuError(f"non-integral or nonpositive step length {best[0]}/{best[1]}")
         rays.append(tuple(ray))
         coeffs.append(lam)
         for i in range(n):
@@ -247,14 +218,14 @@ def decompose_solutions(P, x0, y):
     n = mat.ncols
     if not P.contains(x0) or not P.contains(y):
         raise CctuError("both points must satisfy the system")
-    diff = tuple(yv - xv for yv, xv in zip(y, x0))
-    sign_rows = tuple(
-        tuple((-1 if diff[i] >= 0 else 1) if j == i else 0 for j in range(n)) for i in range(n)
-    )
+    diff = tuple([yv - xv for yv, xv in zip(y, x0)])
+    sign_rows = tuple([
+        tuple([(-1 if diff[i] >= 0 else 1) if j == i else 0 for j in range(n)]) for i in range(n)
+    ])
     flipped = []
     for row in mat.rows + sign_rows:
         prod = sum(rv * dv for rv, dv in zip(row, diff))
-        flipped.append(row if prod <= 0 else tuple(-v for v in row))
+        flipped.append(row if prod <= 0 else tuple([-v for v in row]))
     cone_matrix = IntMatrix(tuple(flipped))
     rays, coeffs = decompose_pointed_tu_cone(cone_matrix, diff)
     return ElementaryDecomposition(tuple(x0), tuple(y), rays, coeffs)

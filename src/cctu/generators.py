@@ -41,7 +41,7 @@ def random_network_matrix(rng, k, n):
         else:
             v = w = 0
         cols.append(_path_column(arcs, parent, v, w))
-    return IntMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(k)))
+    return IntMatrix(tuple([tuple([cols[j][i] for j in range(n)]) for i in range(k)]))
 
 
 def _path_column(arcs, parent, v, w):
@@ -88,17 +88,17 @@ def _random_sum_matrix(rng, kind, size):
             g = (0,) * kb
             h = (0,) * half
         elif kind == 2:
-            e = tuple(rng.choice((-1, 0, 1)) for _ in range(ka))
-            f = tuple(rng.choice((-1, 0, 1)) for _ in range(half))
+            e = tuple([rng.choice((-1, 0, 1)) for _ in range(ka)])
+            f = tuple([rng.choice((-1, 0, 1)) for _ in range(half)])
             g = (0,) * kb
             h = (0,) * half
             if not any(e) or not any(f):
                 continue
         else:
-            e = tuple(rng.choice((-1, 0, 1)) for _ in range(ka))
-            f = tuple(rng.choice((-1, 0, 1)) for _ in range(half))
-            g = tuple(rng.choice((-1, 0, 1)) for _ in range(kb))
-            h = tuple(rng.choice((-1, 0, 1)) for _ in range(half))
+            e = tuple([rng.choice((-1, 0, 1)) for _ in range(ka)])
+            f = tuple([rng.choice((-1, 0, 1)) for _ in range(half)])
+            g = tuple([rng.choice((-1, 0, 1)) for _ in range(kb)])
+            h = tuple([rng.choice((-1, 0, 1)) for _ in range(half)])
             if not (any(e) and any(f) and any(g) and any(h)):
                 continue
         dec = SumDecomposition(
@@ -151,7 +151,7 @@ def _const_core_matrix(rng, size):
             j = rng.randrange(n)
             for r in rows:
                 r[j] = -r[j]
-        mat = IntMatrix(tuple(tuple(r) for r in rows))
+        mat = IntMatrix(tuple([tuple(r) for r in rows]))
     return mat
 
 
@@ -184,13 +184,13 @@ def generate(kind, size, m, r_size, seed, with_c=False):
     n = mat.ncols
     r_size = max(1, min(m, r_size))
     for _ in range(200):
-        gamma = tuple(rng.randint(-5, 5) for _ in range(n))
+        gamma = tuple([rng.randint(-5, 5) for _ in range(n)])
         R = frozenset(rng.sample(range(m), r_size))
         if solve_unconstrained_congruence(gamma, m, R) is not None:
             break
     else:
         raise ScaleError("could not draw a gcd-solvable residue target")
-    b = tuple(rng.randint(-5, 5) for _ in range(mat.nrows))
-    c = tuple(rng.randint(-3, 3) for _ in range(n)) if with_c else None
+    b = tuple([rng.randint(-5, 5) for _ in range(mat.nrows)])
+    c = tuple([rng.randint(-3, 3) for _ in range(n)]) if with_c else None
     inst = RCctufInstance(Polyhedron(TUMatrix.trusted(mat), b), gamma, m, R, c)
     return GeneratedInstance(inst, kind, seed, detail)

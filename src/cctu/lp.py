@@ -1,10 +1,17 @@
-"""Exact rational simplex over systems T x <= b with free integer-matrix data.
+"""Exact simplex and elimination over integer data, without fractions.
 
-Two-phase primal simplex with Bland's rule on a dense Fraction tableau.
-Free variables are split (x = u - v), inequalities get slacks, rows with
-negative right-hand side get artificials in phase 1.  Everything is exact;
-over TU systems the returned basic solutions are integral, which callers
-assert rather than trust.
+Two-phase primal simplex with Bland's rule on a fraction-free integer
+tableau.  Free variables are split (x = u - v), inequalities get slacks, rows
+with negative right-hand side get artificials in phase 1.  The tableau keeps
+integer entries D * B^-1 [A | rhs] and integer reduced costs under one common
+denominator D > 0; a pivot on p rewrites every other row as
+(p * a - f * q) / D, which is exact by Sylvester's identity (Edmonds 1967,
+Bareiss 1968), and then sets D = p.  Over TU systems every pivot is 1, so D
+stays 1 and vertices come back as plain ints; on other integer data the
+results are still exact, as numerators over one denominator.
+
+`eliminate` runs the same pivot as fraction-free Gauss-Jordan elimination,
+for the rank and null-space computations of the cone decomposition.
 
 This deliberately replaces the strongly-polynomial LP framework the theory
 assumes: exactness is what keeps the downstream structural guarantees intact at
@@ -15,13 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import CctuError
+
 
 @dataclass(frozen=True)
 class LpResult:
     status: str  # "optimal" | "unbounded" | "infeasible"
-    x: tuple = None  # Fractions, length n
-    value: Fraction = None
+    x: tuple = None  # integer numerators, length n; the optimum is x / den
+    value: Fraction = None  # exact optimal value: an int when den == 1
     ray: tuple = None  # primitive integer improving ray for "unbounded"
+    den: int = 1  # common denominator of x, in lowest terms
 
 
 def solve_lp(rows, b, c, sense="min"):
@@ -34,81 +44,90 @@ def solve_lp(rows, b, c, sense="min"):
     if sense == "max":
         res = solve_lp(rows, b, [-v for v in c], "min")
         if res.status == "optimal":
-            return LpResult("optimal", res.x, -res.value)
+            return LpResult("optimal", res.x, -res.value, den=res.den)
         return res
 
-    # Standard form: columns = u (n) | v (n) | slacks (k), M z = rhs, z >= 0.
+    # Standard form: columns = u (n) | v (n) | slacks (k) | artificials | rhs.
     ncols = 2 * n + k
-    M = []
-    rhs = []
+    nart = sum(1 for bv in b if bv < 0)
+    width = ncols + nart + 1
+    tab = []
+    basis = []
+    art = ncols
     for i in range(k):
-        row = [Fraction(v) for v in rows[i]] + [Fraction(-v) for v in rows[i]]
-        row += [Fraction(1 if j == i else 0) for j in range(k)]
-        bv = Fraction(b[i])
-        if bv < 0:
+        r = rows[i]
+        row = [*r, *[-v for v in r], *[0] * (width - 2 * n)]
+        row[2 * n + i] = 1
+        row[-1] = b[i]
+        if b[i] < 0:
             row = [-v for v in row]
-            bv = -bv
-        M.append(row)
-        rhs.append(bv)
-
-    basis = [None] * k
-    art_cols = []
-    for i in range(k):
-        if M[i][2 * n + i] == 1:
-            basis[i] = 2 * n + i
+            row[art] = 1
+            basis.append(art)
+            art += 1
         else:
-            col = ncols + len(art_cols)
-            art_cols.append(col)
-            basis[i] = col
-    total = ncols + len(art_cols)
-    for i in range(k):
-        M[i] += [Fraction(1 if basis[i] == ncols + j else 0) for j in range(len(art_cols))]
+            basis.append(2 * n + i)
+        tab.append(row)
 
-    if art_cols:
-        phase1_cost = [Fraction(0)] * ncols + [Fraction(1)] * len(art_cols)
-        status = _simplex(M, rhs, basis, phase1_cost, total, allowed=total)
-        assert status == "optimal", "phase-1 objective is bounded below by zero"
-        if sum(phase1_cost[basis[i]] * rhs[i] for i in range(k)) != 0:
+    den = 1
+    if nart:
+        phase1 = [0] * ncols + [1] * nart + [0]
+        tab.append(_reduced_costs(tab, basis, phase1, den))
+        status, den = _simplex(tab, basis, den, allowed=ncols + nart)
+        if status != "optimal":
+            raise CctuError("phase-1 simplex reported an unbounded sum of artificials")
+        if any(tab[i][-1] for i in range(k) if basis[i] >= ncols):
             return LpResult("infeasible")
-        _pivot_out_artificials(M, rhs, basis, ncols)
+        tab.pop()
+        den = _pivot_out_artificials(tab, basis, ncols, den)
+        # Artificials never re-enter, and a row that kept one is zero on every
+        # structural column, so neither takes part in phase 2.
+        keep = [i for i in range(k) if basis[i] < ncols]
+        tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
 
-    cost = [Fraction(v) for v in c] + [Fraction(-v) for v in c] + [Fraction(0)] * k
-    cost += [Fraction(0)] * len(art_cols)
-    status = _simplex(M, rhs, basis, cost, total, allowed=ncols)
+    cost = [*c, *[-v for v in c], *[0] * (k + 1)]
+    tab.append(_reduced_costs(tab, basis, cost, den))
+    status, den = _simplex(tab, basis, den, allowed=ncols)
+    z = [0] * ncols
     if status == "optimal":
-        z = [Fraction(0)] * total
-        for i in range(k):
-            z[basis[i]] = rhs[i]
-        x = tuple(z[j] - z[n + j] for j in range(n))
-        value = sum(Fraction(cj) * xj for cj, xj in zip(c, x))
-        return LpResult("optimal", x, value)
-    # Unbounded: reconstruct the improving ray from the entering column.
+        for i, j in enumerate(basis):
+            z[j] = tab[i][-1]
+        x = [z[j] - z[n + j] for j in range(n)]
+        g = gcd(den, *x)
+        if g > 1:
+            x = [v // g for v in x]
+            den //= g
+        value = sum(cj * xj for cj, xj in zip(c, x))
+        value = value if den == 1 else Fraction(value, den)
+        return LpResult("optimal", tuple(x), value, den=den)
+    # Unbounded: the entering column gives an improving ray, scaled by den.
     enter = status
-    z_dir = [Fraction(0)] * total
-    z_dir[enter] = Fraction(1)
-    for i in range(k):
-        z_dir[basis[i]] = -M[i][enter]
-    ray = tuple(z_dir[j] - z_dir[n + j] for j in range(n))
-    return LpResult("unbounded", ray=_primitive(ray))
+    z[enter] = den
+    for i, j in enumerate(basis):
+        z[j] = -tab[i][enter]
+    return LpResult("unbounded", ray=_primitive([z[j] - z[n + j] for j in range(n)]))
 
 
-def _simplex(M, rhs, basis, cost, total, allowed):
-    """Bland-rule simplex on an explicit tableau.
+def _reduced_costs(tab, basis, cost, den):
+    """The objective row den * cost - sum_i cost[basis[i]] * tab[i]."""
+    red = [den * v for v in cost]
+    for i, j in enumerate(basis):
+        cb = cost[j]
+        if cb:
+            red = [a - cb * q for a, q in zip(red, tab[i])]
+    return red
+
+
+def _simplex(tab, basis, den, allowed):
+    """Bland-rule simplex on a fraction-free tableau whose last row holds the
+    reduced costs.
 
     Entering columns are restricted to indices < allowed (phase 2 excludes
-    artificials this way).  Returns "optimal" or the entering column index on
-    unboundedness.
+    artificials this way).  Returns (status, den): status is "optimal" or the
+    entering column index on unboundedness.
     """
-    k = len(M)
-    # reduced costs r = cost - cost_B . B^-1 A, maintained by elimination
-    red = list(cost)
-    obj_rows_done = set()
-    for i in range(k):
-        cb = cost[basis[i]]
-        if cb != 0:
-            for j in range(total):
-                red[j] -= cb * M[i][j]
-            obj_rows_done.add(i)
+    k = len(basis)
+    red = tab[-1]
     while True:
         enter = -1
         for j in range(allowed):
@@ -116,77 +135,105 @@ def _simplex(M, rhs, basis, cost, total, allowed):
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return "optimal", den
+        # min ratio rhs/a over a > 0, compared by cross-multiplication
         leave = -1
-        best = None
         for i in range(k):
-            if M[i][enter] > 0:
-                ratio = rhs[i] / M[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave, best_r, best_a = i, tab[i][-1], a
+                    continue
+                lhs = tab[i][-1] * best_a
+                rhs = best_r * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_r, best_a = i, tab[i][-1], a
         if leave < 0:
-            return enter
-        _do_pivot(M, rhs, basis, red, leave, enter, total)
+            return enter, den
+        den = pivot(tab, leave, enter, den)
+        basis[leave] = enter
+        red = tab[-1]
 
 
-def _do_pivot(M, rhs, basis, red, leave, enter, total):
-    piv = M[leave][enter]
-    inv = Fraction(1) / piv
-    M[leave] = [v * inv for v in M[leave]]
-    rhs[leave] *= inv
-    prow = M[leave]
-    for i in range(len(M)):
-        if i != leave and M[i][enter] != 0:
-            f = M[i][enter]
-            M[i] = [a - f * p for a, p in zip(M[i], prow)]
-            rhs[i] -= f * rhs[leave]
-    f = red[enter]
-    if f != 0:
-        for j in range(total):
-            red[j] -= f * prow[j]
-    basis[leave] = enter
+def pivot(rows, r, s, den):
+    """Fraction-free pivot on rows[r][s]; returns the new common denominator.
+
+    `rows` holds integer rows D * B^-1 A under the common denominator `den`.
+    Every other row becomes (p * a - f * q) // den, an exact division by
+    Sylvester's identity (so a row with f = 0 is still rescaled by p / den),
+    and the pivot row stays as it is.  A negative pivot
+    negates every row so that the new denominator |p| stays positive.
+    """
+    prow = rows[r]
+    p = prow[s]
+    unit = p == den == 1
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[s]
+        if unit:
+            if f:
+                rows[i] = [a - f * q for a, q in zip(row, prow)]
+        elif f:
+            rows[i] = [(p * a - f * q) // den for a, q in zip(row, prow)]
+        elif p != den:
+            rows[i] = [p * a // den for a in row]
+    if p < 0:
+        for i, row in enumerate(rows):
+            rows[i] = [-a for a in row]
+        p = -p
+    return p
 
 
-def _pivot_out_artificials(M, rhs, basis, ncols):
+def _pivot_out_artificials(tab, basis, ncols, den):
     """Swap remaining zero-level artificials for structural columns where
     possible; rows left with no structural pivot are redundant and harmless.
+    Returns the new common denominator.
     """
-    k = len(M)
-    for i in range(k):
+    for i in range(len(basis)):
         if basis[i] >= ncols:
             for j in range(ncols):
-                if M[i][j] != 0:
-                    piv = M[i][j]
-                    M[i] = [v / piv for v in M[i]]
-                    rhs[i] /= piv
-                    for ii in range(k):
-                        if ii != i and M[ii][j] != 0:
-                            f = M[ii][j]
-                            M[ii] = [a - f * p for a, p in zip(M[ii], M[i])]
-                            rhs[ii] -= f * rhs[i]
+                if tab[i][j]:
+                    den = pivot(tab, i, j, den)
                     basis[i] = j
                     break
+    return den
+
+
+def eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns (work, pivots, den): `work` is the reduced row list (length
+    len(rows)), `pivots` maps each pivot column to its row, and every pivot
+    row reads den at its pivot column and 0 at the other pivot columns.
+    len(pivots) is the rank.
+    """
+    work = [list(r) for r in rows]
+    pivots = {}
+    den = 1
+    rank = 0
+    for j in range(ncols):
+        if rank == len(work):
+            break
+        piv = next((i for i in range(rank, len(work)) if work[i][j]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        den = pivot(work, rank, j, den)
+        pivots[j] = rank
+        rank += 1
+    return work, pivots, den
 
 
 def _primitive(vec):
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    """Divide an integer vector by the gcd of its entries (gcd 1 afterwards)."""
+    g = gcd(*vec)
+    return tuple([v // g for v in vec]) if g > 1 else tuple(vec)
 
 
-def as_integer_vector(x):
-    """Convert exact rationals to ints, asserting integrality (TU systems)."""
-    out = []
-    for v in x:
-        assert v.denominator == 1, f"non-integral vertex coordinate {v}"
-        out.append(int(v))
-    return tuple(out)
+def as_integer_vector(res):
+    """The optimal point of an LpResult as ints; raises CctuError when it is
+    not integral (possible only on non-TU data)."""
+    if res.den != 1:
+        raise CctuError(f"non-integral vertex {res.x} / {res.den}")
+    return res.x

@@ -29,8 +29,13 @@ class IntMatrix:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = self.rows
+        # Rows that already are tuples of ints are kept, not copied.
+        if type(rows) is not tuple or not all(
+            type(r) is tuple and all(type(v) is int for v in r) for r in rows
+        ):
+            rows = tuple([tuple([int(v) for v in r]) for r in rows])
+            object.__setattr__(self, "rows", rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionError("ragged rows")
 
@@ -50,7 +55,7 @@ class IntMatrix:
         return self.rows[i]
 
     def col(self, j):
-        return tuple(r[j] for r in self.rows)
+        return tuple([r[j] for r in self.rows])
 
     def flat(self):
         return [v for r in self.rows for v in r]
@@ -59,21 +64,21 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.rows))) if self.rows else IntMatrix(())
 
     def submatrix(self, row_idx, col_idx):
-        return IntMatrix(tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx))
+        return IntMatrix(tuple([tuple([self.rows[i][j] for j in col_idx]) for i in row_idx]))
 
     def with_row(self, extra):
         if len(extra) != self.ncols and self.rows:
             raise DimensionError("row length mismatch")
-        return IntMatrix(self.rows + (tuple(int(v) for v in extra),))
+        return IntMatrix(self.rows + (tuple([int(v) for v in extra]),))
 
     def mul_vec(self, x):
         if len(x) != self.ncols:
             raise DimensionError("vector length mismatch")
-        return tuple(sum(a * v for a, v in zip(r, x)) for r in self.rows)
+        return tuple([sum(a * v for a, v in zip(r, x)) for r in self.rows])
 
     @staticmethod
     def identity(n):
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]))
 
 
 def determinant(mat):

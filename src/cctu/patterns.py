@@ -98,25 +98,25 @@ class Split:
     def a_problem(self, alpha, beta, residues):
         """A x_A <= b_A - alpha e, h.x_A = beta, gamma_A.x_A in residues."""
         mat = self.inst.P.T.matrix
-        rows = [tuple(mat[r, c] for c in self.a_cols) for r in self.a_rows]
+        rows = [tuple([mat[r, c] for c in self.a_cols]) for r in self.a_rows]
         rhs = [self.inst.P.b[r] - alpha * ev for r, ev in zip(self.a_rows, self.e)]
         rows.append(tuple(self.h))
         rhs.append(beta)
-        rows.append(tuple(-v for v in self.h))
+        rows.append(tuple([-v for v in self.h]))
         rhs.append(-beta)
-        gamma = tuple(self.inst.gamma[c] for c in self.a_cols)
+        gamma = tuple([self.inst.gamma[c] for c in self.a_cols])
         P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(rows))), tuple(rhs))
         return RCctufInstance(P, gamma, self.inst.m, frozenset(residues))
 
     def b_problem(self, alpha, beta, residues):
         mat = self.inst.P.T.matrix
-        rows = [tuple(mat[r, c] for c in self.b_cols) for r in self.b_rows]
+        rows = [tuple([mat[r, c] for c in self.b_cols]) for r in self.b_rows]
         rhs = [self.inst.P.b[r] - beta * gv for r, gv in zip(self.b_rows, self.g)]
         rows.append(tuple(self.f))
         rhs.append(alpha)
-        rows.append(tuple(-v for v in self.f))
+        rows.append(tuple([-v for v in self.f]))
         rhs.append(-alpha)
-        gamma = tuple(self.inst.gamma[c] for c in self.b_cols)
+        gamma = tuple([self.inst.gamma[c] for c in self.b_cols])
         P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(rows))), tuple(rhs))
         return RCctufInstance(P, gamma, self.inst.m, frozenset(residues))
 
@@ -166,7 +166,7 @@ def narrowed_domain(inst, split):
     """
     d_alpha = split.alpha_direction()
     d_beta = split.beta_direction()
-    d_sum = tuple(a + b for a, b in zip(d_alpha, d_beta))
+    d_sum = tuple([a + b for a, b in zip(d_alpha, d_beta)])
     _, P = bound_scalar_products(inst, [d_alpha, d_beta, d_sum])
     out = []
     for d in (d_sum, d_alpha, d_beta):
@@ -279,22 +279,22 @@ def averaging_solutions(split, x1, x2):
         windows.append((total // 2, -(-total // 2)))  # floor, ceil
     rows = list(inst.P.T.matrix.rows)
     rhs = list(inst.P.b)
-    d_sum = tuple(a + b for a, b in zip(d_alpha, d_beta))
+    d_sum = tuple([a + b for a, b in zip(d_alpha, d_beta)])
     for d, (lo, hi) in zip((d_sum, d_alpha, d_beta), windows):
         rows.append(tuple(d))
         rhs.append(hi)
-        rows.append(tuple(-v for v in d))
+        rows.append(tuple([-v for v in d]))
         rhs.append(-lo)
-    total = tuple(a + b for a, b in zip(x1, x2))
+    total = tuple([a + b for a, b in zip(x1, x2)])
     both_rows = list(rows)
     both_rhs = list(rhs)
     for row, bv in zip(rows, rhs):
-        both_rows.append(tuple(-v for v in row))
+        both_rows.append(tuple([-v for v in row]))
         both_rhs.append(bv - sum(rv * tv for rv, tv in zip(row, total)))
     P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(both_rows))), tuple(both_rhs))
     x3 = integral_feasible_point(P)
     assert x3 is not None, "midpoint certifies the two-sided system is feasible"
-    x4 = tuple(t - v for t, v in zip(total, x3))
+    x4 = tuple([t - v for t, v in zip(total, x3)])
     return x3, x4
 
 
@@ -384,7 +384,9 @@ def integrate_subpattern(inst, split, pattern, sp):
     """The reduced problem capturing solutions covered by a sub-pattern.
 
     Variables (x_A, y1) after eliminating y2 = h.x_A through the equality
-    row; the congruency absorbs the sub-pattern's linear residue map.
+    row; the congruency absorbs the sub-pattern's linear residue map: the
+    B side contributes r0 + r1*y1 + r2*(h.x_A), so gamma picks up r1 and
+    r2*h and the targets become R - r0.
     Returns (reduced instance, lifter) where the lifter rebuilds a full
     solution from stored B-side witnesses.
     """
@@ -395,12 +397,12 @@ def integrate_subpattern(inst, split, pattern, sp):
     rows = []
     rhs = []
     for r, ev in zip(split.a_rows, split.e):
-        rows.append(tuple(mat[r, c] for c in split.a_cols) + (ev,))
+        rows.append(tuple([mat[r, c] for c in split.a_cols]) + (ev,))
         rhs.append(inst.P.b[r])
     h = tuple(split.h)
     rows.append(h + (1,))
     rhs.append(u0)
-    rows.append(tuple(-v for v in h) + (-1,))
+    rows.append(tuple([-v for v in h]) + (-1,))
     rhs.append(-l0)
     rows.append((0,) * n_a + (1,))
     rhs.append(u1)
@@ -408,12 +410,12 @@ def integrate_subpattern(inst, split, pattern, sp):
     rhs.append(-l1)
     rows.append(h + (0,))
     rhs.append(u2)
-    rows.append(tuple(-v for v in h) + (0,))
+    rows.append(tuple([-v for v in h]) + (0,))
     rhs.append(-l2)
-    gamma = tuple(
+    gamma = tuple([
         inst.gamma[c] + sp.r2 * hv for c, hv in zip(split.a_cols, split.h)
-    ) + (sp.r1,)
-    targets = frozenset((sp.r0 + r) % m for r in inst.R)
+    ]) + (sp.r1,)
+    targets = frozenset((r - sp.r0) % m for r in inst.R)
     reduced = RCctufInstance(
         Polyhedron(TUMatrix.trusted(IntMatrix(tuple(rows))), tuple(rhs)), gamma, m, targets
     )

@@ -26,7 +26,7 @@ class Polyhedron:
     b: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
+        object.__setattr__(self, "b", tuple([int(v) for v in self.b]))
         if self.T.nrows != len(self.b):
             raise DimensionError("rhs length differs from row count")
 
@@ -38,7 +38,7 @@ class Polyhedron:
         return all(v <= bv for v, bv in zip(self.T.matrix.mul_vec(x), self.b))
 
     def with_rows(self, rows, rhs):
-        mat = IntMatrix(self.T.matrix.rows + tuple(tuple(r) for r in rows))
+        mat = IntMatrix(self.T.matrix.rows + tuple([tuple(r) for r in rows]))
         return Polyhedron(TUMatrix.trusted(mat), self.b + tuple(rhs))
 
 
@@ -53,10 +53,10 @@ class RCctufInstance:
     c: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(int(v) for v in self.gamma))
+        object.__setattr__(self, "gamma", tuple([int(v) for v in self.gamma]))
         object.__setattr__(self, "R", frozenset(int(r) for r in self.R))
         if self.c is not None:
-            object.__setattr__(self, "c", tuple(int(v) for v in self.c))
+            object.__setattr__(self, "c", tuple([int(v) for v in self.c]))
             if len(self.c) != self.P.nvars:
                 raise DimensionError("objective length mismatch")
         if len(self.gamma) != self.P.nvars:
@@ -102,7 +102,7 @@ def lp_optimize(P, c, sense="min"):
         raise DimensionError("objective length mismatch")
     res = lp.solve_lp(P.T.matrix.rows, P.b, list(c), sense)
     if res.status == "optimal":
-        return LpOutcome("optimal", lp.as_integer_vector(res.x), res.value)
+        return LpOutcome("optimal", lp.as_integer_vector(res), res.value)
     if res.status == "unbounded":
         return LpOutcome("unbounded", ray=res.ray)
     return LpOutcome("infeasible")

@@ -80,7 +80,7 @@ def pivot(mat, i, j):
                 out[r][c] = eps * mat[r, j]
             else:
                 out[r][c] = mat[r, c] - eps * mat[r, j] * mat[i, c]
-    return IntMatrix(tuple(tuple(row) for row in out))
+    return IntMatrix(tuple([tuple(row) for row in out]))
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ class SumDecomposition:
         if self.kind == 1:
             return self.A
         if self.kind == 2:
-            return IntMatrix(tuple(r + (ev,) for r, ev in zip(self.A.rows, self.e)))
-        rows = tuple(r + (ev, ev) for r, ev in zip(self.A.rows, self.e))
+            return IntMatrix(tuple([r + (ev,) for r, ev in zip(self.A.rows, self.e)]))
+        rows = tuple([r + (ev, ev) for r, ev in zip(self.A.rows, self.e)])
         return IntMatrix(rows + (self.h + (0, 1),))
 
     def second_summand(self):
@@ -125,7 +125,7 @@ class SumDecomposition:
         if self.kind == 2:
             return IntMatrix((self.f,) + self.B.rows)
         rows = ((0, 1) + self.f,)
-        return IntMatrix(rows + tuple((gv, gv) + r for gv, r in zip(self.g, self.B.rows)))
+        return IntMatrix(rows + tuple([(gv, gv) + r for gv, r in zip(self.g, self.B.rows)]))
 
 
 def k_sum(parts):
@@ -151,7 +151,7 @@ def k_sum(parts):
     for r in range(k):
         for c in range(n):
             out[parts.row_perm[r]][parts.col_perm[c]] = comp[r][c]
-    return IntMatrix(tuple(tuple(row) for row in out))
+    return IntMatrix(tuple([tuple(row) for row in out]))
 
 
 def _rank1_factor(block):
@@ -169,7 +169,7 @@ def _rank1_factor(block):
             continue
         if col == u:
             v[j] = 1
-        elif col == tuple(-x for x in u):
+        elif col == tuple([-x for x in u]):
             v[j] = -1
         else:
             return None
@@ -197,7 +197,7 @@ def find_sum_decomposition(mat, limits=DEFAULT_LIMITS):
             continue
         for csize in range(2, n - 1):
             for cols1 in combinations(range(n), csize):
-                cols2 = tuple(j for j in range(n) if j not in cols1)
+                cols2 = tuple([j for j in range(n) if j not in cols1])
                 dec = _try_separation(mat, rows1, rows2, cols1, cols2)
                 if dec is not None:
                     if dec.kind == 1:
@@ -293,7 +293,7 @@ def reduce_to_core(mat):
             if len(nz) <= 1:
                 partner = nz[0] if nz else None
                 sign = rows[nz[0]][j] if nz else 0
-                log.append(CoreOp("col", j, tuple(r[j] for r in rows), "unit", partner, sign))
+                log.append(CoreOp("col", j, tuple([r[j] for r in rows]), "unit", partner, sign))
                 for r in rows:
                     del r[j]
                 ncols -= 1
@@ -309,7 +309,7 @@ def reduce_to_core(mat):
             del rows[drop]
             changed = True
             continue
-        cols = [tuple(r[j] for r in rows) for j in range(ncols)]
+        cols = [tuple([r[j] for r in rows]) for j in range(ncols)]
         found = _find_twin(cols)
         if found:
             keep, drop, reason = found
@@ -319,7 +319,7 @@ def reduce_to_core(mat):
             ncols -= 1
             changed = True
             continue
-    core = IntMatrix(tuple(tuple(r) for r in rows))
+    core = IntMatrix(tuple([tuple(r) for r in rows]))
     return core, tuple(log)
 
 
@@ -328,7 +328,7 @@ def _find_twin(vecs):
         for b in range(a + 1, len(vecs)):
             if vecs[b] == vecs[a]:
                 return (a, b, "dup")
-            if vecs[b] == tuple(-v for v in vecs[a]):
+            if vecs[b] == tuple([-v for v in vecs[a]]):
                 return (a, b, "negdup")
     return None
 
@@ -348,7 +348,7 @@ def replay_core_ops(core, log):
             for i, r in enumerate(rows):
                 r.insert(op.index, op.values[i])
             ncols += 1
-    return IntMatrix(tuple(tuple(r) for r in rows))
+    return IntMatrix(tuple([tuple(r) for r in rows]))
 
 
 def matches_special_core(core):
@@ -359,7 +359,7 @@ def matches_special_core(core):
 
     def signnorm(vec):
         nz = next((v for v in vec if v != 0), 1)
-        return tuple(x * (1 if nz > 0 else -1) for x in vec)
+        return tuple([x * (1 if nz > 0 else -1) for x in vec])
 
     for target in SPECIAL_CORES:
         target_rows = sorted(signnorm(r) for r in target.rows)
@@ -367,7 +367,7 @@ def matches_special_core(core):
             for signs in product((1, -1), repeat=5):
                 variant_rows = []
                 for r in core.rows:
-                    variant_rows.append(signnorm(tuple(r[p] * s for p, s in zip(perm, signs))))
+                    variant_rows.append(signnorm(tuple([r[p] * s for p, s in zip(perm, signs)])))
                 if sorted(variant_rows) == target_rows:
                     return True
     return False
@@ -408,7 +408,7 @@ class NetworkRepresentation:
             for idx, sgn in _tree_path(adj, v, w, self.nvertices):
                 col[idx] = sgn
             cols.append(col)
-        return IntMatrix(tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(rows)))
+        return IntMatrix(tuple([tuple([col[i] for col in cols]) for i in range(rows)]))
 
 
 def _tree_path(adj, v, w, nv):
@@ -468,7 +468,7 @@ def _core_network_representation(mat, limits):
     """Brute-force tree search for a small core; exact, exponential in rows."""
     k, n = mat.nrows, mat.ncols
     if k == 0:
-        return NetworkRepresentation(1, (), tuple((0, 0) for _ in range(n)))
+        return NetworkRepresentation(1, (), tuple([(0, 0) for _ in range(n)]))
     if k > limits.tree_rows:
         raise ScaleError(f"tree search over {k}-row core exceeds the cap")
     nv = k + 1
@@ -732,7 +732,7 @@ def pivot_transform_instance(inst, i, j):
     eps = mat[i, j]
     if eps not in (-1, 1):
         raise ValueError("pivot entry must be +1 or -1")
-    d = tuple(1 if t == j else 0 for t in range(n))
+    d = tuple([1 if t == j else 0 for t in range(n)])
     bounds, _ = bound_scalar_products(inst, [d])
     (_, u), = bounds.bounds
     # Q: column j scaled by eps; column c (c != j) gets -eps*T[i,c] in row j
@@ -744,18 +744,18 @@ def pivot_transform_instance(inst, i, j):
         if c != j:
             Q[j][c] = -eps * mat[i, c]
             Qinv[j][c] = mat[i, c]
-    Qm = IntMatrix(tuple(tuple(r) for r in Q))
-    Qinvm = IntMatrix(tuple(tuple(r) for r in Qinv))
+    Qm = IntMatrix(tuple([tuple(r) for r in Q]))
+    Qinvm = IntMatrix(tuple([tuple(r) for r in Qinv]))
     new_rows = []
     for r in range(mat.nrows):
-        new_rows.append(tuple(sum(mat[r, t] * Qm[t, c] for t in range(n)) for c in range(n)))
-    bound_row = tuple(eps if c == j else -eps * mat[i, c] for c in range(n))
+        new_rows.append(tuple([sum(mat[r, t] * Qm[t, c] for t in range(n)) for c in range(n)]))
+    bound_row = tuple([eps if c == j else -eps * mat[i, c] for c in range(n)])
     new_rows.append(bound_row)
     new_b = inst.P.b + (u,)
-    new_gamma = tuple(sum(inst.gamma[t] * Qm[t, c] for t in range(n)) for c in range(n))
+    new_gamma = tuple([sum(inst.gamma[t] * Qm[t, c] for t in range(n)) for c in range(n)])
     new_c = None
     if inst.c is not None:
-        new_c = tuple(sum(inst.c[t] * Qm[t, c] for t in range(n)) for c in range(n))
+        new_c = tuple([sum(inst.c[t] * Qm[t, c] for t in range(n)) for c in range(n)])
     new_P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(new_rows))), new_b)
     transformed = RCctufInstance(new_P, new_gamma, inst.m, inst.R, new_c)
     return transformed, PivotMaps(Qm, Qinvm)

@@ -24,7 +24,7 @@ class ResidueGroups:
     R: frozenset  # target residues
 
     def __post_init__(self):
-        norm = tuple((int(r) % self.m, int(mult)) for r, mult in self.groups)
+        norm = tuple([(int(r) % self.m, int(mult)) for r, mult in self.groups])
         if any(mult < 0 for _, mult in norm):
             raise ValueError("negative multiplicity")
         object.__setattr__(self, "groups", norm)
@@ -133,7 +133,7 @@ def shorten_residue_sum(g, stats=None):
     if len(g.R) == g.m:
         # full target set: the empty sum qualifies, and a one-term sum could
         # otherwise never shrink (intervals need two positions)
-        return tuple(0 for _ in g.groups)
+        return tuple([0 for _ in g.groups])
     cur = g.groups
     budget = g.m - len(g.R)
 
@@ -154,7 +154,7 @@ def shorten_residue_sum(g, stats=None):
             raise CctuError("no interval into the target set despite excess terms")
         cur = _delete_interval(cur, iv)
         stats.phase2_steps += 1
-    return tuple(mult for _, mult in cur)
+    return tuple([mult for _, mult in cur])
 
 
 def transform_solution(inst, y, x0, stats=None):
@@ -171,10 +171,10 @@ def transform_solution(inst, y, x0, stats=None):
     dec = decompose_solutions(inst.P, x0, y)
     shift = sum(gv * xv for gv, xv in zip(inst.gamma, x0)) % inst.m
     target = frozenset((r - shift) % inst.m for r in inst.R)
-    groups = tuple(
+    groups = tuple([
         (sum(gv * rv for gv, rv in zip(inst.gamma, ray)) % inst.m, lam)
         for ray, lam in zip(dec.rays, dec.coeffs)
-    )
+    ])
     mu = shorten_residue_sum(ResidueGroups(groups, inst.m, target), stats)
     out = dec.point_for(mu)
     assert inst.is_feasible_point(out), "transformed point lost feasibility"

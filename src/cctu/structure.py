@@ -63,7 +63,7 @@ def solve_unconstrained_congruence(gamma, m, R):
         return (0,) * n if 0 in R else None
     for t in range(m):
         if (g * t) % m in R:
-            return tuple(t * v for v in coeff)
+            return tuple([t * v for v in coeff])
     return None
 
 
@@ -119,12 +119,12 @@ def find_flat_or_solve(inst):
 
 def _sub_polyhedron(rows, rhs, idx):
     idx = list(idx)
-    mat = IntMatrix(tuple(rows[i] for i in idx)) if idx else IntMatrix(())
+    mat = IntMatrix(tuple([rows[i] for i in idx])) if idx else IntMatrix(())
     if not idx:
         # keep the variable count by adding a vacuous zero row
         n = len(rows[0]) if rows else 0
         return Polyhedron(TUMatrix.trusted(IntMatrix(((0,) * n,))), (0,))
-    return Polyhedron(TUMatrix.trusted(mat), tuple(rhs[i] for i in idx))
+    return Polyhedron(TUMatrix.trusted(mat), tuple([rhs[i] for i in idx]))
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def bound_scalar_products(inst, directions):
             l = hi_v - slack
         else:
             l, u = 0, slack
-        P = P.with_rows([tuple(d), tuple(-v for v in d)], [u, -l])
+        P = P.with_rows([tuple(d), tuple([-v for v in d])], [u, -l])
         out.append((l, u))
     return ScalarBounds(tuple(out)), P
 
@@ -239,16 +239,16 @@ def eliminate_tight_variable(inst):
         if t == i:
             continue
         rbar = r[:j] + r[j + 1:]
-        new_rows.append(tuple(v - alpha * r[j] * a for v, a in zip(rbar, a2)))
+        new_rows.append(tuple([v - alpha * r[j] * a for v, a in zip(rbar, a2)]))
         new_rhs.append(bv - alpha * beta * r[j])
     gbar = inst.gamma[:j] + inst.gamma[j + 1:]
     gj = inst.gamma[j]
-    new_gamma = tuple(v - alpha * gj * a for v, a in zip(gbar, a2))
+    new_gamma = tuple([v - alpha * gj * a for v, a in zip(gbar, a2)])
     new_R = frozenset((r - alpha * gj * beta) % inst.m for r in inst.R)
     new_c = None
     if inst.c is not None:
         cbar = inst.c[:j] + inst.c[j + 1:]
-        new_c = tuple(v - alpha * inst.c[j] * a for v, a in zip(cbar, a2))
+        new_c = tuple([v - alpha * inst.c[j] * a for v, a in zip(cbar, a2)])
     reduced = RCctufInstance(
         Polyhedron(TUMatrix.trusted(IntMatrix(tuple(new_rows))), tuple(new_rhs)),
         new_gamma,

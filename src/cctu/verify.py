@@ -37,9 +37,9 @@ class VerificationReport:
 def verify_solution(inst, x):
     """Row-by-row check of T x <= b plus the congruency constraint."""
     lhs = inst.P.T.matrix.mul_vec(x)
-    violations = tuple(
+    violations = tuple([
         RowViolation(i, l, bv) for i, (l, bv) in enumerate(zip(lhs, inst.P.b)) if l > bv
-    )
+    ])
     residue = inst.residue(x)
     residue_ok = residue in inst.R
     return VerificationReport(

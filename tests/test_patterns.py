@@ -478,3 +478,31 @@ def test_family_branches_end_to_end(seed):
     else:
         assert inst.is_feasible_point(lifted)
         assert ora.status == "feasible"
+
+
+SUM3_LIFT_INSTANCE = """rows 5
+cols 4
+T
+ 0  0  0 -1
+-1 -1  0 -1
+-1  0  0 -1
+ 0  0  0  1
+-1 -1 -1  0
+b 4 -4 -3 -4 4
+gamma 1 1 0 5
+m 3
+R 2
+"""
+
+
+def test_sum3_subpattern_lift_lands_in_target_residues():
+    """The integrated sub-pattern instance must target R - r0: its lift adds
+    the B-side residue r0 + r1*alpha + r2*beta back.  With R + r0 the
+    reduced solution lifted to a point of residue 0 instead of 2."""
+    from cctu.fileio import parse_instance
+
+    inst = parse_instance(SUM3_LIFT_INSTANCE)
+    assert oracle_solve(inst).status == "feasible"
+    res = solve_rcctuf(inst)
+    assert res.status == "feasible"
+    assert inst.is_feasible_point(res.x)
