@@ -13,7 +13,6 @@ from .baseblocks import (
     LevelLabeling,
     cctu_to_ccc,
     cctu_to_ctc,
-    ccc_to_xlc,
     normalize,
     solve_base_block,
     solve_ccc,

@@ -159,12 +159,11 @@ class _FlowEdge:
     rev_arc: int = None  # antiparallel partner carrying negative net, if merged
 
 
-def _merge_arcs(ccc, exact_lengths):
+def _merge_arcs(ccc):
     """Signed edges from arcs, merging cancellable antiparallel pairs.
 
-    A pair cancels when the lengths sum to zero exactly and, unless
-    `exact_lengths`, the residue weights sum to zero mod m (with exact
-    lengths the weights are already folded into the lengths).
+    A pair cancels when the lengths sum to zero and the residue weights sum
+    to zero mod m.
     """
     n = len(ccc.arcs)
     used = [False] * n
@@ -180,7 +179,7 @@ def _merge_arcs(ccc, exact_lengths):
                 continue
             if ccc.lengths[a] + ccc.lengths[b] != 0:
                 continue
-            if not exact_lengths and (ccc.eta[a] + ccc.eta[b]) % ccc.m != 0:
+            if (ccc.eta[a] + ccc.eta[b]) % ccc.m != 0:
                 continue
             partner = b
             break
@@ -196,19 +195,17 @@ def _merge_arcs(ccc, exact_lengths):
     return edges
 
 
-def _solve_flow_box(nvertices, edges, m, rmask, minimize, budget, exact_value=None):
+def _solve_flow_box(nvertices, edges, m, rmask, budget):
     """Enumerate circulations through the kernel box search.
 
     Free (non-forest) edge nets are the box variables; forest nets are linear
     in them, so capacity windows become constraint rows.  The residue vector
     and objective fold the forest contributions into per-variable
-    coefficients.  With `exact_value` the total length is pinned to that
-    value by a row pair instead of being minimized.
-    Returns (found, net-flow per edge, value).
+    coefficients.
+    Returns the net flow per edge of a minimum-length circulation, or None.
     """
     forest = []
     free = []
-    seen = set()
     adj_order = sorted(range(len(edges)), key=lambda e: (edges[e].tail, edges[e].head))
     comp = list(range(nvertices))
 
@@ -226,7 +223,6 @@ def _solve_flow_box(nvertices, edges, m, rmask, minimize, budget, exact_value=No
         else:
             free.append(e)
     free.sort()
-    forest_set = set(forest)
     # fundamental-cycle coefficients of each free edge on each forest edge
     adj = {}
     for t in forest:
@@ -266,14 +262,9 @@ def _solve_flow_box(nvertices, edges, m, rmask, minimize, budget, exact_value=No
                 c += coeff[t][pos] * edges[t].length
         rho.append(s % m)
         kappa.append(c)
-    if exact_value is not None:
-        rows.append(tuple(kappa))
-        rhs.append(exact_value)
-        rows.append(tuple([-v for v in kappa]))
-        rhs.append(-exact_value)
     flat = [v for row in rows for v in row]
-    use_cost = minimize and any(kappa)
-    found, z, value = kernels.box_search(
+    use_cost = any(kappa)
+    found, z, _ = kernels.box_search(
         flat,
         len(rows),
         len(free),
@@ -287,14 +278,13 @@ def _solve_flow_box(nvertices, edges, m, rmask, minimize, budget, exact_value=No
         use_cost,
     )
     if not found:
-        return (False, None, None)
+        return None
     nets = [0] * len(edges)
     for pos, e in enumerate(free):
         nets[e] = z[pos]
     for t in forest:
         nets[t] = sum(cv * zv for cv, zv in zip(coeff[t], z))
-    total = sum(edges[e].length * nets[e] for e in range(len(edges)))
-    return (True, nets, total)
+    return nets
 
 
 def _forest_path(adj, src, dst, nv):
@@ -327,11 +317,9 @@ def solve_ccc(ccc, budget=DEFAULT_ENUM_BUDGET):
     Deterministic bounded enumeration behind the terminal-solver interface;
     returns flows per arc.
     """
-    edges = _merge_arcs(ccc, exact_lengths=False)
-    found, nets, _ = _solve_flow_box(
-        ccc.nvertices, edges, ccc.m, 1 << (ccc.r % ccc.m), True, budget
-    )
-    if not found:
+    edges = _merge_arcs(ccc)
+    nets = _solve_flow_box(ccc.nvertices, edges, ccc.m, 1 << (ccc.r % ccc.m), budget)
+    if nets is None:
         return None
     return _nets_to_flows(ccc, edges, nets)
 
@@ -396,75 +384,6 @@ def check_circulation(ccc, flows):
         balance[a] -= f
         balance[b] += f
     return not any(balance)
-
-
-# ---------------------------------------------------------------------------
-# exact-length circulations
-
-
-@dataclass(frozen=True)
-class XlcInstance:
-    nvertices: int
-    arcs: tuple
-    u: tuple
-    lengths: tuple  # transformed lengths l*m^2*|A| + eta
-
-
-def ccc_to_xlc(ccc):
-    """Fold the residue weights into the lengths.
-
-    Returns (XlcInstance, target_maker) where target_maker(L) lists the
-    transformed exact lengths L*m^2*|A| + k*m + r: a circulation has length
-    L and the target residue iff it has one of those transformed lengths.
-    k ranges over the attainable weight sums (at most m*|A| values, a single
-    one when m = 1).
-    """
-    na = len(ccc.arcs)
-    scale = ccc.m * ccc.m * na if na else 1
-    lengths = tuple([l * scale + (e % ccc.m) for l, e in zip(ccc.lengths, ccc.eta)])
-    inst = XlcInstance(ccc.nvertices, ccc.arcs, ccc.u, lengths)
-    weight_max = sum((e % ccc.m) * u for e, u in zip(ccc.eta, ccc.u))
-    r = ccc.r % ccc.m
-    k_top = min(ccc.m * na - 1, (weight_max - r) // ccc.m) if weight_max >= r else -1
-
-    def targets(L):
-        return [L * scale + k * ccc.m + r for k in range(k_top + 1)]
-
-    return inst, targets
-
-
-def solve_xlc(xlc, target, budget=DEFAULT_ENUM_BUDGET):
-    """A circulation of exact transformed length `target`, or None."""
-    shim = CccInstance(
-        xlc.nvertices,
-        xlc.arcs,
-        xlc.u,
-        xlc.lengths,
-        (0,) * len(xlc.arcs),
-        1,
-        0,
-    )
-    edges = _merge_arcs(shim, exact_lengths=True)
-    found, nets, _ = _solve_flow_box(
-        xlc.nvertices, edges, 1, 1, False, budget, exact_value=target
-    )
-    if not found:
-        return None
-    return _nets_to_flows(shim, edges, nets)
-
-
-def solve_ccc_via_xlc(ccc, budget=DEFAULT_ENUM_BUDGET, span=64):
-    """Feasibility/optimization of a CCC instance through the exact-length
-    reduction: scan candidate lengths upward, querying the XLC solver for
-    each transformed target.  Cross-check target for solve_ccc."""
-    xlc, targets = ccc_to_xlc(ccc)
-    bound = sum(u * abs(l) for u, l in zip(ccc.u, ccc.lengths))
-    for L in range(-bound, bound + 1):
-        for t in targets(L):
-            f = solve_xlc(xlc, t, budget)
-            if f is not None:
-                return f
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +504,6 @@ def labeling_cost(ctc, labeling):
 
 # ---------------------------------------------------------------------------
 # single-residue pipelines
-
-
-INTERNAL_LIMITS = None  # set below, after importing SearchLimits lazily
 
 
 def _internal_limits():

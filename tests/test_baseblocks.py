@@ -2,7 +2,6 @@ import random
 
 from cctu.baseblocks import (
     CccInstance,
-    ccc_to_xlc,
     cctu_to_ccc,
     check_circulation,
     circulation_residue,
@@ -11,13 +10,12 @@ from cctu.baseblocks import (
     normalize,
     solve_base_block,
     solve_ccc,
-    solve_ccc_via_xlc,
     solve_ctc_chain,
 )
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
 from cctu.seymour import SPECIAL_CORES, classify, recognize_network_matrix
-from conftest import random_tu_matrix
+from random_systems import random_tu_matrix
 
 
 def test_normalize_shifts_and_splits():
@@ -147,35 +145,6 @@ def test_solve_ccc_matches_bruteforce(rng):
             assert check_circulation(ccc, flows)
             assert circulation_residue(ccc, flows) == ccc.r % ccc.m
             assert circulation_value(ccc, flows) == best
-
-
-def test_xlc_equivalence_with_ccc(rng):
-    for _ in range(25):
-        ccc = random_ccc(rng)
-        via_xlc = solve_ccc_via_xlc(ccc)
-        direct = solve_ccc(ccc)
-        assert (via_xlc is None) == (direct is None)
-        if via_xlc is not None:
-            assert check_circulation(ccc, via_xlc)
-            assert circulation_residue(ccc, via_xlc) == ccc.r % ccc.m
-
-
-def test_xlc_target_transform():
-    ccc = two_cycle_ccc()
-    xlc, targets = ccc_to_xlc(ccc)
-    scale = ccc.m * ccc.m * len(ccc.arcs)
-    assert xlc.lengths == tuple(
-        l * scale + e for l, e in zip(ccc.lengths, ccc.eta)
-    )
-    # attainable weight sums cap the k-range: here sum(eta*u) = 2, so k = 0
-    assert targets(0) == [2]
-    assert targets(1) == [scale + 2]
-
-
-def test_xlc_single_target_per_length_when_m_is_one():
-    ccc = CccInstance(2, ((0, 1), (1, 0)), (2, 2), (1, -1), (0, 0), 1, 0)
-    _, targets = ccc_to_xlc(ccc)
-    assert len(targets(0)) == 1 and len(targets(3)) == 1
 
 
 def test_ctc_path_tree_labeling():

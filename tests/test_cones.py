@@ -6,7 +6,7 @@ from cctu.cones import decompose_pointed_tu_cone, decompose_solutions
 from cctu.errors import CctuError
 from cctu.matrices import IntMatrix, TUMatrix, is_elementary
 from cctu.polyhedra import Polyhedron, integral_feasible_point, lp_optimize
-from conftest import random_tu_matrix
+from random_systems import random_tu_matrix
 
 
 def test_zero_point_gives_zero_coefficients():

@@ -10,7 +10,7 @@ from itertools import combinations
 from math import gcd
 
 from cctu import cones, lp
-from conftest import random_tu_matrix
+from random_systems import random_tu_matrix
 
 
 def _solve_square(rows, rhs, n):

@@ -14,7 +14,7 @@ from cctu.polyhedra import (
     search_box,
     width,
 )
-from conftest import random_instance, random_tu_matrix
+from random_systems import random_instance, random_tu_matrix
 
 
 def box_1d(lo, hi):

@@ -14,7 +14,7 @@ from cctu.matrices import (
     non_tu_witness,
     tu_appendable_rows,
 )
-from conftest import random_tu_matrix
+from random_systems import random_tu_matrix
 
 # the two special 5x5 matrices that close Seymour's base-block case
 SPECIAL_A = IntMatrix(
@@ -133,6 +133,27 @@ def test_non_tu_witness_names_a_violating_submatrix():
     rows, cols, det = non_tu_witness(mat)
     assert abs(det) > 1
     assert cofactor_det(mat.submatrix(rows, cols)) == det
+
+
+def test_subdeterminant_scan_does_not_call_the_public_det_bareiss(monkeypatch):
+    # A tracer rebinds every module attribute that is kernels.det_bareiss;
+    # the scan must not reach its per-submatrix determinants through it.
+    from cctu import kernels, matrices
+
+    # incidence matrix of a 5-cycle: the full 5x5 is the first violation (det 2)
+    odd_cycle = IntMatrix(
+        tuple(tuple(1 if j in (i, (i + 1) % 5) else 0 for j in range(5)) for i in range(5))
+    )
+    witness = non_tu_witness(odd_cycle)
+    assert witness is not None and witness[2] == 2
+
+    def boom(flat, n):
+        raise AssertionError("scan called kernels.det_bareiss")
+
+    monkeypatch.setattr(kernels, "det_bareiss", boom)
+    matrices._tu_cached.cache_clear()
+    assert is_totally_unimodular(SPECIAL_A)
+    assert non_tu_witness(odd_cycle) == witness
 
 
 def test_unit_rows_are_tu_appendable():

@@ -22,7 +22,7 @@ from cctu.patterns import (
 )
 from cctu.polyhedra import Polyhedron, RCctufInstance, lp_optimize, oracle_solve
 from cctu.seymour import find_sum_decomposition
-from conftest import random_instance, random_tu_matrix
+from random_systems import random_instance, random_tu_matrix
 
 
 def test_cauchy_davenport_exhaustive():

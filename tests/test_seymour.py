@@ -18,7 +18,7 @@ from cctu.seymour import (
     reduce_to_core,
     replay_core_ops,
 )
-from conftest import random_instance, random_tu_matrix
+from random_systems import random_instance, random_tu_matrix
 
 
 def test_pivot_direct_formula():

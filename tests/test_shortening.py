@@ -13,7 +13,7 @@ from cctu.shortening import (
     shorten_residue_sum,
     transform_solution,
 )
-from conftest import random_instance
+from random_systems import random_instance
 
 
 def test_interval_removing_whole_triple():

@@ -14,7 +14,7 @@ from cctu.structure import (
     solve_r_minus_1,
     solve_unconstrained_congruence,
 )
-from conftest import random_instance
+from random_systems import random_instance
 
 
 def interval(lo, hi, gamma, m, R, c=None):
