@@ -25,7 +25,9 @@ from . import kernels
 from .errors import InfeasibleRelaxationError, ScaleError
 from .matrices import IntMatrix, TUMatrix
 from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, lp_optimize
-from .seymour import NetworkRepresentation, recognize_network_matrix
+from .seymour import recognize_network_matrix, tree_path
+
+CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
 
 # ---------------------------------------------------------------------------
 # normalization
@@ -71,7 +73,7 @@ def normalize(inst, r):
     mat = inst.P.T.matrix
     split_rows = tuple([row + tuple([-v for v in row]) for row in mat.rows])
     return NormalizedCctu(
-        IntMatrix(split_rows),
+        IntMatrix(split_rows, 2 * inst.nvars),
         shifted_b,
         inst.gamma + tuple([-v for v in inst.gamma]),
         inst.m,
@@ -84,16 +86,6 @@ def normalize(inst, r):
 
 def _nonneg_rows(n):
     return tuple([tuple([-1 if j == i else 0 for j in range(n)]) for i in range(n)])
-
-
-def _doubled_representation(rep):
-    """Representation of [T -T] from a representation of T: every column arc
-    gains a reversed twin."""
-    return NetworkRepresentation(
-        rep.nvertices,
-        rep.tree_arcs,
-        rep.col_arcs + tuple([(w, v) for (v, w) in rep.col_arcs]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +216,13 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
             free.append(e)
     free.sort()
     # fundamental-cycle coefficients of each free edge on each forest edge
-    adj = {}
+    adj = {v: [] for v in range(nvertices)}
     for t in forest:
-        adj.setdefault(edges[t].tail, []).append((edges[t].head, t, 1))
-        adj.setdefault(edges[t].head, []).append((edges[t].tail, t, -1))
+        adj[edges[t].tail].append((edges[t].head, t, 1))
+        adj[edges[t].head].append((edges[t].tail, t, -1))
     coeff = {t: [0] * len(free) for t in forest}
     for pos, e in enumerate(free):
-        if edges[e].tail == edges[e].head:
-            continue
-        path = _forest_path(adj, edges[e].head, edges[e].tail, nvertices)
-        for (t, sgn) in path:
+        for (t, sgn) in tree_path(adj, edges[e].head, edges[e].tail):
             coeff[t][pos] = sgn
     size = 1
     lo = []
@@ -287,30 +276,6 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
     return nets
 
 
-def _forest_path(adj, src, dst, nv):
-    if src == dst:
-        return []
-    parent = {src: None}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            break
-        for (nb, t, sgn) in adj.get(v, ()):
-            if nb not in parent:
-                parent[nb] = (v, t, sgn)
-                stack.append(nb)
-    if dst not in parent:
-        return []
-    path = []
-    v = dst
-    while parent[v] is not None:
-        pv, t, sgn = parent[v]
-        path.append((t, sgn))
-        v = pv
-    return path
-
-
 def solve_ccc(ccc, budget=DEFAULT_ENUM_BUDGET):
     """Minimum-length circulation meeting the congruency target, or None.
 
@@ -350,12 +315,10 @@ def solution_to_circulation(ccc, rep, xhat):
     for idx, (a, b) in enumerate(rep.tree_arcs):
         adj[a].append((b, idx, 1))
         adj[b].append((a, idx, -1))
-    from .seymour import _tree_path
-
     for j, (v, w) in enumerate(rep.col_arcs):
         x = xhat[j]
         flows[2 * ntree + j] += x  # reverse column arc (w, v)
-        for idx, sgn in _tree_path(adj, v, w, rep.nvertices):
+        for idx, sgn in tree_path(adj, v, w):
             if sgn == 1:
                 flows[idx] += x
             else:
@@ -569,7 +532,7 @@ def _dedup_rows(mat, b):
         else:
             seen[row] = bv
             order.append(row)
-    return IntMatrix(tuple(order)), tuple([seen[row] for row in order])
+    return IntMatrix(tuple(order), mat.ncols), tuple([seen[row] for row in order])
 
 
 def _transposed_pipeline(inst):
@@ -599,13 +562,6 @@ def _transposed_solve_for(inst, norm, rep, r, budget):
     return x
 
 
-def solve_transposed_cctu(inst, r, budget=DEFAULT_ENUM_BUDGET):
-    """Solve the residue-r problem over a transposed network matrix via the
-    tree-cut reduction; returns a point or None."""
-    norm, rep = _transposed_pipeline(inst)
-    return _transposed_solve_for(inst, norm, rep, r, budget)
-
-
 def _stems(core, log):
     """Forward-replay stem tracking: per row/column of the full matrix, the
     (core index, sign) it stems from, or None."""
@@ -625,7 +581,7 @@ def _stems(core, log):
     return row_stems, col_stems
 
 
-def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET, core_col_cap=5):
+def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET):
     """Solve the residue-r problem for a constraint matrix with a small core
     by guessing the core-column scalar products.
 
@@ -641,7 +597,7 @@ def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET, core_col_cap=5):
     norm = normalize(inst, r)
     core, log = reduce_to_core(norm.T)
     ell = core.ncols
-    if ell > core_col_cap:
+    if ell > CORE_COL_CAP:
         raise ScaleError(f"{ell}-column core exceeds the guessing cap")
     row_stems, col_stems = _stems(core, log)
     nhat = len(norm.gamma)
@@ -681,7 +637,7 @@ def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET, core_col_cap=5):
             rows.append(nn)
             rhs.append(0)
         guessed = RCctufInstance(
-            Polyhedron(TUMatrix.trusted(IntMatrix(tuple(rows))), tuple(rhs)),
+            Polyhedron(TUMatrix.trusted(IntMatrix(tuple(rows), nhat)), tuple(rhs)),
             norm.gamma,
             norm.m,
             frozenset({norm.r}),

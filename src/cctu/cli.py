@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, check-tu, decompose, width, proximity, generate,
-verify, fuzz.  Exit codes: 0 success, 1 infeasible (or negative verdict),
-2 input error, 3 desk-scale budget exceeded.
+verify, fuzz; each accepts only the flags it reads.  Exit codes: 0 success,
+1 infeasible (or negative verdict), 2 input error, 3 desk-scale budget
+exceeded, 4 a reported solution failed its exact re-verification.
 """
 
 import argparse
@@ -10,13 +11,19 @@ import sys
 import time
 
 from . import kernels
-from .errors import CctuError, InputFormatError, ScaleError, UnsupportedInstanceError
+from .errors import (
+    CctuError,
+    InputFormatError,
+    ScaleError,
+    SolutionCheckError,
+    UnsupportedInstanceError,
+)
 from .fileio import parse_instance, serialize_instance
 from .generators import KINDS, generate
 from .matrices import is_totally_unimodular, non_tu_witness
 from .patterns import SolverConfig, solve_rcctuf
 from .polyhedra import integral_feasible_point, oracle_solve, width
-from .seymour import DEFAULT_LIMITS, classify
+from .seymour import classify
 from .structure import find_flat_or_solve, proximal_solution
 from .verify import SolveReport, verify_solution
 
@@ -24,52 +31,70 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_SCALE = 3
+EXIT_CHECK = 4
+
+# flags shared by several subcommands; each subcommand takes only those it reads
+FLAGS = {
+    "input": {"required": True, "help": "instance file"},
+    "skip-tu-check": {"action": "store_true", "help": "trust the input matrix"},
+    "max-enum": {"type": int, "default": 4_000_000, "help": "enumeration budget"},
+    "json": {"action": "store_true", "help": "machine-readable output"},
+    "output": {"help": "write results/artifacts here"},
+    "seed": {"type": int, "default": 0},
+}
 
 
 def make_parser():
     p = argparse.ArgumentParser(prog="cctu", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("--input", required=True, help="instance file")
-        sp.add_argument("--output", help="write results/artifacts here")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--max-enum", type=int, default=4_000_000, help="enumeration budget")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--skip-tu-check", action="store_true", help="trust the input matrix")
+    def command(name, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags:
+            sp.add_argument("--" + flag, **FLAGS[flag])
+        return sp
 
-    common(sub.add_parser("solve", help="run the structural solver"))
-    common(sub.add_parser("oracle", help="run the proximity-box oracle"))
-    common(sub.add_parser("check-tu", help="certify total unimodularity"))
-    common(sub.add_parser("decompose", help="print the classification tree"))
-    common(sub.add_parser("width", help="row-direction widths of the polyhedron"))
-    common(sub.add_parser("proximity", help="pull a solution next to a relaxation point"))
+    solving = ("input", "skip-tu-check", "max-enum", "json", "output")
+    command("solve", "run the structural solver", *solving)
+    command("oracle", "run the proximity-box oracle", *solving)
+    command("check-tu", "certify total unimodularity", "input", "json")
+    command("decompose", "print the classification tree", "input", "skip-tu-check")
+    command("width", "row-direction widths of the polyhedron", "input", "skip-tu-check")
+    command(
+        "proximity",
+        "pull a solution next to a relaxation point",
+        "input",
+        "skip-tu-check",
+        "max-enum",
+    )
 
-    g = sub.add_parser("generate", help="write a random instance of a structural class")
-    common(g, needs_input=False)
+    g = command("generate", "write a random instance of a structural class", "seed", "output")
     g.add_argument("--kind", choices=KINDS, required=True)
     g.add_argument("--size", type=int, default=4)
     g.add_argument("--m", type=int, default=3)
     g.add_argument("--residues", type=int, default=1, help="number of target residues")
     g.add_argument("--objective", action="store_true", help="attach a random objective")
 
-    v = sub.add_parser("verify", help="check a candidate solution")
-    common(v)
+    v = command("verify", "check a candidate solution", "input", "skip-tu-check")
     v.add_argument("--x", required=True, help="comma-separated solution vector")
 
-    f = sub.add_parser("fuzz", help="cross-check solver against the oracle")
-    common(f, needs_input=False)
+    f = command(
+        "fuzz", "cross-check solver against the oracle", "seed", "max-enum", "output", "json"
+    )
     f.add_argument("-n", type=int, default=100, help="number of instances")
     f.add_argument("--m", type=int, default=0, help="fix the modulus (0 = mixed)")
     f.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     return p
 
 
-def _load(args):
+def _load(args, verify_tu=None):
+    """The instance named by --input, TU-verified unless --skip-tu-check is
+    given or `verify_tu` says otherwise."""
+    if verify_tu is None:
+        verify_tu = not args.skip_tu_check
     try:
         with open(args.input) as fh:
-            return parse_instance(fh.read(), verify_tu=not args.skip_tu_check)
+            return parse_instance(fh.read(), verify_tu=verify_tu)
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
@@ -98,7 +123,8 @@ def cmd_solve(args):
     elapsed = time.perf_counter() - start
     if res.status == "feasible":
         check = verify_solution(inst, res.x)
-        assert check.ok, check.describe()
+        if not check.ok:
+            raise SolutionCheckError(f"reported solution fails verification: {check.describe()}")
     report = SolveReport(res.status, res.x, res.value, res.stats, elapsed)
     if res.status == "infeasible" and not args.json:
         try:
@@ -128,7 +154,7 @@ def cmd_oracle(args):
 
 
 def cmd_check_tu(args):
-    inst = _load_maybe_non_tu(args)
+    inst = _load(args, verify_tu=False)
     mat = inst.P.T.matrix
     verdict = is_totally_unimodular(mat)
     if args.json:
@@ -141,22 +167,13 @@ def cmd_check_tu(args):
     return EXIT_OK if verdict else EXIT_INFEASIBLE
 
 
-def _load_maybe_non_tu(args):
-    class _Shim:
-        input = args.input
-        skip_tu_check = True
-
-    shim = _Shim()
-    return _load(shim)
-
-
 def cmd_decompose(args):
     inst = _load(args)
 
     def tree(mat, depth, label):
         pad = "  " * depth
         try:
-            cls = classify(mat if hasattr(mat, "matrix") else mat, DEFAULT_LIMITS)
+            cls = classify(mat)
         except ScaleError:
             print(f"{pad}{label}: (search budget exceeded)")
             return
@@ -288,6 +305,9 @@ def main(argv=None):
     except ScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE
+    except SolutionCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

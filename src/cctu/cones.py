@@ -139,7 +139,10 @@ def _extremal_ray(eq_rows, lt_rows, n):
     return lp._primitive(vertex)
 
 
-def decompose_pointed_tu_cone(T, y, max_iter_slack=2):
+EXTRACTION_SLACK = 2  # ray extractions allowed beyond n before giving up
+
+
+def decompose_pointed_tu_cone(T, y):
     """Write y (with Ty <= 0, cone pointed) as an integral nonnegative
     combination of elementary extremal rays of {x : Tx <= 0}.
 
@@ -158,7 +161,7 @@ def decompose_pointed_tu_cone(T, y, max_iter_slack=2):
     y_cur = list(y)
     rays = []
     coeffs = []
-    for _ in range(n + max_iter_slack):
+    for _ in range(n + EXTRACTION_SLACK):
         if not any(y_cur):
             break
         prods = mat.mul_vec(y_cur)

@@ -27,5 +27,9 @@ class InputFormatError(CctuError):
         self.line = line
 
 
+class SolutionCheckError(CctuError):
+    """A solution the solver reported failed its exact re-verification."""
+
+
 class UnsupportedInstanceError(CctuError):
     """The (m, |R|) combination is outside what the structural solver covers."""

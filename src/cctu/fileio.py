@@ -105,7 +105,7 @@ def parse_instance(text, verify_tu=True):
             raise InputFormatError(f"residue {r} outside 0..{m - 1}")
     if "c" in fields and len(fields["c"]) != n:
         raise InputFormatError(f"c has {len(fields['c'])} entries, expected {n}")
-    mat = IntMatrix(tuple(matrix_rows))
+    mat = IntMatrix(tuple(matrix_rows), n)
     if verify_tu:
         if not is_totally_unimodular(mat):
             witness = non_tu_witness(mat)

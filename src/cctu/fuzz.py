@@ -44,12 +44,10 @@ def minimize_reproducer(inst, budget):
         changed = False
         rows = current.P.T.matrix.rows
         for i in range(len(rows)):
-            if len(rows) <= 1:
-                break
             cand_rows = rows[:i] + rows[i + 1:]
             cand = current.replaced(
                 P=Polyhedron(
-                    TUMatrix.trusted(IntMatrix(cand_rows)),
+                    TUMatrix.trusted(IntMatrix(cand_rows, current.nvars)),
                     current.P.b[:i] + current.P.b[i + 1:],
                 )
             )

@@ -41,7 +41,7 @@ def random_network_matrix(rng, k, n):
         else:
             v = w = 0
         cols.append(_path_column(arcs, parent, v, w))
-    return IntMatrix(tuple([tuple([cols[j][i] for j in range(n)]) for i in range(k)]))
+    return IntMatrix(tuple([tuple([cols[j][i] for j in range(n)]) for i in range(k)]), n)
 
 
 def _path_column(arcs, parent, v, w):

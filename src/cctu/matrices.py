@@ -11,7 +11,7 @@ TU verdicts are memoized on the entry tuple; the fuzz harness re-checks the
 same small matrices constantly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -24,9 +24,14 @@ ELEMENTARY_ENUM_CAP = 14  # hard cap on 3^n candidate-row enumeration
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense exact integer matrix."""
+    """Dense exact integer matrix of shape nrows x ncols.
+
+    `ncols` defaults to the length of the first row; pass it whenever the
+    row list can be empty, so that a 0 x n matrix keeps its width.
+    """
 
     rows: tuple
+    ncols: int = None
 
     def __post_init__(self):
         rows = self.rows
@@ -36,16 +41,16 @@ class IntMatrix:
         ):
             rows = tuple([tuple([int(v) for v in r]) for r in rows])
             object.__setattr__(self, "rows", rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise DimensionError("ragged rows")
+        n = self.ncols
+        if n is None:
+            n = len(rows[0]) if rows else 0
+            object.__setattr__(self, "ncols", n)
+        if any(len(r) != n for r in rows):
+            raise DimensionError(f"rows of a matrix with {n} columns differ in length")
 
     @property
     def nrows(self):
         return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
 
     def __getitem__(self, ij):
         i, j = ij
@@ -61,15 +66,17 @@ class IntMatrix:
         return [v for r in self.rows for v in r]
 
     def transpose(self):
-        return IntMatrix(tuple(zip(*self.rows))) if self.rows else IntMatrix(())
+        return IntMatrix(tuple([self.col(j) for j in range(self.ncols)]), self.nrows)
 
     def submatrix(self, row_idx, col_idx):
-        return IntMatrix(tuple([tuple([self.rows[i][j] for j in col_idx]) for i in row_idx]))
+        return IntMatrix(
+            tuple([tuple([self.rows[i][j] for j in col_idx]) for i in row_idx]), len(col_idx)
+        )
 
     def with_row(self, extra):
-        if len(extra) != self.ncols and self.rows:
+        if len(extra) != self.ncols:
             raise DimensionError("row length mismatch")
-        return IntMatrix(self.rows + (tuple([int(v) for v in extra]),))
+        return IntMatrix(self.rows + (tuple([int(v) for v in extra]),), self.ncols)
 
     def mul_vec(self, x):
         if len(x) != self.ncols:
@@ -78,7 +85,9 @@ class IntMatrix:
 
     @staticmethod
     def identity(n):
-        return IntMatrix(tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]))
+        return IntMatrix(
+            tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]), n
+        )
 
 
 def determinant(mat):
@@ -124,23 +133,21 @@ def non_tu_witness(mat):
 
 @dataclass(frozen=True)
 class TUMatrix:
-    """An IntMatrix together with the way its TU property was established."""
+    """An IntMatrix known to be totally unimodular."""
 
     matrix: IntMatrix
-    certificate: str = field(default="exhaustive")
 
     @staticmethod
     def certify(mat):
         """Verify TU-ness and wrap; raises ValueError on non-TU input."""
         if not is_totally_unimodular(mat):
             raise ValueError("matrix is not totally unimodular")
-        mode = "exhaustive" if min(mat.nrows, mat.ncols) <= EXHAUSTIVE_CAP else "ghouila-houri"
-        return TUMatrix(mat, mode)
+        return TUMatrix(mat)
 
     @staticmethod
     def trusted(mat):
         """Wrap without verification (generator-constructed matrices)."""
-        return TUMatrix(mat, "assumed")
+        return TUMatrix(mat)
 
     @property
     def nrows(self):
@@ -154,22 +161,20 @@ class TUMatrix:
 def is_tu_appendable(tu, d):
     """True iff appending the row d^T to `tu` keeps the matrix TU."""
     mat = tu.matrix if isinstance(tu, TUMatrix) else tu
-    if mat.rows and len(d) != mat.ncols:
+    if len(d) != mat.ncols:
         raise DimensionError("appended row length mismatch")
     if any(v not in (-1, 0, 1) for v in d):
         return False
     return _tu_cached(mat.with_row(d).rows)
 
 
-def tu_appendable_rows(tu, ncols=None):
+def tu_appendable_rows(tu):
     """All rows d in {-1,0,1}^n that are TU-appendable, in lexicographic order.
 
     Enumeration support for tests; capped at ELEMENTARY_ENUM_CAP columns.
     """
     mat = tu.matrix if isinstance(tu, TUMatrix) else tu
-    n = mat.ncols if mat.rows else ncols
-    if n is None:
-        raise DimensionError("column count unknown for empty matrix")
+    n = mat.ncols
     if n > ELEMENTARY_ENUM_CAP:
         raise ScaleError(f"3^{n} candidate rows exceeds the enumeration cap")
     return [d for d in product((-1, 0, 1), repeat=n) if is_tu_appendable(mat, d)]
@@ -183,7 +188,7 @@ def is_elementary(tu, x):
     ELEMENTARY_ENUM_CAP variables.
     """
     mat = tu.matrix if isinstance(tu, TUMatrix) else tu
-    if mat.rows and len(x) != mat.ncols:
+    if len(x) != mat.ncols:
         raise DimensionError("vector length mismatch")
     n = len(x)
     if n > ELEMENTARY_ENUM_CAP:

@@ -36,7 +36,7 @@ from .polyhedra import (
     oracle_solve,
     search_box,
 )
-from .seymour import DEFAULT_LIMITS, classify, pivot_transform_instance
+from .seymour import classify, pivot_transform_instance
 from .structure import bound_scalar_products, solve_r_minus_1
 
 
@@ -517,12 +517,12 @@ def decomp_progress_step(inst, split, solver, stats=None):
 # the full solver
 
 
+MAX_DEPTH = 64  # recursion depth at which the solver hands over to the oracle
+
+
 @dataclass
 class SolverConfig:
-    limits: object = DEFAULT_LIMITS
     budget: int = DEFAULT_ENUM_BUDGET
-    max_depth: int = 64
-    allow_oracle_fallback: bool = True
 
 
 @dataclass
@@ -571,8 +571,6 @@ def solve_rcctuf(inst, config=None):
 
 
 def _oracle_fallback(inst, config, stats):
-    if not config.allow_oracle_fallback:
-        raise ScaleError("structural search exceeded budgets and fallback is disabled")
     stats["oracle_fallback"] = True
     out = oracle_solve(inst, config.budget)
     return out.x if out.status == "feasible" else None
@@ -592,10 +590,10 @@ def _solve_feasibility(inst, config, stats, depth):
         raise UnsupportedInstanceError(f"unsupported combination m={m}, |R|={ell}")
     if integral_feasible_point(inst.P) is None:
         return None
-    if depth >= config.max_depth:
+    if depth >= MAX_DEPTH:
         return _oracle_fallback(inst, config, stats)
     try:
-        cls = classify(inst.P.T, config.limits)
+        cls = classify(inst.P.T)
     except ScaleError:
         return _oracle_fallback(inst, config, stats)
     if cls.tag in ("network", "transposed_network", "constant_core"):

@@ -38,7 +38,7 @@ class Polyhedron:
         return all(v <= bv for v, bv in zip(self.T.matrix.mul_vec(x), self.b))
 
     def with_rows(self, rows, rhs):
-        mat = IntMatrix(self.T.matrix.rows + tuple([tuple(r) for r in rows]))
+        mat = IntMatrix(self.T.matrix.rows + tuple([tuple(r) for r in rows]), self.nvars)
         return Polyhedron(TUMatrix.trusted(mat), self.b + tuple(rhs))
 
 

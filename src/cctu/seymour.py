@@ -319,7 +319,7 @@ def reduce_to_core(mat):
             ncols -= 1
             changed = True
             continue
-    core = IntMatrix(tuple([tuple(r) for r in rows]))
+    core = IntMatrix(tuple([tuple(r) for r in rows]), ncols)
     return core, tuple(log)
 
 
@@ -348,7 +348,7 @@ def replay_core_ops(core, log):
             for i, r in enumerate(rows):
                 r.insert(op.index, op.values[i])
             ncols += 1
-    return IntMatrix(tuple([tuple(r) for r in rows]))
+    return IntMatrix(tuple([tuple(r) for r in rows]), ncols)
 
 
 def matches_special_core(core):
@@ -405,13 +405,18 @@ class NetworkRepresentation:
         cols = []
         for (v, w) in self.col_arcs:
             col = [0] * rows
-            for idx, sgn in _tree_path(adj, v, w, self.nvertices):
+            for idx, sgn in tree_path(adj, v, w):
                 col[idx] = sgn
             cols.append(col)
-        return IntMatrix(tuple([tuple([col[i] for col in cols]) for i in range(rows)]))
+        return IntMatrix(
+            tuple([tuple([col[i] for col in cols]) for i in range(rows)]), len(self.col_arcs)
+        )
 
 
-def _tree_path(adj, v, w, nv):
+def tree_path(adj, v, w):
+    """The (arc index, sign) steps of the forest path from v to w, in order;
+    sign 1 walks an arc tail to head.  `adj` maps every vertex to its
+    (neighbour, arc index, sign) entries."""
     if v == w:
         return []
     parent = {v: None}

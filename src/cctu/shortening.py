@@ -157,7 +157,7 @@ def shorten_residue_sum(g, stats=None):
     return tuple([mult for _, mult in cur])
 
 
-def transform_solution(inst, y, x0, stats=None):
+def transform_solution(inst, y, x0):
     """Move a feasible solution next to a relaxation point.
 
     Returns y~ feasible for `inst` with d.(y~ - x0) <= m - |R| for every
@@ -175,7 +175,7 @@ def transform_solution(inst, y, x0, stats=None):
         (sum(gv * rv for gv, rv in zip(inst.gamma, ray)) % inst.m, lam)
         for ray, lam in zip(dec.rays, dec.coeffs)
     ])
-    mu = shorten_residue_sum(ResidueGroups(groups, inst.m, target), stats)
+    mu = shorten_residue_sum(ResidueGroups(groups, inst.m, target))
     out = dec.point_for(mu)
     assert inst.is_feasible_point(out), "transformed point lost feasibility"
     return out

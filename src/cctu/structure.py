@@ -14,7 +14,14 @@ from math import gcd
 
 from .errors import DimensionError, InfeasibleRelaxationError
 from .matrices import IntMatrix, TUMatrix
-from .polyhedra import Polyhedron, RCctufInstance, integral_feasible_point, lp_optimize, width
+from .polyhedra import (
+    Polyhedron,
+    RCctufInstance,
+    integral_feasible_point,
+    lp_optimize,
+    oracle_solve,
+    width,
+)
 from .shortening import transform_solution
 
 
@@ -83,14 +90,15 @@ def find_flat_or_solve(inst):
     """
     if integral_feasible_point(inst.P) is None:
         raise InfeasibleRelaxationError("relaxation is infeasible")
-    rows = inst.P.T.matrix.rows
+    mat = inst.P.T.matrix
+    rows = mat.rows
     rhs = inst.P.b
     k = len(rows)
     bound = inst.m - len(inst.R) - 1
     for idx in range(k):
         if not any(rows[idx]):
             continue  # vacuous zero row, not a direction
-        current = _sub_polyhedron(rows, rhs, range(idx, k))
+        current = _sub_polyhedron(mat, rhs, range(idx, k))
         res = width(current, rows[idx])
         if res.finite and res.width <= bound:
             return FlatnessOutcome(
@@ -105,11 +113,11 @@ def find_flat_or_solve(inst):
             continue
         # a point sitting at least m-|R| below the re-added bound; one exists
         # because the row was dropped only when its width was at least m-|R|
-        with_row = _sub_polyhedron(rows, rhs, range(idx, k))
+        with_row = _sub_polyhedron(mat, rhs, range(idx, k))
         x0 = integral_feasible_point(with_row.with_rows([rows[idx]], [rhs[idx] - slack]))
         assert x0 is not None
         partial = RCctufInstance(
-            _sub_polyhedron(rows, rhs, range(idx + 1, k)), inst.gamma, inst.m, inst.R
+            _sub_polyhedron(mat, rhs, range(idx + 1, k)), inst.gamma, inst.m, inst.R
         )
         x = transform_solution(partial, x, x0)
         assert sum(a * v for a, v in zip(rows[idx], x)) <= rhs[idx]
@@ -117,14 +125,9 @@ def find_flat_or_solve(inst):
     return FlatnessOutcome("solution", x=x)
 
 
-def _sub_polyhedron(rows, rhs, idx):
-    idx = list(idx)
-    mat = IntMatrix(tuple([rows[i] for i in idx])) if idx else IntMatrix(())
-    if not idx:
-        # keep the variable count by adding a vacuous zero row
-        n = len(rows[0]) if rows else 0
-        return Polyhedron(TUMatrix.trusted(IntMatrix(((0,) * n,))), (0,))
-    return Polyhedron(TUMatrix.trusted(mat), tuple([rhs[i] for i in idx]))
+def _sub_polyhedron(mat, rhs, idx):
+    sub = IntMatrix(tuple([mat.rows[i] for i in idx]), mat.ncols)
+    return Polyhedron(TUMatrix.trusted(sub), tuple([rhs[i] for i in idx]))
 
 
 @dataclass(frozen=True)
@@ -250,7 +253,7 @@ def eliminate_tight_variable(inst):
         cbar = inst.c[:j] + inst.c[j + 1:]
         new_c = tuple([v - alpha * inst.c[j] * a for v, a in zip(cbar, a2)])
     reduced = RCctufInstance(
-        Polyhedron(TUMatrix.trusted(IntMatrix(tuple(new_rows))), tuple(new_rhs)),
+        Polyhedron(TUMatrix.trusted(IntMatrix(tuple(new_rows), len(a2))), tuple(new_rhs)),
         new_gamma,
         inst.m,
         new_R,
@@ -315,20 +318,13 @@ def solve_r_minus_1(inst):
     return x
 
 
-def detect_unboundedness(inst, feasibility_solver=None):
+def detect_unboundedness(inst):
     """A problem with an objective is unbounded iff it is feasible and its
-    relaxation is unbounded.  `feasibility_solver` maps an objective-free
-    instance to a solution or None; defaults to the proximity-box oracle.
+    relaxation is unbounded; feasibility is decided by the proximity-box
+    oracle.
     """
     assert inst.c is not None, "unboundedness needs an objective"
     out = lp_optimize(inst.P, inst.c, "min")
     if out.tag != "unbounded":
         return False
-    if feasibility_solver is None:
-        from .polyhedra import oracle_solve
-
-        def feasibility_solver(fi):
-            res = oracle_solve(fi)
-            return res.x if res.status == "feasible" else None
-
-    return feasibility_solver(inst.without_objective()) is not None
+    return oracle_solve(inst.without_objective()).status == "feasible"

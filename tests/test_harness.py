@@ -211,11 +211,52 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0 and "feasible" in proc.stdout
 
 
+def test_cli_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(MINIMAL)
+    rejected = [
+        ["width", "--input", str(path), "--json"],
+        ["decompose", "--input", str(path), "--output", str(tmp_path / "out")],
+        ["check-tu", "--input", str(path), "--skip-tu-check"],
+        ["verify", "--input", str(path), "--x", "2", "--max-enum", "5"],
+        ["generate", "--kind", "network", "--json"],
+        ["proximity", "--input", str(path), "--seed", "3"],
+    ]
+    for argv in rejected:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_solve_rejects_a_point_that_fails_verification(tmp_path, capsys, monkeypatch):
+    from cctu import cli
+    from cctu.patterns import SolveResult
+
+    path = tmp_path / "inst.txt"
+    path.write_text(MINIMAL)
+    # x = 8 has residue 2 but violates row 1 (x <= 5)
+    monkeypatch.setattr(cli, "solve_rcctuf", lambda inst, config: SolveResult("feasible", (8,)))
+    code = main(["solve", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "row 1: 8 > 5" in err
+
+
 def test_minimizer_returns_instance_when_no_disagreement():
     from cctu.fuzz import minimize_reproducer
 
     inst = parse_instance(MINIMAL)
     assert minimize_reproducer(inst, 100000) == inst
+
+
+def test_minimizer_can_drop_every_row(monkeypatch):
+    from cctu import fuzz
+
+    monkeypatch.setattr(fuzz, "_statuses", lambda inst, budget: (False, None, None))
+    small = fuzz.minimize_reproducer(parse_instance(MINIMAL), 100000)
+    assert (small.P.T.nrows, small.nvars, small.gamma) == (0, 1, (0,))
+    assert parse_instance(serialize_instance(small)) == small
 
 
 def test_fuzz_parallel_matches_serial():

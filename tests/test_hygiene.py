@@ -28,3 +28,15 @@ def test_no_tuple_of_generator_expression():
         "tuple(<generator expression>) parks resized tuples on CPython's free "
         "lists and raises peak RSS; write tuple([...]) instead: " + ", ".join(offenders)
     )
+
+
+def test_cli_has_no_assert_statements():
+    """The CLI's checks on reported answers must also run under python -O,
+    which strips assert statements."""
+    path = SRC / "cli.py"
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not lines, f"cli.py has assert statements on lines {lines}; raise a CctuError instead"

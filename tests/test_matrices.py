@@ -207,7 +207,7 @@ def test_elementary_matches_bruteforce_definition():
         n = rng.randint(1, 3)
         mat = random_tu_matrix(rng, rng.randint(1, 3), n)
         tu = TUMatrix.certify(mat)
-        appendable = tu_appendable_rows(tu, ncols=n)
+        appendable = tu_appendable_rows(tu)
         for _ in range(6):
             x = tuple(rng.randint(-2, 2) for _ in range(n))
             brute = all(
