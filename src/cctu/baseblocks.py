@@ -7,6 +7,11 @@ Pipelines (one target residue at a time):
   transposed:  normalize -> constrained tree cuts -> level labeling -> enumerate
   const core:  normalize -> guess core scalar products -> network pipeline
 
+The network and transposed pipelines start from the classifier's
+representation: the split x = x+ - x- turns T into [T | -T], whose
+representation follows from T's by reversing column arcs (network) or by
+subdividing each tree arc (transposed), so no matrix is recognized twice.
+
 Both terminal enumerations are phrased as integer box searches: circulations
 are parametrized by their values on non-forest edges of the flow graph
 (forest values follow from conservation), and level labelings are vectors in
@@ -20,12 +25,13 @@ reduction's forward mapping.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import kernels
-from .errors import InfeasibleRelaxationError, ScaleError
+from .errors import CctuError, InfeasibleRelaxationError, ScaleError, SolutionCheckError
 from .matrices import IntMatrix, TUMatrix
 from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, lp_optimize
-from .seymour import recognize_network_matrix, tree_path
+from .seymour import NetworkRepresentation, recognize_network_matrix, reduce_to_core, tree_path
 
 CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
 
@@ -361,7 +367,7 @@ class CtcInstance:
 
     nvertices: int
     tree_arcs: tuple  # one per variable of the originating problem
-    extra_arcs: tuple  # one per (deduplicated) constraint row
+    extra_arcs: tuple  # one per constraint row
     b: tuple
     costs: tuple  # per tree arc
     alpha: tuple  # per vertex; sums to zero
@@ -385,7 +391,7 @@ def cctu_to_ctc(norm, rep):
     """Build the tree-cut instance of a normalized transposed-network problem.
 
     `rep` realizes the transpose: its tree arcs are indexed by the problem's
-    variables, its column arcs by the (deduplicated) constraint rows.  The
+    variables, its column arcs by the constraint rows.  The
     vertex weight alpha(v) is the gamma-weighted out-minus-in degree, which
     sums to zero over the tree.
     """
@@ -395,7 +401,8 @@ def cctu_to_ctc(norm, rep):
     for j, (a, b) in enumerate(rep.tree_arcs):
         alpha[a] += norm.gamma[j]
         alpha[b] -= norm.gamma[j]
-    assert sum(alpha) == 0
+    if sum(alpha) != 0:
+        raise CctuError("tree-cut vertex weights do not sum to zero")
     return CtcInstance(
         rep.nvertices,
         rep.tree_arcs,
@@ -469,12 +476,22 @@ def labeling_cost(ctc, labeling):
 # single-residue pipelines
 
 
-def _internal_limits():
-    from .seymour import SearchLimits
+def _split_network(rep):
+    """The representation of [T | -T] from one of T: the column arcs, then
+    each column arc reversed."""
+    return NetworkRepresentation(
+        rep.nvertices, rep.tree_arcs, rep.col_arcs + tuple([(w, v) for v, w in rep.col_arcs])
+    )
 
-    # recognition here runs on normalized (split) matrices whose row counts
-    # exceed the public default; cost is governed by the core size, not rows
-    return SearchLimits(sum_total_dim=14, tree_rows=7, recognize_rows=64)
+
+def _split_transposed(rep):
+    """The representation of [T | -T]^T from one of T^T: tree arc j = (a, b)
+    becomes (a, z_j) and the row of x-_j the arc (b, z_j) for a fresh vertex
+    z_j, so every path through (a, b) crosses the pair with opposite signs."""
+    nv = rep.nvertices
+    plus = [(a, nv + j) for j, (a, _) in enumerate(rep.tree_arcs)]
+    minus = [(b, nv + j) for j, (_, b) in enumerate(rep.tree_arcs)]
+    return NetworkRepresentation(nv + len(plus), tuple(plus + minus), rep.col_arcs)
 
 
 def _retarget(norm, r):
@@ -485,22 +502,16 @@ def _retarget(norm, r):
     )
 
 
-def _network_pipeline(inst):
-    norm = normalize(inst, 0)
-    rep = recognize_network_matrix(norm.T, _internal_limits())
-    if rep is None:
-        raise ScaleError("normalized matrix lost the network structure")
-    return norm, rep
-
-
 def _network_solve_for(inst, norm, rep, r, budget):
     norm = _retarget(norm, r)
     ccc = cctu_to_ccc(norm, rep)
     flows = solve_ccc(ccc, budget)
     if flows is None:
         return None
-    assert check_circulation(ccc, flows)
-    assert circulation_residue(ccc, flows) == ccc.r
+    if not check_circulation(ccc, flows):
+        raise SolutionCheckError("circulation violates conservation or capacities")
+    if circulation_residue(ccc, flows) != ccc.r:
+        raise SolutionCheckError("circulation misses the target residue")
     ncols = len(norm.gamma)
     ntree = len(rep.tree_arcs)
     xhat = tuple([flows[2 * ntree + j] for j in range(ncols)])
@@ -508,41 +519,16 @@ def _network_solve_for(inst, norm, rep, r, budget):
     # objective identity of the reduction, checked on every solve
     if inst.c is not None:
         shift = sum(cv * xv for cv, xv in zip(inst.c, norm.x0))
-        assert circulation_value(ccc, flows) + shift == sum(
-            cv * xv for cv, xv in zip(inst.c, x)
-        )
+        if circulation_value(ccc, flows) + shift != sum(cv * xv for cv, xv in zip(inst.c, x)):
+            raise SolutionCheckError("circulation length differs from the lifted objective")
     return x
 
 
-def solve_network_cctu(inst, r, budget=DEFAULT_ENUM_BUDGET):
+def solve_network_cctu(inst, rep, r, budget=DEFAULT_ENUM_BUDGET):
     """Solve the residue-r problem over a network constraint matrix via the
-    circulation reduction; returns a feasible/optimal point or None."""
-    norm, rep = _network_pipeline(inst)
-    return _network_solve_for(inst, norm, rep, r, budget)
-
-
-def _dedup_rows(mat, b):
-    seen = {}
-    order = []
-    for row, bv in zip(mat.rows, b):
-        if not any(row):
-            continue  # vacuous under b >= 0 (normalized)
-        if row in seen:
-            seen[row] = min(seen[row], bv)
-        else:
-            seen[row] = bv
-            order.append(row)
-    return IntMatrix(tuple(order), mat.ncols), tuple([seen[row] for row in order])
-
-
-def _transposed_pipeline(inst):
-    norm = normalize(inst, 0)
-    mat, b = _dedup_rows(norm.T, norm.b)
-    norm = NormalizedCctu(mat, b, norm.gamma, norm.m, norm.r, norm.c, norm.x0, norm.n_orig)
-    rep = recognize_network_matrix(norm.T.transpose(), _internal_limits())
-    if rep is None:
-        raise ScaleError("normalized matrix lost the transposed-network structure")
-    return norm, rep
+    circulation reduction; `rep` realizes the constraint matrix.  Returns a
+    feasible/optimal point or None."""
+    return _network_solve_for(inst, normalize(inst, r), _split_network(rep), r, budget)
 
 
 def _transposed_solve_for(inst, norm, rep, r, budget):
@@ -552,13 +538,13 @@ def _transposed_solve_for(inst, norm, rep, r, budget):
     if labeling is None:
         return None
     xhat = labeling_to_solution(ctc, labeling)
-    assert all(v >= 0 for v in xhat)
+    if any(v < 0 for v in xhat):
+        raise SolutionCheckError("level labeling gives a negative split variable")
     x = norm.lift(xhat)
     if inst.c is not None:
         shift = sum(cv * xv for cv, xv in zip(inst.c, norm.x0))
-        assert labeling_cost(ctc, labeling) + shift == sum(
-            cv * xv for cv, xv in zip(inst.c, x)
-        )
+        if labeling_cost(ctc, labeling) + shift != sum(cv * xv for cv, xv in zip(inst.c, x)):
+            raise SolutionCheckError("labeling cost differs from the lifted objective")
     return x
 
 
@@ -588,12 +574,10 @@ def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET):
     Each guess pins s_i.x for the stem-support rows s_i, which determines the
     rows stemming from the core; replacing them by the guess rows yields a
     system that is a network matrix (and a transposed one), solved by the
-    circulation pipeline.  (2m-1)^l guesses for an l-column core.
+    circulation pipeline.  (2m-1)^l guesses for an l-column core.  Only the
+    right-hand side depends on the guess, so the guessed matrix is built and
+    recognized once.
     """
-    from itertools import product as iproduct
-
-    from .seymour import reduce_to_core
-
     norm = normalize(inst, r)
     core, log = reduce_to_core(norm.T)
     ell = core.ncols
@@ -612,39 +596,38 @@ def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET):
         )
     stem_rows = [t for t in range(khat) if row_stems[t] is not None]
     other_rows = [t for t in range(khat) if row_stems[t] is None]
+    rows = []
+    for s_row in s_rows:
+        rows.append(s_row)
+        rows.append(tuple([-v for v in s_row]))
+    for t in stem_rows:
+        rows.append(tuple([0 if col_stems[j] is not None else norm.T[t, j] for j in range(nhat)]))
+    for t in other_rows:
+        rows.append(norm.T.row(t))
+    rows.extend(_nonneg_rows(nhat))
+    guessed_T = TUMatrix.trusted(IntMatrix(tuple(rows), nhat))
+    rep = recognize_network_matrix(guessed_T.matrix)
+    if rep is None:
+        raise ScaleError("guessed constant-core system is not a network matrix")
+    fixed_rhs = tuple([norm.b[t] for t in other_rows]) + (0,) * nhat
     best = None
-    for sigma in iproduct(range(-norm.m + 1, norm.m), repeat=ell):
-        rows = []
+    for sigma in product(range(-norm.m + 1, norm.m), repeat=ell):
         rhs = []
-        for i in range(ell):
-            rows.append(s_rows[i])
-            rhs.append(sigma[i])
-            rows.append(tuple([-v for v in s_rows[i]]))
-            rhs.append(-sigma[i])
-        valid = True
+        for sv in sigma:
+            rhs.append(sv)
+            rhs.append(-sv)
         for t in stem_rows:
             p, sgn = row_stems[t]
-            tau = sgn * sum(core[p, i] * sigma[i] for i in range(ell))
-            zeroed = tuple([
-                0 if col_stems[j] is not None else norm.T[t, j] for j in range(nhat)
-            ])
-            rows.append(zeroed)
-            rhs.append(norm.b[t] - tau)
-        for t in other_rows:
-            rows.append(norm.T.row(t))
-            rhs.append(norm.b[t])
-        for nn in _nonneg_rows(nhat):
-            rows.append(nn)
-            rhs.append(0)
+            rhs.append(norm.b[t] - sgn * sum(core[p, i] * sigma[i] for i in range(ell)))
         guessed = RCctufInstance(
-            Polyhedron(TUMatrix.trusted(IntMatrix(tuple(rows), nhat)), tuple(rhs)),
+            Polyhedron(guessed_T, tuple(rhs) + fixed_rhs),
             norm.gamma,
             norm.m,
             frozenset({norm.r}),
             norm.c if any(norm.c) else None,
         )
         try:
-            xhat = solve_network_cctu(guessed, norm.r, budget)
+            xhat = solve_network_cctu(guessed, rep, norm.r, budget)
         except InfeasibleRelaxationError:
             continue
         if xhat is None:
@@ -674,13 +657,15 @@ def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET):
     if len(inst.R) == inst.m:
         return out.vertex
     if cls.tag == "network":
-        norm, rep = _network_pipeline(inst)
+        norm = normalize(inst, 0)
+        rep = _split_network(cls.network)
 
         def solver(r):
             return _network_solve_for(inst, norm, rep, r, budget)
 
     elif cls.tag == "transposed_network":
-        norm, rep = _transposed_pipeline(inst)
+        norm = normalize(inst, 0)
+        rep = _split_transposed(cls.network)
 
         def solver(r):
             return _transposed_solve_for(inst, norm, rep, r, budget)
@@ -697,7 +682,8 @@ def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET):
         x = solver(r)
         if x is None:
             continue
-        assert inst.is_feasible_point(x)
+        if not inst.is_feasible_point(x):
+            raise SolutionCheckError(f"base-block point {x} is infeasible for residue {r}")
         if inst.c is None:
             return x
         val = inst.objective(x)

@@ -26,8 +26,9 @@ def serialize_instance(inst):
     mat = inst.P.T.matrix
     lines = [f"rows {mat.nrows}", f"cols {mat.ncols}", "T"]
     width = max((len(str(v)) for v in mat.flat()), default=1)
-    for row in mat.rows:
-        lines.append(" ".join(str(v).rjust(width) for v in row))
+    if mat.ncols:  # the rows of a k x 0 matrix have no entry lines
+        for row in mat.rows:
+            lines.append(" ".join(str(v).rjust(width) for v in row))
     lines.append("b " + " ".join(str(v) for v in inst.P.b))
     lines.append("gamma " + " ".join(str(v) for v in inst.gamma))
     lines.append(f"m {inst.m}")
@@ -65,6 +66,8 @@ def parse_instance(text, verify_tu=True):
                 raise InputFormatError("T must follow rows and cols", lineno)
             k = fields["rows"]
             n = fields["cols"]
+            if n == 0:
+                matrix_rows = [()] * k
             while len(matrix_rows) < k and i < len(lines):
                 rl = lines[i].split("#", 1)[0].strip()
                 i += 1

@@ -11,7 +11,7 @@ exactly at desk scale.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
+from . import kernels, lp
 from .errors import DimensionError, InfeasibleRelaxationError, ScaleError
 from .matrices import IntMatrix, TUMatrix
 
@@ -186,8 +186,6 @@ def search_box(inst, center, radius, budget=DEFAULT_ENUM_BUDGET):
     n = inst.nvars
     if (2 * radius + 1) ** n > budget:
         raise ScaleError(f"box of {(2 * radius + 1) ** n} points exceeds budget {budget}")
-    from . import kernels
-
     lo = [v - radius for v in center]
     hi = [v + radius for v in center]
     rmask = sum(1 << r for r in inst.R)

@@ -14,8 +14,9 @@ transpose, constant core, 1-/2-/3-sum separation (exhaustive bipartition
 search within a budget), then one pivot followed by a sum separation.
 """
 
+import heapq
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .errors import DimensionError, ScaleError
 from .matrices import IntMatrix, TUMatrix, is_totally_unimodular
@@ -23,14 +24,8 @@ from .polyhedra import Polyhedron, RCctufInstance
 from .structure import bound_scalar_products
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    sum_total_dim: int = 14  # row+column budget for bipartition search
-    tree_rows: int = 7  # core rows for the spanning-tree enumeration
-    recognize_rows: int = 10  # overall row cap for recognition
-
-
-DEFAULT_LIMITS = SearchLimits()
+SUM_TOTAL_DIM = 14  # row+column budget for bipartition search
+TREE_ROWS = 7  # core rows for the spanning-tree enumeration; bounds recognition cost
 
 SPECIAL_CORES = (
     IntMatrix(
@@ -176,7 +171,7 @@ def _rank1_factor(block):
     return (u, tuple(v))
 
 
-def find_sum_decomposition(mat, limits=DEFAULT_LIMITS):
+def find_sum_decomposition(mat):
     """Exhaustive 1-/2-/3-sum separation with n_A, n_B >= 2.
 
     Scans row and column bipartitions in bitmask order, factors the
@@ -185,7 +180,7 @@ def find_sum_decomposition(mat, limits=DEFAULT_LIMITS):
     exists; ScaleError above the dimension budget.
     """
     k, n = mat.nrows, mat.ncols
-    if k + n > limits.sum_total_dim:
+    if k + n > SUM_TOTAL_DIM:
         raise ScaleError(f"separation search over {k}+{n} dimensions exceeds budget")
     if n < 4 or k < 2:
         return None
@@ -363,7 +358,7 @@ def matches_special_core(core):
 
     for target in SPECIAL_CORES:
         target_rows = sorted(signnorm(r) for r in target.rows)
-        for perm in _permutations5():
+        for perm in permutations(range(5)):
             for signs in product((1, -1), repeat=5):
                 variant_rows = []
                 for r in core.rows:
@@ -371,12 +366,6 @@ def matches_special_core(core):
                 if sorted(variant_rows) == target_rows:
                     return True
     return False
-
-
-def _permutations5():
-    from itertools import permutations
-
-    return permutations(range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +436,6 @@ def _pruefer_trees(nv):
     if nv == 2:
         yield [(0, 1)]
         return
-    import heapq
-
     for seq in product(range(nv), repeat=nv - 2):
         degree = [1] * nv
         for v in seq:
@@ -469,12 +456,12 @@ def _pruefer_trees(nv):
         yield edges
 
 
-def _core_network_representation(mat, limits):
+def _core_network_representation(mat):
     """Brute-force tree search for a small core; exact, exponential in rows."""
     k, n = mat.nrows, mat.ncols
     if k == 0:
         return NetworkRepresentation(1, (), tuple([(0, 0) for _ in range(n)]))
-    if k > limits.tree_rows:
+    if k > TREE_ROWS:
         raise ScaleError(f"tree search over {k}-row core exceeds the cap")
     nv = k + 1
     cols = [mat.col(j) for j in range(n)]
@@ -636,19 +623,18 @@ def _extend_representation(rep, op):
     return NetworkRepresentation(nv, tuple(tree), tuple(cols))
 
 
-def recognize_network_matrix(mat, limits=DEFAULT_LIMITS):
+def recognize_network_matrix(mat):
     """A NetworkRepresentation whose rebuild equals `mat`, or None.
 
     Entries must lie in {-1, 0, 1}.  Reduces to the core, solves the core by
     tree enumeration, replays the reduction log as graph extensions, and
-    certifies the result by rebuilding.
+    certifies the result by rebuilding.  Raises ScaleError when the core has
+    more than TREE_ROWS rows.
     """
     if any(v not in (-1, 0, 1) for v in mat.flat()):
         return None
-    if mat.nrows > limits.recognize_rows:
-        raise ScaleError(f"{mat.nrows} rows exceed the recognition cap")
     core, log = reduce_to_core(mat)
-    rep = _core_network_representation(core, limits)
+    rep = _core_network_representation(core)
     if rep is None:
         return None
     for op in reversed(log):
@@ -672,7 +658,7 @@ class Classification:
     pivot_at: tuple = None
 
 
-def classify(tu, limits=DEFAULT_LIMITS):
+def classify(tu):
     """Structural classification of a TU matrix with a verifiable witness.
 
     Raises ScaleError when the instance defeats every desk-scale search; the
@@ -680,13 +666,13 @@ def classify(tu, limits=DEFAULT_LIMITS):
     """
     mat = tu.matrix if isinstance(tu, TUMatrix) else tu
     try:
-        rep = recognize_network_matrix(mat, limits)
+        rep = recognize_network_matrix(mat)
     except ScaleError:
         rep = None
     if rep is not None:
         return Classification("network", network=rep)
     try:
-        rep_t = recognize_network_matrix(mat.transpose(), limits)
+        rep_t = recognize_network_matrix(mat.transpose())
     except ScaleError:
         rep_t = None
     if rep_t is not None:
@@ -694,13 +680,13 @@ def classify(tu, limits=DEFAULT_LIMITS):
     core, log = reduce_to_core(mat)
     if matches_special_core(core):
         return Classification("constant_core", core=core, core_log=log)
-    dec = find_sum_decomposition(mat, limits)
+    dec = find_sum_decomposition(mat)
     if dec is not None:
         return Classification("sum", sum=dec)
     for i in range(mat.nrows):
         for j in range(mat.ncols):
             if mat[i, j] in (-1, 1):
-                dec = find_sum_decomposition(pivot(mat, i, j), limits)
+                dec = find_sum_decomposition(pivot(mat, i, j))
                 if dec is not None:
                     return Classification("pivot_then_sum", sum=dec, pivot_at=(i, j))
     raise ScaleError("classification failed within desk-scale search budgets")

@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import cctu.baseblocks as bb
 from cctu.baseblocks import (
     CccInstance,
+    _split_network,
+    _split_transposed,
     cctu_to_ccc,
     check_circulation,
     circulation_residue,
@@ -11,7 +18,9 @@ from cctu.baseblocks import (
     solve_base_block,
     solve_ccc,
     solve_ctc_chain,
+    solve_const_core,
 )
+from cctu.generators import random_network_matrix
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
 from cctu.seymour import SPECIAL_CORES, classify, recognize_network_matrix
@@ -35,17 +44,31 @@ def test_normalized_matrix_stays_network():
         P = Polyhedron(TUMatrix.trusted(T), (2,) * 3)
         inst = RCctufInstance(P, (1, 1), 3, frozenset({1}))
         norm = normalize(inst, 1)
-        from cctu.baseblocks import _internal_limits
-
-        rep = recognize_network_matrix(norm.T, _internal_limits())
+        rep = recognize_network_matrix(norm.T)
         assert rep is not None and rep.rebuild().rows == norm.T.rows
         # and with the nonnegativity unit rows appended explicitly
         n = norm.T.ncols
         with_units = IntMatrix(
             norm.T.rows + tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
         )
-        rep2 = recognize_network_matrix(with_units, _internal_limits())
+        rep2 = recognize_network_matrix(with_units)
         assert rep2 is not None and rep2.rebuild().rows == with_units.rows
+
+
+def split(mat):
+    return IntMatrix(tuple([row + tuple([-v for v in row]) for row in mat.rows]), 2 * mat.ncols)
+
+
+def test_split_representations_rebuild_the_split_matrix():
+    """The classifier's representation of T (or of T^T) yields one of the
+    normalized matrix [T | -T] (or of its transpose) without recognition."""
+    rng = random.Random(5)
+    for _ in range(40):
+        N = random_network_matrix(rng, rng.randint(0, 6), rng.randint(0, 5))
+        rep = recognize_network_matrix(N)
+        assert _split_network(rep).rebuild() == split(N)
+        # rep realizes T^T for T = N^T
+        assert _split_transposed(rep).rebuild().transpose() == split(N.transpose())
 
 
 def two_cycle_ccc():
@@ -256,6 +279,57 @@ def test_const_core_instance_matches_oracle():
             assert inst.is_feasible_point(sol)
 
 
+def test_const_core_recognizes_the_guessed_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return recognize_network_matrix(mat)
+
+    monkeypatch.setattr(bb, "recognize_network_matrix", counting)
+    P = Polyhedron(TUMatrix.trusted(SPECIAL_CORES[0]), (1, 2, 0, 1, 2)).with_rows(
+        [tuple(1 if j == i else 0 for j in range(5)) for i in range(5)]
+        + [tuple(-1 if j == i else 0 for j in range(5)) for i in range(5)],
+        [2] * 10,
+    )
+    inst = RCctufInstance(P, (1, -2, 0, 2, 1), 3, frozenset({2}))
+    x = solve_const_core(inst, 2)
+    assert len(calls) == 1
+    assert (x is None) == (oracle_solve(inst).status == "infeasible")
+    if x is not None:
+        assert inst.is_feasible_point(x)
+
+
+OPTIMIZED_CHECK = """
+import cctu.baseblocks as bb
+from cctu.errors import CctuError
+from cctu.matrices import IntMatrix, TUMatrix
+from cctu.polyhedra import Polyhedron, RCctufInstance
+from cctu.seymour import classify
+
+bb.check_circulation = lambda ccc, flows: False
+P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (2, 0))
+inst = RCctufInstance(P, (1,), 3, frozenset({1}))
+cls = classify(inst.P.T)
+try:
+    x = bb.solve_base_block(inst, cls)
+    print(cls.tag, "returned", x)
+except CctuError as exc:
+    print(cls.tag, "raised", type(exc).__name__)
+"""
+
+
+def test_base_block_checks_survive_python_O():
+    """The reduction's invariant checks are explicit, so python -O keeps them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:2] == ["network", "raised"], proc.stdout
+
+
 def test_full_residue_set_passthrough(rng):
     inst = network_instance(rng, m=3, rsize=3)
     cls = classify(inst.P.T)
@@ -273,7 +347,7 @@ def test_infeasible_relaxation_returns_none(rng):
 def test_circulation_solution_roundtrip(rng):
     """Forward and backward mappings between box solutions and circulations
     preserve feasibility, cost, and residue."""
-    from cctu.baseblocks import _internal_limits, solution_to_circulation
+    from cctu.baseblocks import solution_to_circulation
     from itertools import product as iproduct
 
     done = 0
@@ -285,7 +359,7 @@ def test_circulation_solution_roundtrip(rng):
             norm = normalize(inst, next(iter(inst.R)))
         except Exception:
             continue
-        rep = recognize_network_matrix(norm.T, _internal_limits())
+        rep = recognize_network_matrix(norm.T)
         if rep is None:
             continue
         ccc = cctu_to_ccc(norm, rep)

@@ -8,6 +8,8 @@ from cctu.cli import main
 from cctu.errors import InputFormatError
 from cctu.fileio import parse_instance, serialize_instance
 from cctu.generators import generate
+from cctu.matrices import IntMatrix, TUMatrix
+from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
 from cctu.seymour import classify, recognize_network_matrix
 from cctu.verify import verify_solution
 
@@ -35,6 +37,31 @@ def test_roundtrip_with_objective():
     inst = parse_instance(MINIMAL + "c -1\n")
     assert inst.c == (-1,)
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+def zero_column_instance(b):
+    """A k x 0 system: the only point is x = (), feasible iff b >= 0."""
+    P = Polyhedron(TUMatrix.certify(IntMatrix(((),) * len(b), 0)), b)
+    return RCctufInstance(P, (), 3, frozenset({0}))
+
+
+def test_roundtrip_zero_columns():
+    for b in ((1,), (-1,), (0, 2)):
+        inst = zero_column_instance(b)
+        assert parse_instance(serialize_instance(inst)) == inst
+
+
+def test_cli_solves_zero_column_files(tmp_path, capsys):
+    for b in ((1,), (-1,), (0, 2)):
+        inst = zero_column_instance(b)
+        path = tmp_path / "inst.txt"
+        path.write_text(serialize_instance(inst))
+        code = main(["solve", "--input", str(path), "--json"])
+        data = json.loads(capsys.readouterr().out)
+        ora = oracle_solve(inst)
+        assert data["status"] == ora.status and code == (0 if ora.status == "feasible" else 1), b
+        if ora.status == "feasible":
+            assert data["x"] == []
 
 
 def test_residue_out_of_range_rejected():

@@ -30,13 +30,24 @@ def test_no_tuple_of_generator_expression():
     )
 
 
-def test_cli_has_no_assert_statements():
-    """The CLI's checks on reported answers must also run under python -O,
-    which strips assert statements."""
-    path = SRC / "cli.py"
-    lines = [
+def assert_lines(name):
+    path = SRC / name
+    return [
         node.lineno
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+
+
+def test_cli_has_no_assert_statements():
+    """The CLI's checks on reported answers must also run under python -O,
+    which strips assert statements."""
+    lines = assert_lines("cli.py")
     assert not lines, f"cli.py has assert statements on lines {lines}; raise a CctuError instead"
+
+
+def test_baseblocks_has_no_assert_statements():
+    """The base-block reductions check their invariants on every solve; those
+    checks must also run under python -O."""
+    lines = assert_lines("baseblocks.py")
+    assert not lines, f"baseblocks.py has assert statements on lines {lines}; raise a CctuError instead"
