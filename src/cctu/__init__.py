@@ -33,7 +33,6 @@ from .matrices import (
 from .patterns import (
     Pattern,
     SolveResult,
-    SolverConfig,
     SubPattern,
     compute_pattern,
     decomp_progress_step,

@@ -258,7 +258,6 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
         rho.append(s % m)
         kappa.append(c)
     flat = [v for row in rows for v in row]
-    use_cost = any(kappa)
     found, z, _ = kernels.box_search(
         flat,
         len(rows),
@@ -269,8 +268,7 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
         rmask,
         lo,
         hi,
-        kappa if use_cost else None,
-        use_cost,
+        kappa if any(kappa) else None,
     )
     if not found:
         return None
@@ -382,10 +380,6 @@ class LevelLabeling:
     levels: tuple
     m: int
 
-    def cuts(self):
-        top = max(self.levels, default=0)
-        return [frozenset(v for v, l in enumerate(self.levels) if l >= i) for i in range(1, top + 1)]
-
 
 def cctu_to_ctc(norm, rep):
     """Build the tree-cut instance of a normalized transposed-network problem.
@@ -443,7 +437,6 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
     for (a, b), cost in zip(ctc.tree_arcs, ctc.costs):
         cvec[a] += cost
         cvec[b] -= cost
-    use_cost = any(cvec)
     flat = [v for row in rows for v in row]
     found, levels, _ = kernels.box_search(
         flat,
@@ -455,8 +448,7 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
         1 << (ctc.r % m),
         [0] * nv,
         [m - 1] * nv,
-        cvec if use_cost else None,
-        use_cost,
+        cvec if any(cvec) else None,
     )
     if not found:
         return None

@@ -21,7 +21,7 @@ from .errors import (
 from .fileio import parse_instance, serialize_instance
 from .generators import KINDS, generate
 from .matrices import is_totally_unimodular, non_tu_witness
-from .patterns import SolverConfig, solve_rcctuf
+from .patterns import solve_rcctuf
 from .polyhedra import integral_feasible_point, oracle_solve, width
 from .seymour import classify
 from .structure import find_flat_or_solve, proximal_solution
@@ -113,10 +113,9 @@ def _emit(args, report):
 
 def cmd_solve(args):
     inst = _load(args)
-    config = SolverConfig(budget=args.max_enum)
     start = time.perf_counter()
     try:
-        res = solve_rcctuf(inst, config)
+        res = solve_rcctuf(inst, args.max_enum)
     except ScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE
@@ -277,7 +276,7 @@ def cmd_fuzz(args):
         print(
             f"{summary['agreements']}/{summary['total']} oracle-vs-solver agreements "
             f"({summary['feasible']} feasible, {summary['infeasible']} infeasible, "
-            f"{summary['fallbacks']} oracle fallbacks)"
+            f"{summary['fallbacks']} oracle fallbacks, {summary['unsupported']} unsupported)"
         )
         if summary["disagreements"]:
             print(f"reproducers: {', '.join(summary['reproducers'])}")

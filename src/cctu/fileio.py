@@ -109,19 +109,15 @@ def parse_instance(text, verify_tu=True):
     if "c" in fields and len(fields["c"]) != n:
         raise InputFormatError(f"c has {len(fields['c'])} entries, expected {n}")
     mat = IntMatrix(tuple(matrix_rows), n)
-    if verify_tu:
-        if not is_totally_unimodular(mat):
-            witness = non_tu_witness(mat)
-            detail = ""
-            if witness:
-                rows, cols, det = witness
-                detail = f": submatrix rows {list(rows)} cols {list(cols)} has determinant {det}"
-            raise InputFormatError("constraint matrix is not totally unimodular" + detail)
-        tu = TUMatrix.certify(mat)
-    else:
-        tu = TUMatrix.trusted(mat)
+    if verify_tu and not is_totally_unimodular(mat):
+        witness = non_tu_witness(mat)
+        detail = ""
+        if witness:
+            rows, cols, det = witness
+            detail = f": submatrix rows {list(rows)} cols {list(cols)} has determinant {det}"
+        raise InputFormatError("constraint matrix is not totally unimodular" + detail)
     return RCctufInstance(
-        Polyhedron(tu, tuple(fields["b"])),
+        Polyhedron(TUMatrix.trusted(mat), tuple(fields["b"])),
         tuple(fields["gamma"]),
         m,
         frozenset(fields["R"]),

@@ -1,6 +1,8 @@
 """Differential fuzzing: structural solver against the proximity-box oracle.
 
-A disagreement gets greedily minimized (drop rows, shrink right-hand sides,
+Instances the solver declines as unsupported are counted apart: they lie
+outside its (m, |R|) contract, so they are not wrong answers.  A
+disagreement gets greedily minimized (drop rows, shrink right-hand sides,
 zero residue weights) while it persists, then dumped as an instance file for
 replay.
 """
@@ -11,13 +13,12 @@ from .errors import ScaleError
 from .fileio import serialize_instance
 from .generators import KINDS, generate
 from .matrices import IntMatrix, TUMatrix
-from .patterns import SolverConfig, solve_rcctuf
+from .patterns import solve_rcctuf
 from .polyhedra import Polyhedron, oracle_solve
 
 
 def _statuses(inst, budget):
-    config = SolverConfig(budget=budget)
-    res = solve_rcctuf(inst, config)
+    res = solve_rcctuf(inst, budget)
     ora = oracle_solve(inst, budget)
     solver_status = res.status
     value = res.value
@@ -108,6 +109,8 @@ def _fuzz_one(args):
     except ScaleError:
         return ("skipped", None, False)
     fallback = bool(res.stats.get("oracle_fallback"))
+    if res.status == "unsupported":
+        return ("unsupported", None, fallback)
     if agree:
         return (ora.status, None, fallback)
     return ("disagreement", task_seed, fallback)
@@ -129,6 +132,7 @@ def run_fuzz(n, seed, fixed_m=None, budget=4_000_000, output_prefix=None, jobs=1
         "infeasible": 0,
         "fallbacks": 0,
         "disagreements": 0,
+        "unsupported": 0,
         "reproducers": [],
         "seed": seed,
     }
@@ -149,6 +153,8 @@ def run_fuzz(n, seed, fixed_m=None, budget=4_000_000, output_prefix=None, jobs=1
             with open(path, "w") as fh:
                 fh.write(serialize_instance(small))
             summary["reproducers"].append(path)
+        elif status == "unsupported":
+            summary["unsupported"] += 1
         elif status != "skipped":
             summary["agreements"] += 1
             if status in ("feasible", "infeasible"):

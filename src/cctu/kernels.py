@@ -49,7 +49,7 @@ def _det_rows(a):
     return sign * a[n - 1][n - 1]
 
 
-def find_non_unit_subdet(flat, k, n, max_order=None):
+def find_non_unit_subdet(flat, k, n):
     """Search all square submatrices for a determinant outside {-1, 0, 1}.
 
     Returns (row_indices, col_indices, det) for the first violation in
@@ -57,15 +57,12 @@ def find_non_unit_subdet(flat, k, n, max_order=None):
     {-1, 0, 1}.  1x1 submatrices are included, so non-{-1,0,1} entries are
     caught here too.
     """
-    top = min(k, n)
-    if max_order is not None:
-        top = min(top, max_order)
     for i in range(k):
         for j in range(n):
             if flat[i * n + j] not in (-1, 0, 1):
                 return ((i,), (j,), flat[i * n + j])
     full = [flat[i * n:(i + 1) * n] for i in range(k)]
-    for order in range(2, top + 1):
+    for order in range(2, min(k, n) + 1):
         for rows in combinations(range(k), order):
             picked = [full[i] for i in rows]
             for cols in combinations(range(n), order):
@@ -121,14 +118,14 @@ def _signing_exists(rows, n):
     return found
 
 
-def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c, minimize):
+def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c):
     """Scan the integer box [lo, hi] for points with T x <= b and
     gamma.x mod m in the residue mask.
 
     Depth-first over coordinates with per-row interval pruning (partial sum
-    plus the best the remaining coordinates can do).  When `minimize` is
-    false, returns the first feasible point in lexicographic order; when
-    true, returns a feasible point minimizing c.x (c may be None, meaning 0).
+    plus the best the remaining coordinates can do).  Without a cost vector
+    `c`, returns the first feasible point in lexicographic order; with one,
+    returns a feasible point minimizing c.x.
 
     Returns (found, point, value).
     """
@@ -146,7 +143,8 @@ def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c, minimize):
             t = row[i][j]
             contrib = t * lo[j] if t >= 0 else t * hi[j]
             suf_min[i][j] = suf_min[i][j + 1] + contrib
-    cvec = c if c is not None else [0] * n
+    minimize = c is not None
+    cvec = c if minimize else [0] * n
     csuf_min = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         cj = cvec[j]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .baseblocks import solve_base_block
-from .errors import ScaleError, UnsupportedInstanceError
+from .errors import CctuError, ScaleError, SolutionCheckError, UnsupportedInstanceError
 from .matrices import IntMatrix, TUMatrix
 from .polyhedra import (
     DEFAULT_ENUM_BUDGET,
@@ -56,6 +56,13 @@ def is_prime(m):
     return True
 
 
+def _checked(inst, x, what):
+    """x, after checking that it solves `inst` exactly."""
+    if not inst.is_feasible_point(x):
+        raise SolutionCheckError(f"{what} point {x} does not solve its instance")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # the split view of a sum decomposition
 
@@ -83,42 +90,39 @@ class Split:
     def n_b(self):
         return len(self.b_cols)
 
-    def alpha_direction(self):
+    def _direction(self, cols, coeffs):
         d = [0] * self.inst.nvars
-        for j, fv in zip(self.b_cols, self.f):
-            d[j] = fv
+        for j, v in zip(cols, coeffs):
+            d[j] = v
         return tuple(d)
 
+    def alpha_direction(self):
+        return self._direction(self.b_cols, self.f)
+
     def beta_direction(self):
-        d = [0] * self.inst.nvars
-        for j, hv in zip(self.a_cols, self.h):
-            d[j] = hv
-        return tuple(d)
+        return self._direction(self.a_cols, self.h)
+
+    def _side_problem(self, rows, cols, coupling, shift, link, value, residues):
+        """T_side x <= b_side - shift * coupling, link.x = value,
+        gamma_side.x in residues."""
+        mat = self.inst.P.T.matrix
+        out = [tuple([mat[r, c] for c in cols]) for r in rows]
+        rhs = [self.inst.P.b[r] - shift * cv for r, cv in zip(rows, coupling)]
+        out.append(tuple(link))
+        rhs.append(value)
+        out.append(tuple([-v for v in link]))
+        rhs.append(-value)
+        gamma = tuple([self.inst.gamma[c] for c in cols])
+        P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(out))), tuple(rhs))
+        return RCctufInstance(P, gamma, self.inst.m, frozenset(residues))
 
     def a_problem(self, alpha, beta, residues):
         """A x_A <= b_A - alpha e, h.x_A = beta, gamma_A.x_A in residues."""
-        mat = self.inst.P.T.matrix
-        rows = [tuple([mat[r, c] for c in self.a_cols]) for r in self.a_rows]
-        rhs = [self.inst.P.b[r] - alpha * ev for r, ev in zip(self.a_rows, self.e)]
-        rows.append(tuple(self.h))
-        rhs.append(beta)
-        rows.append(tuple([-v for v in self.h]))
-        rhs.append(-beta)
-        gamma = tuple([self.inst.gamma[c] for c in self.a_cols])
-        P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(rows))), tuple(rhs))
-        return RCctufInstance(P, gamma, self.inst.m, frozenset(residues))
+        return self._side_problem(self.a_rows, self.a_cols, self.e, alpha, self.h, beta, residues)
 
     def b_problem(self, alpha, beta, residues):
-        mat = self.inst.P.T.matrix
-        rows = [tuple([mat[r, c] for c in self.b_cols]) for r in self.b_rows]
-        rhs = [self.inst.P.b[r] - beta * gv for r, gv in zip(self.b_rows, self.g)]
-        rows.append(tuple(self.f))
-        rhs.append(alpha)
-        rows.append(tuple([-v for v in self.f]))
-        rhs.append(-alpha)
-        gamma = tuple([self.inst.gamma[c] for c in self.b_cols])
-        P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(rows))), tuple(rhs))
-        return RCctufInstance(P, gamma, self.inst.m, frozenset(residues))
+        """B x_B <= b_B - beta g, f.x_B = alpha, gamma_B.x_B in residues."""
+        return self._side_problem(self.b_rows, self.b_cols, self.g, beta, self.f, alpha, residues)
 
     def combine(self, x_a, x_b):
         x = [0] * self.inst.nvars
@@ -128,11 +132,14 @@ class Split:
             x[j] = v
         return tuple(x)
 
+    def _residue(self, cols, x_side):
+        return sum(self.inst.gamma[c] * v for c, v in zip(cols, x_side)) % self.inst.m
+
     def gamma_a(self, x_a):
-        return sum(self.inst.gamma[c] * v for c, v in zip(self.a_cols, x_a)) % self.inst.m
+        return self._residue(self.a_cols, x_a)
 
     def gamma_b(self, x_b):
-        return sum(self.inst.gamma[c] * v for c, v in zip(self.b_cols, x_b)) % self.inst.m
+        return self._residue(self.b_cols, x_b)
 
 
 def split_instance(inst, dec):
@@ -172,7 +179,8 @@ def narrowed_domain(inst, split):
     for d in (d_sum, d_alpha, d_beta):
         lo = lp_optimize(P, d, "min")
         hi = lp_optimize(P, d, "max")
-        assert lo.tag == "optimal" and hi.tag == "optimal"
+        if lo.tag != "optimal" or hi.tag != "optimal":
+            raise CctuError(f"bounded scalar product has LP outcomes {lo.tag}, {hi.tag}")
         out.extend((int(lo.value), int(hi.value)))
     return tuple(out)
 
@@ -210,13 +218,13 @@ class Pattern:
         return None
 
 
-def compute_pattern(inst, split, solver, cap, stats=None):
+def compute_pattern(inst, split, solver, cap):
     """Pattern over the narrowed domain via recursive B-problem solves.
 
     Per cell: one A-relaxation point, then up to `cap` B-solves with target
     sets shrinking by the found residue.  Every domain cell must have
     feasible A- and B-relaxations (the domain is hole-free by construction;
-    asserted here).
+    checked here).
     """
     bounds = narrowed_domain(inst, split)
     cells = {}
@@ -227,7 +235,8 @@ def compute_pattern(inst, split, solver, cap, stats=None):
         alpha, beta = cell
         a_prob = split.a_problem(alpha, beta, range(m))
         a_pt = integral_feasible_point(a_prob.P)
-        assert a_pt is not None, "domain cell lost its A-relaxation"
+        if a_pt is None:
+            raise CctuError(f"domain cell {cell} lost its A-relaxation")
         a_points[cell] = tuple(a_pt)
         found = []
         targets = frozenset(range(m))
@@ -236,66 +245,20 @@ def compute_pattern(inst, split, solver, cap, stats=None):
             if not targets:
                 full = True
                 break
-            sub = split.b_problem(alpha, beta, targets)
-            if stats is not None:
-                stats["pattern_recursions"] = stats.get("pattern_recursions", 0) + 1
-            x_b = solver(sub)
+            x_b = solver(split.b_problem(alpha, beta, targets))
             if x_b is None:
                 full = True
                 break
             r = split.gamma_b(x_b)
-            assert r in targets
+            if r not in targets:
+                raise SolutionCheckError(f"B-side point {x_b} has residue {r} off target")
             found.append((r, tuple(x_b)))
             targets = targets - {r}
-        assert found, "domain cell lost its B-relaxation"
+        if not found:
+            raise CctuError(f"domain cell {cell} lost its B-relaxation")
         cells[cell] = tuple(found)
         complete[cell] = full or not targets
     return Pattern(bounds, cells, complete, a_points)
-
-
-def averaging_solutions(split, x1, x2):
-    """From relaxation solutions for (a1, b1) and (a2, b2), produce solutions
-    x3, x4 with x1 + x2 = x3 + x4 whose scalar products are pinched between
-    the floors and ceilings of the pairwise midpoints.
-
-    Works by finding an integral point of the two-sided system "x and
-    x1 + x2 - x both satisfy the midpoint-windowed system"; the midpoint
-    itself is a fractional solution and the system is TU with integral
-    bounds, so an integral point exists.
-    """
-    inst = split.inst
-    d_alpha = split.alpha_direction()
-    d_beta = split.beta_direction()
-
-    def products(x):
-        a = sum(dv * xv for dv, xv in zip(d_alpha, x))
-        b = sum(dv * xv for dv, xv in zip(d_beta, x))
-        return a, b
-
-    a1, b1 = products(x1)
-    a2, b2 = products(x2)
-    windows = []
-    for total in (a1 + b1 + a2 + b2, a1 + a2, b1 + b2):
-        windows.append((total // 2, -(-total // 2)))  # floor, ceil
-    rows = list(inst.P.T.matrix.rows)
-    rhs = list(inst.P.b)
-    d_sum = tuple([a + b for a, b in zip(d_alpha, d_beta)])
-    for d, (lo, hi) in zip((d_sum, d_alpha, d_beta), windows):
-        rows.append(tuple(d))
-        rhs.append(hi)
-        rows.append(tuple([-v for v in d]))
-        rhs.append(-lo)
-    total = tuple([a + b for a, b in zip(x1, x2)])
-    both_rows = list(rows)
-    both_rhs = list(rhs)
-    for row, bv in zip(rows, rhs):
-        both_rows.append(tuple([-v for v in row]))
-        both_rhs.append(bv - sum(rv * tv for rv, tv in zip(row, total)))
-    P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(both_rows))), tuple(both_rhs))
-    x3 = integral_feasible_point(P)
-    assert x3 is not None, "midpoint certifies the two-sided system is feasible"
-    x4 = tuple([t - v for t, v in zip(total, x3)])
-    return x3, x4
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +337,8 @@ def find_linear_subpattern(pattern, m, danger=None):
             key = (-gain, sp.bounds, (sp.r0, sp.r1, sp.r2))
             if best is None or key < best[0]:
                 best = (key, sp, covered)
-        assert best is not None, "point sub-patterns guarantee coverage"
+        if best is None:
+            raise CctuError("sub-patterns left singleton cells uncovered")
         chosen.append(best[1])
         remaining -= best[2]
     return chosen
@@ -427,10 +391,9 @@ def integrate_subpattern(inst, split, pattern, sp):
         cell = (y1, beta)
         r_b = sp.value(cell, m)
         witness = pattern.witness(cell, r_b)
-        assert witness is not None, "sub-pattern cell lost its stored witness"
-        x = split.combine(x_a, witness)
-        assert inst.is_feasible_point(x)
-        return x
+        if witness is None:
+            raise CctuError(f"sub-pattern cell {cell} has no witness of residue {r_b}")
+        return _checked(inst, split.combine(x_a, witness), "sub-pattern lift")
 
     return reduced, lift
 
@@ -446,7 +409,7 @@ class FamilyMember:
     note: str
 
 
-def decomp_progress_step(inst, split, solver, stats=None):
+def decomp_progress_step(inst, split, solver):
     """Either a solution, or a family of strictly simpler instances whose
     feasibility is equivalent to the original's.
 
@@ -458,31 +421,25 @@ def decomp_progress_step(inst, split, solver, stats=None):
     m = inst.m
     ell = len(inst.R)
     cap = m - ell + 1
-    local = {}
-    pattern = compute_pattern(inst, split, solver, cap, local)
-    # recursion budget of a single decomposition step
-    assert local.get("pattern_recursions", 0) < 3 * cap * cap
-    if stats is not None:
-        stats["pattern_recursions"] = stats.get("pattern_recursions", 0) + local.get(
-            "pattern_recursions", 0
-        )
+    pattern = compute_pattern(inst, split, solver, cap)
     # direct combinations: any stored pair that lands in R
     for cell in sorted(pattern.cells):
         a_pt = pattern.a_points[cell]
         ga = split.gamma_a(a_pt)
         for r_b, witness in pattern.cells[cell]:
             if (ga + r_b) % m in inst.R:
-                x = split.combine(a_pt, witness)
-                assert inst.is_feasible_point(x)
-                return ("solution", x)
-        assert len(pattern.cells[cell]) < cap, "pigeonhole cell must have combined"
+                return ("solution", _checked(inst, split.combine(a_pt, witness), "combined"))
+        if len(pattern.cells[cell]) >= cap:
+            raise CctuError(f"pigeonhole cell {cell} did not combine")
     members = []
     multi = [c for c in sorted(pattern.cells) if len(pattern.cells[c]) >= 2]
     for cell in multi:
-        assert pattern.complete[cell]
+        if not pattern.complete[cell]:
+            raise CctuError(f"multi-residue cell {cell} is not complete")
         pi = frozenset(pattern.residues(cell))
         grown = residue_sumset(inst.R, frozenset((-r) % m for r in pi), m)
-        assert len(grown) >= ell + 1, "target growth needs a prime modulus"
+        if len(grown) < ell + 1:
+            raise CctuError("target growth needs a prime modulus")
         alpha, beta = cell
         sub = split.a_problem(alpha, beta, grown)
 
@@ -491,9 +448,8 @@ def decomp_progress_step(inst, split, solver, stats=None):
             for r_b in sorted(pi):
                 if (ga + r_b) % m in inst.R:
                     x = split.combine(sol, pattern.witness(cell, r_b))
-                    assert inst.is_feasible_point(x)
-                    return x
-            raise AssertionError("grown target set did not yield a combinable residue")
+                    return _checked(inst, x, "grown-target lift")
+            raise SolutionCheckError(f"A-side point {sol} has residue {ga} off the grown targets")
 
         members.append(FamilyMember(sub, lift_multi, f"cell {cell} residues {sorted(pi)}"))
     singleton = [c for c in sorted(pattern.cells) if len(pattern.cells[c]) == 1]
@@ -521,11 +477,6 @@ MAX_DEPTH = 64  # recursion depth at which the solver hands over to the oracle
 
 
 @dataclass
-class SolverConfig:
-    budget: int = DEFAULT_ENUM_BUDGET
-
-
-@dataclass
 class SolveResult:
     status: str  # "feasible" | "infeasible" | "unbounded" | "unsupported"
     x: tuple = None
@@ -533,96 +484,83 @@ class SolveResult:
     stats: dict = field(default_factory=dict)
 
 
-def solve_rcctuf(inst, config=None):
+def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
     """Full solver: dispatch on |R|, decompose through the classifier, and
     handle objectives through the proximity box around an optimal relaxation
     vertex (complete by the proximity bound).
 
-    Scale-cap classifier or terminal failures fall back to the enumeration
-    oracle, flagged in stats["oracle_fallback"].
+    Scale-cap classifier or terminal failures, and recursion past MAX_DEPTH,
+    fall back to the enumeration oracle, flagged in stats["oracle_fallback"].
     """
-    config = config or SolverConfig()
     stats = {"subproblems": 0, "max_depth": 0, "oracle_fallback": False, "pattern_recursions": 0}
     supported = (
         len(inst.R) >= inst.m - 1 or (len(inst.R) >= inst.m - 2 and is_prime(inst.m))
     )
     if not supported:
         return SolveResult("unsupported", stats=stats)
-    if inst.c is None:
-        x = _solve_feasibility(inst.without_objective(), config, stats, 0)
-        if x is None:
-            return SolveResult("infeasible", stats=stats)
-        assert inst.is_feasible_point(x)
-        return SolveResult("feasible", x, stats=stats)
-    out = lp_optimize(inst.P, inst.c, "min")
-    if out.tag == "infeasible":
+
+    def feasible_point(inst, depth):
+        """A solution of the objective-free `inst`, or None."""
+        stats["subproblems"] += 1
+        stats["max_depth"] = max(stats["max_depth"], depth)
+        m = inst.m
+        ell = len(inst.R)
+        if ell == m:
+            return integral_feasible_point(inst.P)
+        if ell == m - 1:
+            return solve_r_minus_1(inst)
+        if ell < m - 2 or not is_prime(m):
+            raise UnsupportedInstanceError(f"unsupported combination m={m}, |R|={ell}")
+        if integral_feasible_point(inst.P) is None:
+            return None
+        cap = m - ell + 1
+        calls = 0
+
+        def solver(sub):
+            nonlocal calls
+            calls += 1
+            if calls >= 3 * cap * cap:
+                raise CctuError(f"a decomposition step reached {calls} pattern recursions")
+            stats["pattern_recursions"] += 1
+            return feasible_point(sub, depth + 1)
+
+        try:
+            if depth >= MAX_DEPTH:
+                raise ScaleError(f"recursion depth {depth} reached MAX_DEPTH")
+            cls = classify(inst.P.T)
+            if cls.tag in ("network", "transposed_network", "constant_core"):
+                return solve_base_block(inst, cls, budget)
+            if cls.tag == "sum":
+                step = decomp_progress_step(inst, split_instance(inst, cls.sum), solver)
+        except ScaleError:
+            stats["oracle_fallback"] = True
+            out = oracle_solve(inst, budget)
+            return out.x if out.status == "feasible" else None
+        if cls.tag == "pivot_then_sum":
+            transformed, maps = pivot_transform_instance(inst, *cls.pivot_at)
+            sol = feasible_point(transformed, depth + 1)
+            return None if sol is None else _checked(inst, maps.to_original(sol), "pivot map-back")
+        if step[0] == "solution":
+            return step[1]
+        for member in step[1]:
+            sol = feasible_point(member.instance, depth + 1)
+            if sol is not None:
+                return member.lift(sol)
+        return None
+
+    out = lp_optimize(inst.P, inst.c, "min") if inst.c is not None else None
+    if out is not None and out.tag == "infeasible":
         return SolveResult("infeasible", stats=stats)
-    if out.tag == "unbounded":
-        x = _solve_feasibility(inst.without_objective(), config, stats, 0)
-        if x is None:
-            return SolveResult("infeasible", stats=stats)
-        return SolveResult("unbounded", x, stats=stats)
-    x = _solve_feasibility(inst.without_objective(), config, stats, 0)
+    x = feasible_point(inst.without_objective(), 0)
+    del feasible_point  # it refers to itself through its closure; free it without the GC
     if x is None:
         return SolveResult("infeasible", stats=stats)
-    found, best, value = search_box(inst, out.vertex, inst.m - len(inst.R), config.budget)
-    assert found, "feasible instance has a solution in the proximity box"
+    _checked(inst, x, "feasibility")
+    if out is None:
+        return SolveResult("feasible", x, stats=stats)
+    if out.tag == "unbounded":
+        return SolveResult("unbounded", x, stats=stats)
+    found, best, value = search_box(inst, out.vertex, inst.m - len(inst.R), budget)
+    if not found:
+        raise CctuError("feasible instance has no solution in the proximity box")
     return SolveResult("feasible", best, value, stats)
-
-
-def _oracle_fallback(inst, config, stats):
-    stats["oracle_fallback"] = True
-    out = oracle_solve(inst, config.budget)
-    return out.x if out.status == "feasible" else None
-
-
-def _solve_feasibility(inst, config, stats, depth):
-    """Feasibility core; returns a solution or None."""
-    stats["subproblems"] += 1
-    stats["max_depth"] = max(stats["max_depth"], depth)
-    m = inst.m
-    ell = len(inst.R)
-    if ell == m:
-        return integral_feasible_point(inst.P)
-    if ell == m - 1:
-        return solve_r_minus_1(inst)
-    if ell < m - 2 or not is_prime(m):
-        raise UnsupportedInstanceError(f"unsupported combination m={m}, |R|={ell}")
-    if integral_feasible_point(inst.P) is None:
-        return None
-    if depth >= MAX_DEPTH:
-        return _oracle_fallback(inst, config, stats)
-    try:
-        cls = classify(inst.P.T)
-    except ScaleError:
-        return _oracle_fallback(inst, config, stats)
-    if cls.tag in ("network", "transposed_network", "constant_core"):
-        try:
-            return solve_base_block(inst, cls, config.budget)
-        except ScaleError:
-            return _oracle_fallback(inst, config, stats)
-    if cls.tag == "pivot_then_sum":
-        i, j = cls.pivot_at
-        transformed, maps = pivot_transform_instance(inst, i, j)
-        sol = _solve_feasibility(transformed, config, stats, depth + 1)
-        if sol is None:
-            return None
-        x = maps.to_original(sol)
-        assert inst.is_feasible_point(x)
-        return x
-    split = split_instance(inst, cls.sum)
-
-    def solver(sub):
-        return _solve_feasibility(sub, config, stats, depth + 1)
-
-    try:
-        step = decomp_progress_step(inst, split, solver, stats)
-    except ScaleError:
-        return _oracle_fallback(inst, config, stats)
-    if step[0] == "solution":
-        return step[1]
-    for member in step[1]:
-        sol = _solve_feasibility(member.instance, config, stats, depth + 1)
-        if sol is not None:
-            return member.lift(sol)
-    return None

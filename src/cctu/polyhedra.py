@@ -200,6 +200,5 @@ def search_box(inst, center, radius, budget=DEFAULT_ENUM_BUDGET):
         lo,
         hi,
         None if inst.c is None else list(inst.c),
-        inst.c is not None,
     )
     return (found, tuple(x) if x is not None else None, value)

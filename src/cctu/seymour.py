@@ -653,7 +653,6 @@ class Classification:
     tag: str  # "network" | "transposed_network" | "constant_core" | "sum" | "pivot_then_sum"
     network: NetworkRepresentation = None
     core: IntMatrix = None
-    core_log: tuple = None
     sum: SumDecomposition = None
     pivot_at: tuple = None
 
@@ -677,9 +676,9 @@ def classify(tu):
         rep_t = None
     if rep_t is not None:
         return Classification("transposed_network", network=rep_t)
-    core, log = reduce_to_core(mat)
+    core, _ = reduce_to_core(mat)
     if matches_special_core(core):
-        return Classification("constant_core", core=core, core_log=log)
+        return Classification("constant_core", core=core)
     dec = find_sum_decomposition(mat)
     if dec is not None:
         return Classification("sum", sum=dec)

@@ -31,10 +31,6 @@ class ResidueGroups:
         object.__setattr__(self, "R", frozenset(int(r) % self.m for r in self.R))
 
     @property
-    def total_count(self):
-        return sum(mult for _, mult in self.groups)
-
-    @property
     def total_residue(self):
         return sum(r * mult for r, mult in self.groups) % self.m
 

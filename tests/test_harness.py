@@ -263,7 +263,7 @@ def test_cli_solve_rejects_a_point_that_fails_verification(tmp_path, capsys, mon
     path = tmp_path / "inst.txt"
     path.write_text(MINIMAL)
     # x = 8 has residue 2 but violates row 1 (x <= 5)
-    monkeypatch.setattr(cli, "solve_rcctuf", lambda inst, config: SolveResult("feasible", (8,)))
+    monkeypatch.setattr(cli, "solve_rcctuf", lambda inst, budget: SolveResult("feasible", (8,)))
     code = main(["solve", "--input", str(path)])
     err = capsys.readouterr().err
     assert code == 4
@@ -284,6 +284,16 @@ def test_minimizer_can_drop_every_row(monkeypatch):
     small = fuzz.minimize_reproducer(parse_instance(MINIMAL), 100000)
     assert (small.P.T.nrows, small.nvars, small.gamma) == (0, 1, (0,))
     assert parse_instance(serialize_instance(small)) == small
+
+
+def test_fuzz_counts_unsupported_apart_from_disagreements(tmp_path):
+    """At seed 7 and m = 4, 23 draws have |R| = 2, which the solver declines;
+    they are neither disagreements nor reproducers."""
+    from cctu.fuzz import run_fuzz
+
+    summary = run_fuzz(60, 7, fixed_m=4, output_prefix=str(tmp_path / "repro"))
+    assert (summary["disagreements"], summary["unsupported"]) == (0, 23)
+    assert summary["reproducers"] == [] and not list(tmp_path.iterdir())
 
 
 def test_fuzz_parallel_matches_serial():

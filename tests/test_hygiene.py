@@ -51,3 +51,10 @@ def test_baseblocks_has_no_assert_statements():
     checks must also run under python -O."""
     lines = assert_lines("baseblocks.py")
     assert not lines, f"baseblocks.py has assert statements on lines {lines}; raise a CctuError instead"
+
+
+def test_patterns_has_no_assert_statements():
+    """The recursive solver checks lifted points and its structural invariants
+    on every solve; those checks must also run under python -O."""
+    lines = assert_lines("patterns.py")
+    assert not lines, f"patterns.py has assert statements on lines {lines}; raise a CctuError instead"

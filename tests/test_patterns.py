@@ -1,13 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from cctu.errors import UnsupportedInstanceError
+import cctu.patterns as patterns
+from cctu.errors import CctuError, ScaleError, UnsupportedInstanceError
+from cctu.fileio import parse_instance
 from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular
 from cctu.patterns import (
     Pattern,
-    SolverConfig,
     compute_pattern,
     decomp_progress_step,
     domain_cells,
@@ -354,49 +359,6 @@ def test_full_residue_set_returns_relaxation_vertex(rng):
         assert inst.P.contains(res.x)
 
 
-def test_averaging_routine_properties(rng):
-    from cctu.patterns import averaging_solutions
-    from cctu.polyhedra import integral_feasible_point
-
-    done = 0
-    while done < 15:
-        inst = sum_instance(rng, m=3, rsize=1)
-        split_dec = find_sum_decomposition(inst.P.T.matrix)
-        if split_dec is None:
-            continue
-        split = split_instance(inst, split_dec)
-        d_alpha = split.alpha_direction()
-        d_beta = split.beta_direction()
-        pts = []
-        for c in ((1,) * inst.nvars, (-1,) * inst.nvars, tuple(rng.choice((-1, 0, 1)) for _ in range(inst.nvars))):
-            out = lp_optimize(inst.P, c, "min")
-            if out.tag == "optimal":
-                pts.append(out.vertex)
-        if len(pts) < 2:
-            continue
-        x1, x2 = pts[0], pts[1]
-        x3, x4 = averaging_solutions(split, x1, x2)
-        assert tuple(a + b for a, b in zip(x1, x2)) == tuple(a + b for a, b in zip(x3, x4))
-        assert inst.P.contains(x3) and inst.P.contains(x4)
-
-        def prods(x):
-            return (
-                sum(d * v for d, v in zip(d_alpha, x)),
-                sum(d * v for d, v in zip(d_beta, x)),
-            )
-
-        a1, b1 = prods(x1)
-        a2, b2 = prods(x2)
-        for x in (x3, x4):
-            a, b = prods(x)
-            assert (a1 + a2) // 2 <= a <= -(-(a1 + a2) // 2)
-            assert (b1 + b2) // 2 <= b <= -(-(b1 + b2) // 2)
-            s = a + b
-            tot = a1 + b1 + a2 + b2
-            assert tot // 2 <= s <= -(-tot // 2)
-        done += 1
-
-
 # ---------------------------------------------------------------------------
 # family-branch regression: instances built around the special 5x5 cores are
 # the desk-scale cases where direct combinations fail and the step must emit
@@ -449,14 +411,11 @@ FAMILY_SEEDS_MULTI = (1028587104,)
 
 @pytest.mark.parametrize("seed", FAMILY_SEEDS_SUBPATTERN + FAMILY_SEEDS_MULTI)
 def test_family_branches_end_to_end(seed):
-    from cctu.patterns import SolverConfig
-
     inst = _core_plus_block_instance(seed)
     split = split_instance(inst, _block_diag_witness(inst))
-    config = SolverConfig()
 
     def solver(sub):
-        res = solve_rcctuf(sub, config)
+        res = solve_rcctuf(sub)
         return res.x if res.status == "feasible" else None
 
     step = decomp_progress_step(inst, split, solver)
@@ -468,7 +427,7 @@ def test_family_branches_end_to_end(seed):
         assert "cell" in kinds
     lifted = None
     for mem in members:
-        res = solve_rcctuf(mem.instance, config)
+        res = solve_rcctuf(mem.instance)
         if res.status == "feasible":
             lifted = mem.lift(res.x)
             break
@@ -499,10 +458,104 @@ def test_sum3_subpattern_lift_lands_in_target_residues():
     """The integrated sub-pattern instance must target R - r0: its lift adds
     the B-side residue r0 + r1*alpha + r2*beta back.  With R + r0 the
     reduced solution lifted to a point of residue 0 instead of 2."""
-    from cctu.fileio import parse_instance
-
     inst = parse_instance(SUM3_LIFT_INSTANCE)
     assert oracle_solve(inst).status == "feasible"
     res = solve_rcctuf(inst)
     assert res.status == "feasible"
     assert inst.is_feasible_point(res.x)
+
+
+OPTIMIZED_LIFT_CHECK = """
+import cctu.patterns as patterns
+from cctu.errors import SolutionCheckError
+from cctu.fileio import parse_instance
+
+inst = parse_instance(%r)
+split = patterns.split_instance(inst, patterns.classify(inst.P.T).sum)
+
+def solver(sub):
+    res = patterns.solve_rcctuf(sub)
+    return res.x if res.status == "feasible" else None
+
+tag, members, _ = patterns.decomp_progress_step(inst, split, solver)
+(member,) = members
+sol = patterns.solve_rcctuf(member.instance).x
+# every lifted point now lands far outside the polyhedron
+patterns.Split.combine = lambda self, x_a, x_b: (10**6,) * self.inst.nvars
+try:
+    print(tag, "returned", member.lift(sol))
+except SolutionCheckError as exc:
+    print(tag, "raised", type(exc).__name__)
+""" % SUM3_LIFT_INSTANCE
+
+
+def test_lift_checks_survive_python_O():
+    """A lifted point that fails its instance raises SolutionCheckError, also
+    under python -O, which strips assert statements."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_LIFT_CHECK], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["family", "raised", "SolutionCheckError"], proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the driver: answers and stats of one recursive instance, and every source
+# of an oracle fallback
+
+# |R| = m-2 over m = 7: classified as a sum; the pattern recursion solves nine
+# B-problems, all at depth 1.
+RECURSIVE = """\
+rows 4
+cols 6
+T
+-1  1 -1 -1  0  1
+ 1 -1  0  1  0 -1
+ 0  0  0  1  0  0
+-1  1 -1  0 -1  0
+b -3 5 4 -4
+gamma 5 2 -5 3 1 -1
+m 7
+R 2 3 4 5 6
+"""
+
+
+def test_driver_answer_and_stats_on_a_recursive_instance():
+    res = solve_rcctuf(parse_instance(RECURSIVE))
+    assert (res.status, res.x, res.value) == ("feasible", (3, 0, 0, 0, 1, 0), None)
+    assert res.stats == {
+        "subproblems": 10,
+        "max_depth": 1,
+        "oracle_fallback": False,
+        "pattern_recursions": 9,
+    }
+
+
+def _scale_error(*args, **kwargs):
+    raise ScaleError("forced")
+
+
+@pytest.mark.parametrize(
+    "source", ["classify", "solve_base_block", "decomp_progress_step", "MAX_DEPTH"]
+)
+def test_every_fallback_source_reaches_the_oracle(source, monkeypatch):
+    monkeypatch.setattr(patterns, source, 0 if source == "MAX_DEPTH" else _scale_error)
+    inst = parse_instance(RECURSIVE)
+    res = solve_rcctuf(inst)
+    assert res.stats["oracle_fallback"] is True
+    assert res.status == oracle_solve(inst).status
+    assert inst.is_feasible_point(res.x)
+
+
+def test_decomposition_step_recursion_budget_is_checked(monkeypatch):
+    """One decomposition step may recurse fewer than 3 * cap^2 times."""
+
+    def greedy(inst, split, solver):
+        while True:
+            solver(split.b_problem(0, 0, range(inst.m)))
+
+    monkeypatch.setattr(patterns, "decomp_progress_step", greedy)
+    with pytest.raises(CctuError, match="pattern recursions"):
+        solve_rcctuf(parse_instance(RECURSIVE))
