@@ -1,11 +1,17 @@
 """Base-block solvers: problems whose constraint matrix is a network matrix,
 the transpose of one, or reduces to one of the two special 5x5 cores.
 
-Pipelines (one target residue at a time):
+Pipelines, each run once per solve for the whole target residue set R:
 
   network:     normalize -> congruency-constrained circulation -> enumerate
   transposed:  normalize -> constrained tree cuts -> level labeling -> enumerate
   const core:  normalize -> guess core scalar products -> network pipeline
+
+One terminal search over R is exact because the proximity bound does not
+depend on the residue: every residue in R that has a solution has one inside
+the same box (split variables and levels in {0..m-1}, guesses in (-m, m)^l),
+so a search of that box for any residue in R finds a solution, and with an
+objective the best one, whenever one exists.
 
 The network and transposed pipelines start from the classifier's
 representation: the split x = x+ - x- turns T into [T | -T], whose
@@ -16,7 +22,7 @@ Both terminal enumerations are phrased as integer box searches: circulations
 are parametrized by their values on non-forest edges of the flow graph
 (forest values follow from conservation), and level labelings are vectors in
 {0..m-1}^V with difference constraints.  That lets the shared kernel do the
-heavy scanning with row-interval pruning.
+heavy scanning with row-interval pruning, with R as its residue mask.
 
 Circulation canonicalization: antiparallel arc pairs whose lengths cancel
 exactly and whose residue weights cancel mod m are merged into one signed
@@ -41,16 +47,17 @@ CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
 
 @dataclass(frozen=True)
 class NormalizedCctu:
-    """min c.x over Tx <= b, x >= 0 (implicit), gamma.x = r (mod m), with the
-    origin optimal for the relaxation.  Obtained from a general single-residue
-    problem by shifting an optimal relaxation vertex to the origin and
-    splitting x = x+ - x-; `lift` undoes both."""
+    """min c.x over Tx <= b, x >= 0 (implicit), gamma.x mod m in R, with the
+    origin optimal for the relaxation.  Obtained from a general problem by
+    shifting an optimal relaxation vertex x0 to the origin, which shifts each
+    target residue by -gamma.x0, and splitting x = x+ - x-; `lift` undoes
+    both."""
 
     T: IntMatrix
     b: tuple
     gamma: tuple
     m: int
-    r: int
+    R: frozenset
     c: tuple  # all zeros when the source problem had no objective
     x0: tuple
     n_orig: int
@@ -60,10 +67,11 @@ class NormalizedCctu:
         return tuple([x0v + xhat[i] - xhat[n + i] for i, x0v in enumerate(self.x0)])
 
 
-def normalize(inst, r):
-    """Normalize the single-residue problem (inst restricted to residue r).
+def normalize(inst):
+    """Normalize `inst` for its whole target set: one LP, one shift, one split.
 
-    Requires a feasible, bounded relaxation (callers deal with unboundedness
+    Raises InfeasibleRelaxationError when the relaxation is empty; an
+    unbounded relaxation is a caller error (callers deal with unboundedness
     before reducing).  The split doubles the variables; base-block structure
     survives because column copies, column sign flips, and unit rows map to
     parallel arcs, reversed arcs, and leaf arcs.
@@ -75,6 +83,7 @@ def normalize(inst, r):
     if out.tag == "unbounded":
         raise ValueError("cannot normalize an unbounded relaxation")
     x0 = out.vertex
+    shift = sum(g * v for g, v in zip(inst.gamma, x0))
     shifted_b = tuple([bv - tv for bv, tv in zip(inst.P.b, inst.P.T.matrix.mul_vec(x0))])
     mat = inst.P.T.matrix
     split_rows = tuple([row + tuple([-v for v in row]) for row in mat.rows])
@@ -83,7 +92,7 @@ def normalize(inst, r):
         shifted_b,
         inst.gamma + tuple([-v for v in inst.gamma]),
         inst.m,
-        (r - sum(g * v for g, v in zip(inst.gamma, x0))) % inst.m,
+        frozenset([(r - shift) % inst.m for r in inst.R]),
         c + tuple([-v for v in c]),
         x0,
         inst.nvars,
@@ -100,7 +109,7 @@ def _nonneg_rows(n):
 
 @dataclass(frozen=True)
 class CccInstance:
-    """Find a minimum-length circulation with sum(eta(a) f(a)) = r (mod m)."""
+    """Find a minimum-length circulation with sum(eta(a) f(a)) mod m in R."""
 
     nvertices: int
     arcs: tuple  # (tail, head)
@@ -108,7 +117,7 @@ class CccInstance:
     lengths: tuple
     eta: tuple  # residue weights, reduced mod m
     m: int
-    r: int
+    R: frozenset  # target residues, reduced mod m
 
 
 def cctu_to_ccc(norm, rep):
@@ -141,7 +150,7 @@ def cctu_to_ccc(norm, rep):
         lengths.append(norm.c[j])
         eta.append(norm.gamma[j] % mm)
     return CccInstance(
-        rep.nvertices, tuple(arcs), tuple(caps), tuple(lengths), tuple(eta), mm, norm.r % mm
+        rep.nvertices, tuple(arcs), tuple(caps), tuple(lengths), tuple(eta), mm, norm.R
     )
 
 
@@ -281,13 +290,14 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
 
 
 def solve_ccc(ccc, budget=DEFAULT_ENUM_BUDGET):
-    """Minimum-length circulation meeting the congruency target, or None.
+    """Minimum-length circulation whose residue lies in the target set, or
+    None.
 
-    Deterministic bounded enumeration behind the terminal-solver interface;
-    returns flows per arc.
+    Deterministic bounded enumeration behind the terminal-solver interface,
+    one box search for all targets; returns flows per arc.
     """
     edges = _merge_arcs(ccc)
-    nets = _solve_flow_box(ccc.nvertices, edges, ccc.m, 1 << (ccc.r % ccc.m), budget)
+    nets = _solve_flow_box(ccc.nvertices, edges, ccc.m, sum(1 << r for r in ccc.R), budget)
     if nets is None:
         return None
     return _nets_to_flows(ccc, edges, nets)
@@ -361,7 +371,7 @@ def check_circulation(ccc, flows):
 class CtcInstance:
     """Directed tree cut problem: pick a family of in-arc-free sets S_1..S_l
     minimizing the total out-cut cost, with per-arc coverage differences
-    bounded by b and a congruency constraint on the alpha-weights."""
+    bounded by b and the alpha-weighted residue in the target set R."""
 
     nvertices: int
     tree_arcs: tuple  # one per variable of the originating problem
@@ -369,7 +379,7 @@ class CtcInstance:
     b: tuple
     costs: tuple  # per tree arc
     alpha: tuple  # per vertex; sums to zero
-    r: int
+    R: frozenset  # target residues, reduced mod m
     m: int
 
 
@@ -404,13 +414,14 @@ def cctu_to_ctc(norm, rep):
         norm.b,
         norm.c,
         tuple(alpha),
-        norm.r % norm.m,
+        norm.R,
         norm.m,
     )
 
 
 def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
-    """Minimum-cost chain labeling (levels in {0..m-1}), or None.
+    """Minimum-cost chain labeling (levels in {0..m-1}) whose residue lies in
+    the target set, or None.
 
     The chain bound comes with the encoding: at most m-1 distinct nonempty
     cuts.  Solved as a box search with difference-constraint rows.
@@ -445,7 +456,7 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
         rhs,
         list(ctc.alpha),
         m,
-        1 << (ctc.r % m),
+        sum(1 << r for r in ctc.R),
         [0] * nv,
         [m - 1] * nv,
         cvec if any(cvec) else None,
@@ -465,7 +476,7 @@ def labeling_cost(ctc, labeling):
 
 
 # ---------------------------------------------------------------------------
-# single-residue pipelines
+# pipelines
 
 
 def _split_network(rep):
@@ -486,45 +497,37 @@ def _split_transposed(rep):
     return NetworkRepresentation(nv + len(plus), tuple(plus + minus), rep.col_arcs)
 
 
-def _retarget(norm, r):
-    """The normalization is residue-independent except for the target."""
-    rhat = (r - sum(g * v for g, v in zip(norm.gamma[: norm.n_orig], norm.x0))) % norm.m
-    return NormalizedCctu(
-        norm.T, norm.b, norm.gamma, norm.m, rhat, norm.c, norm.x0, norm.n_orig
-    )
+def _check_objective(inst, norm, reduced_value, x, what):
+    """The reduction's objective identity, checked on every solve."""
+    if inst.c is not None:
+        shift = sum(cv * xv for cv, xv in zip(inst.c, norm.x0))
+        if reduced_value + shift != sum(cv * xv for cv, xv in zip(inst.c, x)):
+            raise SolutionCheckError(f"{what} differs from the lifted objective")
 
 
-def _network_solve_for(inst, norm, rep, r, budget):
-    norm = _retarget(norm, r)
+def _network_solve(inst, norm, rep, budget):
     ccc = cctu_to_ccc(norm, rep)
     flows = solve_ccc(ccc, budget)
     if flows is None:
         return None
     if not check_circulation(ccc, flows):
         raise SolutionCheckError("circulation violates conservation or capacities")
-    if circulation_residue(ccc, flows) != ccc.r:
-        raise SolutionCheckError("circulation misses the target residue")
-    ncols = len(norm.gamma)
+    if circulation_residue(ccc, flows) not in ccc.R:
+        raise SolutionCheckError("circulation misses the target residues")
     ntree = len(rep.tree_arcs)
-    xhat = tuple([flows[2 * ntree + j] for j in range(ncols)])
-    x = norm.lift(xhat)
-    # objective identity of the reduction, checked on every solve
-    if inst.c is not None:
-        shift = sum(cv * xv for cv, xv in zip(inst.c, norm.x0))
-        if circulation_value(ccc, flows) + shift != sum(cv * xv for cv, xv in zip(inst.c, x)):
-            raise SolutionCheckError("circulation length differs from the lifted objective")
+    x = norm.lift(tuple([flows[2 * ntree + j] for j in range(len(norm.gamma))]))
+    _check_objective(inst, norm, circulation_value(ccc, flows), x, "circulation length")
     return x
 
 
-def solve_network_cctu(inst, rep, r, budget=DEFAULT_ENUM_BUDGET):
-    """Solve the residue-r problem over a network constraint matrix via the
-    circulation reduction; `rep` realizes the constraint matrix.  Returns a
-    feasible/optimal point or None."""
-    return _network_solve_for(inst, normalize(inst, r), _split_network(rep), r, budget)
+def solve_network_cctu(inst, rep, budget=DEFAULT_ENUM_BUDGET):
+    """Solve `inst` over a network constraint matrix via the circulation
+    reduction, for all of inst.R at once; `rep` realizes the constraint
+    matrix.  Returns a feasible/optimal point or None."""
+    return _network_solve(inst, normalize(inst), _split_network(rep), budget)
 
 
-def _transposed_solve_for(inst, norm, rep, r, budget):
-    norm = _retarget(norm, r)
+def _transposed_solve(inst, norm, rep, budget):
     ctc = cctu_to_ctc(norm, rep)
     labeling = solve_ctc_chain(ctc, budget)
     if labeling is None:
@@ -533,10 +536,7 @@ def _transposed_solve_for(inst, norm, rep, r, budget):
     if any(v < 0 for v in xhat):
         raise SolutionCheckError("level labeling gives a negative split variable")
     x = norm.lift(xhat)
-    if inst.c is not None:
-        shift = sum(cv * xv for cv, xv in zip(inst.c, norm.x0))
-        if labeling_cost(ctc, labeling) + shift != sum(cv * xv for cv, xv in zip(inst.c, x)):
-            raise SolutionCheckError("labeling cost differs from the lifted objective")
+    _check_objective(inst, norm, labeling_cost(ctc, labeling), x, "labeling cost")
     return x
 
 
@@ -559,18 +559,7 @@ def _stems(core, log):
     return row_stems, col_stems
 
 
-def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET):
-    """Solve the residue-r problem for a constraint matrix with a small core
-    by guessing the core-column scalar products.
-
-    Each guess pins s_i.x for the stem-support rows s_i, which determines the
-    rows stemming from the core; replacing them by the guess rows yields a
-    system that is a network matrix (and a transposed one), solved by the
-    circulation pipeline.  (2m-1)^l guesses for an l-column core.  Only the
-    right-hand side depends on the guess, so the guessed matrix is built and
-    recognized once.
-    """
-    norm = normalize(inst, r)
+def _const_core_solve(inst, norm, budget):
     core, log = reduce_to_core(norm.T)
     ell = core.ncols
     if ell > CORE_COL_CAP:
@@ -615,11 +604,11 @@ def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET):
             Polyhedron(guessed_T, tuple(rhs) + fixed_rhs),
             norm.gamma,
             norm.m,
-            frozenset({norm.r}),
+            norm.R,
             norm.c if any(norm.c) else None,
         )
         try:
-            xhat = solve_network_cctu(guessed, rep, norm.r, budget)
+            xhat = solve_network_cctu(guessed, rep, budget)
         except InfeasibleRelaxationError:
             continue
         if xhat is None:
@@ -633,52 +622,43 @@ def solve_const_core(inst, r, budget=DEFAULT_ENUM_BUDGET):
     return None if best is None else best[1]
 
 
+def solve_const_core(inst, budget=DEFAULT_ENUM_BUDGET):
+    """Solve `inst`, for all of inst.R at once, when its constraint matrix
+    has a small core, by guessing the core-column scalar products.
+
+    Each guess pins s_i.x for the stem-support rows s_i, which determines the
+    rows stemming from the core; replacing them by the guess rows yields a
+    system that is a network matrix (and a transposed one), solved by the
+    circulation pipeline.  (2m-1)^l guesses for an l-column core, all inside
+    the proximity box, so one pass serves every target residue.  Only the
+    right-hand side depends on the guess, so the guessed matrix is built and
+    recognized once.
+    """
+    return _const_core_solve(inst, normalize(inst), budget)
+
+
 def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET):
     """Dispatch a base-block R-CCTUF/CCTU instance through its reduction.
 
-    Feasibility instances return the first solution over the target residues;
-    optimization instances return the best.  None means infeasible.  The
-    relaxation must be bounded when an objective is present.
+    Normalizes once and runs one reduction and one terminal search for the
+    whole target set: feasibility instances return the first solution found,
+    optimization instances the best.  None means infeasible.  The relaxation
+    must be bounded when an objective is present.
     """
-    c = inst.c if inst.c is not None else (0,) * inst.nvars
-    out = lp_optimize(inst.P, c, "min")
-    if out.tag == "infeasible":
-        return None
-    if out.tag == "unbounded":
-        raise ValueError("base-block solvers require a bounded relaxation")
-    if len(inst.R) == inst.m:
-        return out.vertex
-    if cls.tag == "network":
-        norm = normalize(inst, 0)
-        rep = _split_network(cls.network)
-
-        def solver(r):
-            return _network_solve_for(inst, norm, rep, r, budget)
-
-    elif cls.tag == "transposed_network":
-        norm = normalize(inst, 0)
-        rep = _split_transposed(cls.network)
-
-        def solver(r):
-            return _transposed_solve_for(inst, norm, rep, r, budget)
-
-    elif cls.tag == "constant_core":
-
-        def solver(r):
-            return solve_const_core(inst, r, budget)
-
-    else:
+    if cls.tag not in ("network", "transposed_network", "constant_core"):
         raise ValueError(f"not a base-block classification: {cls.tag}")
-    best = None
-    for r in sorted(inst.R):
-        x = solver(r)
-        if x is None:
-            continue
-        if not inst.is_feasible_point(x):
-            raise SolutionCheckError(f"base-block point {x} is infeasible for residue {r}")
-        if inst.c is None:
-            return x
-        val = inst.objective(x)
-        if best is None or val < best[0]:
-            best = (val, x)
-    return None if best is None else best[1]
+    try:
+        norm = normalize(inst)
+    except InfeasibleRelaxationError:
+        return None
+    if len(inst.R) == inst.m:
+        return norm.x0
+    if cls.tag == "network":
+        x = _network_solve(inst, norm, _split_network(cls.network), budget)
+    elif cls.tag == "transposed_network":
+        x = _transposed_solve(inst, norm, _split_transposed(cls.network), budget)
+    else:
+        x = _const_core_solve(inst, norm, budget)
+    if x is not None and not inst.is_feasible_point(x):
+        raise SolutionCheckError(f"base-block point {x} is infeasible")
+    return x

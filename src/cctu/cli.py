@@ -7,6 +7,7 @@ exceeded, 4 a reported solution failed its exact re-verification.
 """
 
 import argparse
+import json
 import sys
 import time
 
@@ -19,8 +20,9 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .fileio import parse_instance, serialize_instance
+from .fuzz import run_fuzz
 from .generators import KINDS, generate
-from .matrices import is_totally_unimodular, non_tu_witness
+from .matrices import EXHAUSTIVE_CAP, is_totally_unimodular, non_tu_witness
 from .patterns import solve_rcctuf
 from .polyhedra import integral_feasible_point, oracle_solve, width
 from .seymour import classify
@@ -161,8 +163,13 @@ def cmd_check_tu(args):
     elif verdict:
         print(f"totally unimodular ({mat.nrows}x{mat.ncols}, backend={kernels.BACKEND})")
     else:
-        rows, cols, det = non_tu_witness(mat)
-        print(f"not totally unimodular: rows {list(rows)} cols {list(cols)} det {det}")
+        witness = non_tu_witness(mat)
+        if witness is None:
+            cap = EXHAUSTIVE_CAP
+            print(f"not totally unimodular (no witness past the {cap}x{cap} scan)")
+        else:
+            rows, cols, det = witness
+            print(f"not totally unimodular: rows {list(rows)} cols {list(cols)} det {det}")
     return EXIT_OK if verdict else EXIT_INFEASIBLE
 
 
@@ -223,11 +230,12 @@ def cmd_proximity(args):
     if x0 is None:
         print("relaxation infeasible")
         return EXIT_INFEASIBLE
-    out = oracle_solve(inst, args.max_enum)
+    plain = inst.without_objective()  # proximity ignores the objective
+    out = oracle_solve(plain, args.max_enum)
     if out.status != "feasible":
         print("instance infeasible")
         return EXIT_INFEASIBLE
-    x = proximal_solution(inst.without_objective(), x0, out.x)
+    x = proximal_solution(plain, x0, out.x)
     dist = max(abs(a - b) for a, b in zip(x, x0))
     print("x0: " + " ".join(str(v) for v in x0))
     print("x:  " + " ".join(str(v) for v in x))
@@ -263,14 +271,10 @@ def cmd_verify(args):
 
 
 def cmd_fuzz(args):
-    from .fuzz import run_fuzz
-
     summary = run_fuzz(
         args.n, args.seed, args.m or None, args.max_enum, args.output, jobs=args.jobs
     )
     if args.json:
-        import json
-
         print(json.dumps(summary, sort_keys=True))
     else:
         print(

@@ -336,10 +336,12 @@ def replay_core_ops(core, log):
     ncols = core.ncols
     for op in reversed(log):
         if op.axis == "row":
-            assert len(op.values) == ncols
+            if len(op.values) != ncols:
+                raise DimensionError("logged row does not fit the matrix width")
             rows.insert(op.index, list(op.values))
         else:
-            assert len(op.values) == len(rows)
+            if len(op.values) != len(rows):
+                raise DimensionError("logged column does not fit the matrix height")
             for i, r in enumerate(rows):
                 r.insert(op.index, op.values[i])
             ncols += 1

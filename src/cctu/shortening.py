@@ -12,7 +12,7 @@ directly (the three-variable integer programs collapse to a modular check).
 from dataclasses import dataclass
 
 from .cones import decompose_solutions
-from .errors import CctuError
+from .errors import CctuError, SolutionCheckError
 
 
 @dataclass(frozen=True)
@@ -173,5 +173,6 @@ def transform_solution(inst, y, x0):
     ])
     mu = shorten_residue_sum(ResidueGroups(groups, inst.m, target))
     out = dec.point_for(mu)
-    assert inst.is_feasible_point(out), "transformed point lost feasibility"
+    if not inst.is_feasible_point(out):
+        raise SolutionCheckError("transformed point lost feasibility")
     return out

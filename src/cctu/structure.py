@@ -12,7 +12,7 @@ constraints are the only obstruction and they project away exactly.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DimensionError, InfeasibleRelaxationError
+from .errors import CctuError, DimensionError, InfeasibleRelaxationError, SolutionCheckError
 from .matrices import IntMatrix, TUMatrix
 from .polyhedra import (
     Polyhedron,
@@ -31,8 +31,6 @@ class FlatnessOutcome:
     x: tuple = None
     row_index: int = None
     width: int = None
-    argmin: tuple = None
-    argmax: tuple = None
 
 
 def solve_unconstrained_congruence(gamma, m, R):
@@ -101,9 +99,7 @@ def find_flat_or_solve(inst):
         current = _sub_polyhedron(mat, rhs, range(idx, k))
         res = width(current, rows[idx])
         if res.finite and res.width <= bound:
-            return FlatnessOutcome(
-                "flat", row_index=idx, width=res.width, argmin=res.argmin, argmax=res.argmax
-            )
+            return FlatnessOutcome("flat", row_index=idx, width=res.width)
     x = solve_unconstrained_congruence(inst.gamma, inst.m, inst.R)
     if x is None:
         return FlatnessOutcome("infeasible")
@@ -115,13 +111,16 @@ def find_flat_or_solve(inst):
         # because the row was dropped only when its width was at least m-|R|
         with_row = _sub_polyhedron(mat, rhs, range(idx, k))
         x0 = integral_feasible_point(with_row.with_rows([rows[idx]], [rhs[idx] - slack]))
-        assert x0 is not None
+        if x0 is None:
+            raise CctuError(f"dropped row {idx} has no point {slack} below its bound")
         partial = RCctufInstance(
             _sub_polyhedron(mat, rhs, range(idx + 1, k)), inst.gamma, inst.m, inst.R
         )
         x = transform_solution(partial, x, x0)
-        assert sum(a * v for a, v in zip(rows[idx], x)) <= rhs[idx]
-    assert inst.is_feasible_point(x)
+        if sum(a * v for a, v in zip(rows[idx], x)) > rhs[idx]:
+            raise SolutionCheckError(f"transformed point violates re-added row {idx}")
+    if not inst.is_feasible_point(x):
+        raise SolutionCheckError("stripped-system solution is infeasible")
     return FlatnessOutcome("solution", x=x)
 
 
@@ -173,10 +172,11 @@ def bound_scalar_products(inst, directions):
 
 def proximal_solution(inst, x0, y):
     """A feasible x with d.(x - x0) <= m-|R| for every TU-appendable d, built
-    from a known feasible y; implies the l_inf proximity bound, asserted."""
+    from a known feasible y; implies the l_inf proximity bound, checked."""
     x = transform_solution(inst, y, x0)
     bound = inst.m - len(inst.R)
-    assert all(abs(a - b) <= bound for a, b in zip(x, x0))
+    if any(abs(a - b) > bound for a, b in zip(x, x0)):
+        raise SolutionCheckError(f"transformed point is farther than {bound} from x0")
     return x
 
 
@@ -234,7 +234,8 @@ def eliminate_tight_variable(inst):
     row = rows[i]
     j = max(t for t in range(len(row)) if row[t] != 0)
     alpha = row[j]
-    assert alpha in (-1, 1)
+    if alpha not in (-1, 1):
+        raise CctuError(f"tight row has a non-unit pivot {alpha}")
     a2 = row[:j] + row[j + 1:]
     new_rows = []
     new_rhs = []
@@ -289,7 +290,8 @@ def solve_r_minus_1(inst):
     flatness machinery applies (its width bound is zero there, so after
     elimination no flat row can remain).  Returns a solution or None.
     """
-    assert len(inst.R) == inst.m - 1, "solver requires exactly m-1 target residues"
+    if len(inst.R) != inst.m - 1:
+        raise CctuError("solver requires exactly m-1 target residues")
     level = inst.without_objective()
     lifts = []
     while True:
@@ -306,7 +308,7 @@ def solve_r_minus_1(inst):
             elif out.tag == "infeasible":
                 x = None
             else:  # pragma: no cover - a width-0 row would have been eliminated
-                raise AssertionError("flat row of width 0 survived elimination")
+                raise CctuError("flat row of width 0 survived elimination")
             break
         level, bm = step
         lifts.append(bm)
@@ -314,7 +316,8 @@ def solve_r_minus_1(inst):
         return None
     for bm in reversed(lifts):
         x = bm.lift(x)
-    assert inst.is_feasible_point(x)
+    if not inst.is_feasible_point(x):
+        raise SolutionCheckError("lifted |R| = m-1 solution is infeasible")
     return x
 
 
@@ -323,7 +326,8 @@ def detect_unboundedness(inst):
     relaxation is unbounded; feasibility is decided by the proximity-box
     oracle.
     """
-    assert inst.c is not None, "unboundedness needs an objective"
+    if inst.c is None:
+        raise CctuError("unboundedness needs an objective")
     out = lp_optimize(inst.P, inst.c, "min")
     if out.tag != "unbounded":
         return False

@@ -18,7 +18,6 @@ from cctu.baseblocks import (
     solve_base_block,
     solve_ccc,
     solve_ctc_chain,
-    solve_const_core,
 )
 from cctu.generators import random_network_matrix
 from cctu.matrices import IntMatrix, TUMatrix
@@ -30,8 +29,9 @@ from random_systems import random_tu_matrix
 def test_normalize_shifts_and_splits():
     P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, 5))
     inst = RCctufInstance(P, (1,), 3, frozenset({2}), (1,))
-    norm = normalize(inst, 2)
+    norm = normalize(inst)
     assert norm.x0 == (0,)
+    assert norm.R == frozenset({2})
     assert all(v >= 0 for v in norm.b)
     assert norm.T.ncols == 2
     assert norm.lift((3, 1)) == (2,)
@@ -43,7 +43,7 @@ def test_normalized_matrix_stays_network():
         T = random_tu_matrix(rng, 3, 2)
         P = Polyhedron(TUMatrix.trusted(T), (2,) * 3)
         inst = RCctufInstance(P, (1, 1), 3, frozenset({1}))
-        norm = normalize(inst, 1)
+        norm = normalize(inst)
         rep = recognize_network_matrix(norm.T)
         assert rep is not None and rep.rebuild().rows == norm.T.rows
         # and with the nonnegativity unit rows appended explicitly
@@ -80,7 +80,7 @@ def two_cycle_ccc():
         (0, 0),
         (1, 0),
         3,
-        2,
+        frozenset({2}),
     )
 
 
@@ -93,13 +93,13 @@ def test_solve_ccc_two_cycle():
 
 
 def test_solve_ccc_zero_target_trivial():
-    ccc = CccInstance(2, ((0, 1), (1, 0)), (2, 2), (1, 1), (1, 0), 3, 0)
+    ccc = CccInstance(2, ((0, 1), (1, 0)), (2, 2), (1, 1), (1, 0), 3, frozenset({0}))
     flows = solve_ccc(ccc)
     assert flows == (0, 0)
 
 
 def test_solve_ccc_single_arc_infeasible():
-    ccc = CccInstance(2, ((0, 1),), (5,), (0,), (1,), 3, 2)
+    ccc = CccInstance(2, ((0, 1),), (5,), (0,), (1,), 3, frozenset({2}))
     assert solve_ccc(ccc) is None
 
 
@@ -112,7 +112,7 @@ def test_solve_ccc_min_cost():
         (5, 0, 1),
         (1, 0, 1),
         3,
-        2,
+        frozenset({2}),
     )
     flows = solve_ccc(ccc)
     assert flows is not None and check_circulation(ccc, flows)
@@ -138,7 +138,7 @@ def random_ccc(rng):
         tuple(rng.randint(-2, 2) for _ in arcs),
         tuple(rng.randrange(m) for _ in arcs),
         m,
-        rng.randrange(m),
+        frozenset({rng.randrange(m)}),
     )
 
 
@@ -149,7 +149,7 @@ def brute_force_ccc(ccc):
     for flows in product(*(range(u + 1) for u in ccc.u)):
         if not check_circulation(ccc, flows):
             continue
-        if circulation_residue(ccc, flows) != ccc.r % ccc.m:
+        if circulation_residue(ccc, flows) not in ccc.R:
             continue
         val = circulation_value(ccc, flows)
         if best is None or val < best:
@@ -166,7 +166,7 @@ def test_solve_ccc_matches_bruteforce(rng):
             assert best is None
         else:
             assert check_circulation(ccc, flows)
-            assert circulation_residue(ccc, flows) == ccc.r % ccc.m
+            assert circulation_residue(ccc, flows) in ccc.R
             assert circulation_value(ccc, flows) == best
 
 
@@ -182,15 +182,15 @@ def test_ctc_path_tree_labeling():
         b=(),
         costs=(0,),
         alpha=(1, -1),
-        r=1,
+        R=frozenset({1}),
         m=3,
     )
     lab = solve_ctc_chain(ctc)
     assert lab is not None
     assert (lab.levels[0] - lab.levels[1]) % 3 == 1
     assert labeling_to_solution(ctc, lab) == (lab.levels[0] - lab.levels[1],)
-    # r = 0 admits the zero labeling at cost zero
-    zero = solve_ctc_chain(CtcInstance(2, ((0, 1),), (), (), (1,), (1, -1), 0, 3))
+    # R = {0} admits the zero labeling at cost zero
+    zero = solve_ctc_chain(CtcInstance(2, ((0, 1),), (), (), (1,), (1, -1), frozenset({0}), 3))
     assert zero is not None and set(zero.levels) == {0}
 
 
@@ -211,9 +211,10 @@ def network_instance(rng, n=3, k=3, m=3, rsize=1, with_c=False):
 def test_network_path_matches_oracle(rng):
     done = 0
     while done < 100:
+        m = rng.choice((2, 3, 5))
         inst = network_instance(
-            rng, n=rng.randint(1, 3), k=rng.randint(1, 3), m=rng.choice((2, 3, 5)),
-            rsize=1, with_c=rng.random() < 0.5
+            rng, n=rng.randint(1, 3), k=rng.randint(1, 3), m=m,
+            rsize=rng.randint(1, m - 1), with_c=rng.random() < 0.5
         )
         cls = classify(inst.P.T)
         if cls.tag != "network":
@@ -239,7 +240,7 @@ def transposed_instance(rng, n=2, k=3, m=3):
         + [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)],
         [3] * (2 * n),
     )
-    return RCctufInstance(P, gamma, m, frozenset({rng.randrange(m)}))
+    return RCctufInstance(P, gamma, m, frozenset(rng.sample(range(m), rng.randint(1, m - 1))))
 
 
 def test_transposed_path_matches_oracle(rng):
@@ -255,6 +256,27 @@ def test_transposed_path_matches_oracle(rng):
         if sol is not None:
             assert inst.is_feasible_point(sol)
         done += 1
+
+
+def test_infeasible_network_instance_runs_one_terminal_search(monkeypatch):
+    """All target residues share one terminal box search, so an infeasible
+    instance costs one search, not one per residue."""
+    calls = []
+    box_search = bb.kernels.box_search
+
+    def counting(*args):
+        calls.append(args)
+        return box_search(*args)
+
+    monkeypatch.setattr(bb.kernels, "box_search", counting)
+    # x in {0, 1} reaches residues 0 and 1 only
+    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (1, 0))
+    inst = RCctufInstance(P, (1,), 5, frozenset({2, 3}))
+    cls = classify(inst.P.T)
+    assert cls.tag == "network"
+    assert solve_base_block(inst, cls) is None
+    assert len(calls) == 1
+    assert oracle_solve(inst).status == "infeasible"
 
 
 def test_const_core_instance_matches_oracle():
@@ -292,8 +314,10 @@ def test_const_core_recognizes_the_guessed_matrix_once(monkeypatch):
         + [tuple(-1 if j == i else 0 for j in range(5)) for i in range(5)],
         [2] * 10,
     )
-    inst = RCctufInstance(P, (1, -2, 0, 2, 1), 3, frozenset({2}))
-    x = solve_const_core(inst, 2)
+    inst = RCctufInstance(P, (1, -2, 0, 2, 1), 3, frozenset({0, 2}))
+    cls = classify(inst.P.T)
+    assert cls.tag == "constant_core"
+    x = solve_base_block(inst, cls)
     assert len(calls) == 1
     assert (x is None) == (oracle_solve(inst).status == "infeasible")
     if x is not None:
@@ -356,7 +380,7 @@ def test_circulation_solution_roundtrip(rng):
             rng, n=rng.randint(1, 2), k=rng.randint(1, 2), m=3, rsize=1, with_c=True
         )
         try:
-            norm = normalize(inst, next(iter(inst.R)))
+            norm = normalize(inst)
         except Exception:
             continue
         rep = recognize_network_matrix(norm.T)

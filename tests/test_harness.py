@@ -184,6 +184,21 @@ def test_cli_check_tu_negative(tmp_path, capsys):
     assert "not totally unimodular" in capsys.readouterr().out
 
 
+def test_cli_check_tu_negative_past_the_exhaustive_scan(tmp_path, capsys):
+    """A non-TU matrix larger than 8x8 on both sides has no scanned witness;
+    check-tu still gives the verdict instead of a traceback."""
+    cycle = [[1 if j in (i, (i + 1) % 5) else 0 for j in range(9)] for i in range(5)]
+    unit = [[1 if j == 5 + i else 0 for j in range(9)] for i in range(4)]
+    text = "rows 9\ncols 9\nT\n"
+    text += "".join(" ".join(str(v) for v in row) + "\n" for row in cycle + unit)
+    text += "b " + " ".join(["1"] * 9) + "\ngamma " + " ".join(["1"] * 9) + "\nm 3\nR 0\n"
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    code = run_cli(tmp_path, "check-tu", "--input", str(path))
+    assert code == 1
+    assert "not totally unimodular (no witness past the 8x8 scan)" in capsys.readouterr().out
+
+
 def test_cli_generate_and_decompose(tmp_path, capsys):
     target = tmp_path / "gen.txt"
     code = run_cli(
@@ -208,6 +223,19 @@ def test_cli_width_and_proximity(tmp_path, capsys):
     assert run_cli(tmp_path, "proximity", "--input", str(path)) == 0
     out = capsys.readouterr().out
     assert "distance" in out
+
+
+def test_cli_proximity_on_a_feasible_unbounded_instance(tmp_path, capsys):
+    """Proximity ignores the objective, so an unbounded objective does not
+    make a feasible instance look infeasible."""
+    path = tmp_path / "unbounded.txt"
+    path.write_text("rows 1\ncols 1\nT\n-1\nb 0\ngamma 1\nm 3\nR 1\nc -1\n")
+    assert run_cli(tmp_path, "solve", "--input", str(path)) == 0
+    assert "unbounded" in capsys.readouterr().out
+    assert run_cli(tmp_path, "proximity", "--input", str(path)) == 0
+    out = capsys.readouterr().out
+    dist = int(out.split("distance ")[1].split()[0])
+    assert dist <= 3 - 1
 
 
 def test_cli_verify(tmp_path, capsys):

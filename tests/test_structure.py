@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +228,44 @@ def test_detect_unboundedness_cases():
     # unbounded relaxation but congruence unattainable
     impossible = RCctufInstance(P, (0,), 2, frozenset({1}), (-1,))
     assert not detect_unboundedness(impossible)
+
+
+OPTIMIZED_FLATNESS_CHECK = """
+import cctu.structure as st
+from cctu.errors import SolutionCheckError
+from cctu.matrices import IntMatrix, TUMatrix
+from cctu.polyhedra import Polyhedron, RCctufInstance
+
+# 5 <= x <= 10 with |R| = m-1: no flat row, and the unconstrained congruence
+# point lies below the interval, so the dropped rows are re-added through the
+# shortening transform, here patched to return a point far outside
+P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (10, -5))
+inst = RCctufInstance(P, (1,), 3, frozenset({1, 2}))
+st.transform_solution = lambda inst, y, x0: (10**6,)
+try:
+    print("returned", st.find_flat_or_solve(inst).x)
+except SolutionCheckError as exc:
+    print("raised", type(exc).__name__)
+"""
+
+
+def test_structure_checks_survive_python_O(tmp_path):
+    """Under python -O, which strips assert statements, a transformed point
+    that fails its row still raises SolutionCheckError, and the CLI still
+    solves an |R| = m-1 instance."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_FLATNESS_CHECK],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "SolutionCheckError"], proc.stdout
+    path = tmp_path / "rminus1.txt"
+    path.write_text("rows 2\ncols 1\nT\n1\n-1\nb 10 -5\ngamma 1\nm 3\nR 1 2\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cctu.cli", "solve", "--input", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "feasible" in proc.stdout
