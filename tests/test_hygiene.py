@@ -30,18 +30,43 @@ def test_no_tuple_of_generator_expression():
     )
 
 
+def assert_lines(path):
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+
+
 def test_library_has_no_assert_statements():
     """The solver checks reported points and its structural invariants on
     every solve; those checks must also run under python -O, which strips
     assert statements."""
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no library modules under {SRC}"
-    offenders = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
-                offenders.append(f"{path.name}:{node.lineno}")
+    offenders = [f"{path.name}:{line}" for path in paths for line in assert_lines(path)]
     assert not offenders, (
         "assert statements vanish under python -O; raise a CctuError instead: "
         + ", ".join(offenders)
     )
+
+
+def test_cli_has_no_assert_statements():
+    """The CLI's checks on reported answers must also run under python -O,
+    which strips assert statements."""
+    lines = assert_lines(SRC / "cli.py")
+    assert not lines, f"cli.py has assert statements on lines {lines}; raise a CctuError instead"
+
+
+def test_baseblocks_has_no_assert_statements():
+    """The base-block reductions check their invariants on every solve; those
+    checks must also run under python -O."""
+    lines = assert_lines(SRC / "baseblocks.py")
+    assert not lines, f"baseblocks.py has assert statements on lines {lines}; raise a CctuError instead"
+
+
+def test_patterns_has_no_assert_statements():
+    """The recursive solver checks lifted points and its structural invariants
+    on every solve; those checks must also run under python -O."""
+    lines = assert_lines(SRC / "patterns.py")
+    assert not lines, f"patterns.py has assert statements on lines {lines}; raise a CctuError instead"
