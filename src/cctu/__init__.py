@@ -68,7 +68,6 @@ from .structure import (
     FlatnessOutcome,
     ScalarBounds,
     bound_scalar_products,
-    detect_unboundedness,
     eliminate_tight_variable,
     find_flat_or_solve,
     proximal_solution,

@@ -1,6 +1,10 @@
 """Base-block solvers: problems whose constraint matrix is a network matrix,
 the transpose of one, or reduces to one of the two special 5x5 cores.
 
+Base blocks decide feasibility only: each pipeline returns some solution or
+None, and objectives stay with the caller (`patterns.solve_rcctuf` optimizes
+over the proximity box around an optimal relaxation vertex).
+
 Pipelines, each run once per solve for the whole target residue set R:
 
   network:     normalize -> congruency-constrained circulation -> enumerate
@@ -10,8 +14,8 @@ Pipelines, each run once per solve for the whole target residue set R:
 One terminal search over R is exact because the proximity bound does not
 depend on the residue: every residue in R that has a solution has one inside
 the same box (split variables and levels in {0..m-1}, guesses in (-m, m)^l),
-so a search of that box for any residue in R finds a solution, and with an
-objective the best one, whenever one exists.
+so a search of that box for any residue in R finds a solution whenever one
+exists.
 
 The network and transposed pipelines start from the classifier's
 representation: the split x = x+ - x- turns T into [T | -T], whose
@@ -24,10 +28,9 @@ are parametrized by their values on non-forest edges of the flow graph
 {0..m-1}^V with difference constraints.  That lets the shared kernel do the
 heavy scanning with row-interval pruning, with R as its residue mask.
 
-Circulation canonicalization: antiparallel arc pairs whose lengths cancel
-exactly and whose residue weights cancel mod m are merged into one signed
-edge, which is exactly the freedom used by the flow-cancellation step in the
-reduction's forward mapping.
+Circulation canonicalization: antiparallel arc pairs whose residue weights
+cancel mod m are merged into one signed edge, which is exactly the freedom
+used by the flow-cancellation step in the reduction's forward mapping.
 """
 
 from dataclasses import dataclass
@@ -36,7 +39,7 @@ from itertools import product
 from . import kernels
 from .errors import CctuError, InfeasibleRelaxationError, ScaleError, SolutionCheckError
 from .matrices import IntMatrix, TUMatrix
-from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, lp_optimize
+from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, integral_feasible_point
 from .seymour import NetworkRepresentation, recognize_network_matrix, reduce_to_core, tree_path
 
 CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
@@ -47,18 +50,16 @@ CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
 
 @dataclass(frozen=True)
 class NormalizedCctu:
-    """min c.x over Tx <= b, x >= 0 (implicit), gamma.x mod m in R, with the
-    origin optimal for the relaxation.  Obtained from a general problem by
-    shifting an optimal relaxation vertex x0 to the origin, which shifts each
-    target residue by -gamma.x0, and splitting x = x+ - x-; `lift` undoes
-    both."""
+    """Tx <= b, x >= 0 (implicit), gamma.x mod m in R, with the origin
+    feasible for the relaxation.  Obtained from a general problem by shifting
+    a relaxation vertex x0 to the origin, which shifts each target residue by
+    -gamma.x0, and splitting x = x+ - x-; `lift` undoes both."""
 
     T: IntMatrix
     b: tuple
     gamma: tuple
     m: int
     R: frozenset
-    c: tuple  # all zeros when the source problem had no objective
     x0: tuple
     n_orig: int
 
@@ -70,19 +71,17 @@ class NormalizedCctu:
 def normalize(inst):
     """Normalize `inst` for its whole target set: one LP, one shift, one split.
 
-    Raises InfeasibleRelaxationError when the relaxation is empty; an
-    unbounded relaxation is a caller error (callers deal with unboundedness
-    before reducing).  The split doubles the variables; base-block structure
-    survives because column copies, column sign flips, and unit rows map to
-    parallel arcs, reversed arcs, and leaf arcs.
+    Raises InfeasibleRelaxationError when the relaxation is empty, and
+    ValueError when `inst` has an objective (base blocks decide feasibility
+    only).  The split doubles the variables; base-block structure survives
+    because column copies, column sign flips, and unit rows map to parallel
+    arcs, reversed arcs, and leaf arcs.
     """
-    c = inst.c if inst.c is not None else (0,) * inst.nvars
-    out = lp_optimize(inst.P, c, "min")
-    if out.tag == "infeasible":
+    if inst.c is not None:
+        raise ValueError("base blocks take feasibility instances; the caller owns the objective")
+    x0 = integral_feasible_point(inst.P)
+    if x0 is None:
         raise InfeasibleRelaxationError("relaxation is infeasible")
-    if out.tag == "unbounded":
-        raise ValueError("cannot normalize an unbounded relaxation")
-    x0 = out.vertex
     shift = sum(g * v for g, v in zip(inst.gamma, x0))
     shifted_b = tuple([bv - tv for bv, tv in zip(inst.P.b, inst.P.T.matrix.mul_vec(x0))])
     mat = inst.P.T.matrix
@@ -93,7 +92,6 @@ def normalize(inst):
         inst.gamma + tuple([-v for v in inst.gamma]),
         inst.m,
         frozenset([(r - shift) % inst.m for r in inst.R]),
-        c + tuple([-v for v in c]),
         x0,
         inst.nvars,
     )
@@ -109,12 +107,11 @@ def _nonneg_rows(n):
 
 @dataclass(frozen=True)
 class CccInstance:
-    """Find a minimum-length circulation with sum(eta(a) f(a)) mod m in R."""
+    """Find a circulation with sum(eta(a) f(a)) mod m in R."""
 
     nvertices: int
     arcs: tuple  # (tail, head)
     u: tuple  # capacities, nonnegative
-    lengths: tuple
     eta: tuple  # residue weights, reduced mod m
     m: int
     R: frozenset  # target residues, reduced mod m
@@ -123,35 +120,29 @@ class CccInstance:
 def cctu_to_ccc(norm, rep):
     """The circulation instance of a normalized network-matrix problem.
 
-    Arcs: every tree arc and its reverse (length and weight zero, capacity
-    min(b, m-1) forward and m-1 backward), plus the reverse of every column
-    arc (length = objective coefficient, weight = gamma mod m, capacity m-1).
+    Arcs: every tree arc and its reverse (weight zero, capacity min(b, m-1)
+    forward and m-1 backward), plus the reverse of every column arc
+    (weight = gamma mod m, capacity m-1).
     """
     if rep.rebuild().rows != norm.T.rows:
         raise ValueError("representation does not rebuild the constraint matrix")
     arcs = []
     caps = []
-    lengths = []
     eta = []
     mm = norm.m
     for i, (a, b) in enumerate(rep.tree_arcs):
         arcs.append((a, b))
         caps.append(min(norm.b[i], mm - 1))
-        lengths.append(0)
         eta.append(0)
     for i, (a, b) in enumerate(rep.tree_arcs):
         arcs.append((b, a))
         caps.append(mm - 1)
-        lengths.append(0)
         eta.append(0)
     for j, (v, w) in enumerate(rep.col_arcs):
         arcs.append((w, v))
         caps.append(mm - 1)
-        lengths.append(norm.c[j])
         eta.append(norm.gamma[j] % mm)
-    return CccInstance(
-        rep.nvertices, tuple(arcs), tuple(caps), tuple(lengths), tuple(eta), mm, norm.R
-    )
+    return CccInstance(rep.nvertices, tuple(arcs), tuple(caps), tuple(eta), mm, norm.R)
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,6 @@ class _FlowEdge:
     lo: int
     hi: int
     eta: int
-    length: int
     fwd_arc: int  # arc index carrying positive net flow
     rev_arc: int = None  # antiparallel partner carrying negative net, if merged
 
@@ -169,8 +159,7 @@ class _FlowEdge:
 def _merge_arcs(ccc):
     """Signed edges from arcs, merging cancellable antiparallel pairs.
 
-    A pair cancels when the lengths sum to zero and the residue weights sum
-    to zero mod m.
+    A pair cancels when the residue weights sum to zero mod m.
     """
     n = len(ccc.arcs)
     used = [False] * n
@@ -184,8 +173,6 @@ def _merge_arcs(ccc):
                 continue
             if ccc.arcs[b] != (ccc.arcs[a][1], ccc.arcs[a][0]):
                 continue
-            if ccc.lengths[a] + ccc.lengths[b] != 0:
-                continue
             if (ccc.eta[a] + ccc.eta[b]) % ccc.m != 0:
                 continue
             partner = b
@@ -193,12 +180,10 @@ def _merge_arcs(ccc):
         used[a] = True
         tail, head = ccc.arcs[a]
         if partner is None:
-            edges.append(_FlowEdge(tail, head, 0, ccc.u[a], ccc.eta[a], ccc.lengths[a], a))
+            edges.append(_FlowEdge(tail, head, 0, ccc.u[a], ccc.eta[a], a))
         else:
             used[partner] = True
-            edges.append(
-                _FlowEdge(tail, head, -ccc.u[partner], ccc.u[a], ccc.eta[a], ccc.lengths[a], a, partner)
-            )
+            edges.append(_FlowEdge(tail, head, -ccc.u[partner], ccc.u[a], ccc.eta[a], a, partner))
     return edges
 
 
@@ -207,9 +192,8 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
 
     Free (non-forest) edge nets are the box variables; forest nets are linear
     in them, so capacity windows become constraint rows.  The residue vector
-    and objective fold the forest contributions into per-variable
-    coefficients.
-    Returns the net flow per edge of a minimum-length circulation, or None.
+    folds the forest contributions into per-variable coefficients.
+    Returns the net flow per edge of a circulation, or None.
     """
     forest = []
     free = []
@@ -256,16 +240,12 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
         rows.append(tuple([-v for v in coeff[t]]))
         rhs.append(-edges[t].lo)
     rho = []
-    kappa = []
     for pos, e in enumerate(free):
         s = edges[e].eta
-        c = edges[e].length
         for t in forest:
             if coeff[t][pos]:
                 s += coeff[t][pos] * edges[t].eta
-                c += coeff[t][pos] * edges[t].length
         rho.append(s % m)
-        kappa.append(c)
     flat = [v for row in rows for v in row]
     found, z, _ = kernels.box_search(
         flat,
@@ -277,7 +257,7 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
         rmask,
         lo,
         hi,
-        kappa if any(kappa) else None,
+        None,
     )
     if not found:
         return None
@@ -290,8 +270,7 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
 
 
 def solve_ccc(ccc, budget=DEFAULT_ENUM_BUDGET):
-    """Minimum-length circulation whose residue lies in the target set, or
-    None.
+    """A circulation whose residue lies in the target set, or None.
 
     Deterministic bounded enumeration behind the terminal-solver interface,
     one box search for all targets; returns flows per arc.
@@ -317,7 +296,7 @@ def _nets_to_flows(ccc, edges, nets):
 
 def solution_to_circulation(ccc, rep, xhat):
     """Forward mapping: a normalized solution (entries in {0..m-1}) to a
-    feasible circulation of equal length and residue.
+    feasible circulation of equal residue.
 
     Routes x(e) units along the reverse column arc and its tree path, then
     cancels flow on antiparallel tree-arc pairs; feasibility of x within the
@@ -344,10 +323,6 @@ def solution_to_circulation(ccc, rep, xhat):
     return tuple(flows)
 
 
-def circulation_value(ccc, flows):
-    return sum(l * f for l, f in zip(ccc.lengths, flows))
-
-
 def circulation_residue(ccc, flows):
     return sum(e * f for e, f in zip(ccc.eta, flows)) % ccc.m
 
@@ -370,14 +345,13 @@ def check_circulation(ccc, flows):
 @dataclass(frozen=True)
 class CtcInstance:
     """Directed tree cut problem: pick a family of in-arc-free sets S_1..S_l
-    minimizing the total out-cut cost, with per-arc coverage differences
-    bounded by b and the alpha-weighted residue in the target set R."""
+    with per-arc coverage differences bounded by b and the alpha-weighted
+    residue in the target set R."""
 
     nvertices: int
     tree_arcs: tuple  # one per variable of the originating problem
     extra_arcs: tuple  # one per constraint row
     b: tuple
-    costs: tuple  # per tree arc
     alpha: tuple  # per vertex; sums to zero
     R: frozenset  # target residues, reduced mod m
     m: int
@@ -412,7 +386,6 @@ def cctu_to_ctc(norm, rep):
         rep.tree_arcs,
         rep.col_arcs,
         norm.b,
-        norm.c,
         tuple(alpha),
         norm.R,
         norm.m,
@@ -420,8 +393,8 @@ def cctu_to_ctc(norm, rep):
 
 
 def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
-    """Minimum-cost chain labeling (levels in {0..m-1}) whose residue lies in
-    the target set, or None.
+    """A chain labeling (levels in {0..m-1}) whose residue lies in the target
+    set, or None.
 
     The chain bound comes with the encoding: at most m-1 distinct nonempty
     cuts.  Solved as a box search with difference-constraint rows.
@@ -444,10 +417,6 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
         row[w] -= 1
         rows.append(tuple(row))
         rhs.append(bv)
-    cvec = [0] * nv
-    for (a, b), cost in zip(ctc.tree_arcs, ctc.costs):
-        cvec[a] += cost
-        cvec[b] -= cost
     flat = [v for row in rows for v in row]
     found, levels, _ = kernels.box_search(
         flat,
@@ -459,7 +428,7 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
         sum(1 << r for r in ctc.R),
         [0] * nv,
         [m - 1] * nv,
-        cvec if any(cvec) else None,
+        None,
     )
     if not found:
         return None
@@ -469,10 +438,6 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
 def labeling_to_solution(ctc, labeling):
     """x(u) = level(tail) - level(head) per tree arc; the chain-cut sum."""
     return tuple([labeling.levels[a] - labeling.levels[b] for (a, b) in ctc.tree_arcs])
-
-
-def labeling_cost(ctc, labeling):
-    return sum(c * x for c, x in zip(ctc.costs, labeling_to_solution(ctc, labeling)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +462,7 @@ def _split_transposed(rep):
     return NetworkRepresentation(nv + len(plus), tuple(plus + minus), rep.col_arcs)
 
 
-def _check_objective(inst, norm, reduced_value, x, what):
-    """The reduction's objective identity, checked on every solve."""
-    if inst.c is not None:
-        shift = sum(cv * xv for cv, xv in zip(inst.c, norm.x0))
-        if reduced_value + shift != sum(cv * xv for cv, xv in zip(inst.c, x)):
-            raise SolutionCheckError(f"{what} differs from the lifted objective")
-
-
-def _network_solve(inst, norm, rep, budget):
+def _network_solve(norm, rep, budget):
     ccc = cctu_to_ccc(norm, rep)
     flows = solve_ccc(ccc, budget)
     if flows is None:
@@ -515,19 +472,17 @@ def _network_solve(inst, norm, rep, budget):
     if circulation_residue(ccc, flows) not in ccc.R:
         raise SolutionCheckError("circulation misses the target residues")
     ntree = len(rep.tree_arcs)
-    x = norm.lift(tuple([flows[2 * ntree + j] for j in range(len(norm.gamma))]))
-    _check_objective(inst, norm, circulation_value(ccc, flows), x, "circulation length")
-    return x
+    return norm.lift(tuple([flows[2 * ntree + j] for j in range(len(norm.gamma))]))
 
 
 def solve_network_cctu(inst, rep, budget=DEFAULT_ENUM_BUDGET):
     """Solve `inst` over a network constraint matrix via the circulation
     reduction, for all of inst.R at once; `rep` realizes the constraint
-    matrix.  Returns a feasible/optimal point or None."""
-    return _network_solve(inst, normalize(inst), _split_network(rep), budget)
+    matrix.  Returns a feasible point or None."""
+    return _network_solve(normalize(inst), _split_network(rep), budget)
 
 
-def _transposed_solve(inst, norm, rep, budget):
+def _transposed_solve(norm, rep, budget):
     ctc = cctu_to_ctc(norm, rep)
     labeling = solve_ctc_chain(ctc, budget)
     if labeling is None:
@@ -535,9 +490,7 @@ def _transposed_solve(inst, norm, rep, budget):
     xhat = labeling_to_solution(ctc, labeling)
     if any(v < 0 for v in xhat):
         raise SolutionCheckError("level labeling gives a negative split variable")
-    x = norm.lift(xhat)
-    _check_objective(inst, norm, labeling_cost(ctc, labeling), x, "labeling cost")
-    return x
+    return norm.lift(xhat)
 
 
 def _stems(core, log):
@@ -559,7 +512,7 @@ def _stems(core, log):
     return row_stems, col_stems
 
 
-def _const_core_solve(inst, norm, budget):
+def _const_core_solve(norm, budget):
     core, log = reduce_to_core(norm.T)
     ell = core.ncols
     if ell > CORE_COL_CAP:
@@ -591,7 +544,6 @@ def _const_core_solve(inst, norm, budget):
     if rep is None:
         raise ScaleError("guessed constant-core system is not a network matrix")
     fixed_rhs = tuple([norm.b[t] for t in other_rows]) + (0,) * nhat
-    best = None
     for sigma in product(range(-norm.m + 1, norm.m), repeat=ell):
         rhs = []
         for sv in sigma:
@@ -605,21 +557,14 @@ def _const_core_solve(inst, norm, budget):
             norm.gamma,
             norm.m,
             norm.R,
-            norm.c if any(norm.c) else None,
         )
         try:
             xhat = solve_network_cctu(guessed, rep, budget)
         except InfeasibleRelaxationError:
             continue
-        if xhat is None:
-            continue
-        x = norm.lift(xhat)
-        if inst.c is None:
-            return x
-        val = sum(cv * xv for cv, xv in zip(inst.c, x))
-        if best is None or val < best[0]:
-            best = (val, x)
-    return None if best is None else best[1]
+        if xhat is not None:
+            return norm.lift(xhat)
+    return None
 
 
 def solve_const_core(inst, budget=DEFAULT_ENUM_BUDGET):
@@ -634,16 +579,15 @@ def solve_const_core(inst, budget=DEFAULT_ENUM_BUDGET):
     right-hand side depends on the guess, so the guessed matrix is built and
     recognized once.
     """
-    return _const_core_solve(inst, normalize(inst), budget)
+    return _const_core_solve(normalize(inst), budget)
 
 
 def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET):
     """Dispatch a base-block R-CCTUF/CCTU instance through its reduction.
 
     Normalizes once and runs one reduction and one terminal search for the
-    whole target set: feasibility instances return the first solution found,
-    optimization instances the best.  None means infeasible.  The relaxation
-    must be bounded when an objective is present.
+    whole target set, returning the first solution found; None means
+    infeasible.  `inst` must have no objective (see `normalize`).
     """
     if cls.tag not in ("network", "transposed_network", "constant_core"):
         raise ValueError(f"not a base-block classification: {cls.tag}")
@@ -651,14 +595,12 @@ def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET):
         norm = normalize(inst)
     except InfeasibleRelaxationError:
         return None
-    if len(inst.R) == inst.m:
-        return norm.x0
     if cls.tag == "network":
-        x = _network_solve(inst, norm, _split_network(cls.network), budget)
+        x = _network_solve(norm, _split_network(cls.network), budget)
     elif cls.tag == "transposed_network":
-        x = _transposed_solve(inst, norm, _split_transposed(cls.network), budget)
+        x = _transposed_solve(norm, _split_transposed(cls.network), budget)
     else:
-        x = _const_core_solve(inst, norm, budget)
+        x = _const_core_solve(norm, budget)
     if x is not None and not inst.is_feasible_point(x):
         raise SolutionCheckError(f"base-block point {x} is infeasible")
     return x

@@ -144,10 +144,10 @@ def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c):
             contrib = t * lo[j] if t >= 0 else t * hi[j]
             suf_min[i][j] = suf_min[i][j + 1] + contrib
     minimize = c is not None
-    cvec = c if minimize else [0] * n
+    cost_row = c if minimize else [0] * n
     csuf_min = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
-        cj = cvec[j]
+        cj = cost_row[j]
         csuf_min[j] = csuf_min[j + 1] + (cj * lo[j] if cj >= 0 else cj * hi[j])
 
     best_x = None
@@ -170,7 +170,7 @@ def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c):
                 partial[i] += row[i][j] * v
                 if partial[i] + suf_min[i][j + 1] > b[i]:
                     ok = False
-            new_cost = cost + cvec[j] * v
+            new_cost = cost + cost_row[j] * v
             if ok and minimize and best_val is not None and new_cost + csuf_min[j + 1] >= best_val:
                 ok = False
             if ok:

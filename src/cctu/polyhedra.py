@@ -118,12 +118,10 @@ def integral_feasible_point(P):
 class WidthResult:
     finite: bool
     width: int = None
-    argmin: tuple = None
-    argmax: tuple = None
 
 
 def width(P, d):
-    """Exact integer width of P along d, with minimizing/maximizing points.
+    """Exact integer width of P along d.
 
     Over a TU system the LP optima are attained at integral points, so the
     integer width equals the LP width whenever both optima are finite.
@@ -135,7 +133,7 @@ def width(P, d):
     if lo.tag == "unbounded" or hi.tag == "unbounded":
         return WidthResult(False)
     w = int(hi.value - lo.value)
-    return WidthResult(True, w, lo.vertex, hi.vertex)
+    return WidthResult(True, w)
 
 
 @dataclass(frozen=True)

@@ -717,8 +717,11 @@ def pivot_transform_instance(inst, i, j):
 
     Substitutes x = Q y where Q clears the pivot row to a unit row; the extra
     bound on y_j comes from the bounded-scalar-product window for the unit
-    direction e_j, which keeps feasibility unchanged.
+    direction e_j, which keeps feasibility unchanged.  Raises ValueError when
+    `inst` has an objective: the caller owns it.
     """
+    if inst.c is not None:
+        raise ValueError("pivoting takes feasibility instances; the caller owns the objective")
     mat = inst.P.T.matrix
     n = mat.ncols
     eps = mat[i, j]
@@ -745,9 +748,6 @@ def pivot_transform_instance(inst, i, j):
     new_rows.append(bound_row)
     new_b = inst.P.b + (u,)
     new_gamma = tuple([sum(inst.gamma[t] * Qm[t, c] for t in range(n)) for c in range(n)])
-    new_c = None
-    if inst.c is not None:
-        new_c = tuple([sum(inst.c[t] * Qm[t, c] for t in range(n)) for c in range(n)])
     new_P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(new_rows))), new_b)
-    transformed = RCctufInstance(new_P, new_gamma, inst.m, inst.R, new_c)
+    transformed = RCctufInstance(new_P, new_gamma, inst.m, inst.R)
     return transformed, PivotMaps(Qm, Qinvm)

@@ -19,7 +19,6 @@ from .polyhedra import (
     RCctufInstance,
     integral_feasible_point,
     lp_optimize,
-    oracle_solve,
     width,
 )
 from .shortening import transform_solution
@@ -202,8 +201,12 @@ def eliminate_tight_variable(inst):
     right-hand side (tight constraints proper), then rows of width zero
     whose common value sits strictly below the right-hand side (the bound
     tightens to that value without changing the polyhedron).  Returns
-    (reduced instance, BackMap).
+    (reduced instance, BackMap).  Raises ValueError when `inst` has an
+    objective: elimination preserves feasibility, and the caller owns the
+    objective.
     """
+    if inst.c is not None:
+        raise ValueError("elimination takes feasibility instances; the caller owns the objective")
     if inst.nvars < 2:
         raise DimensionError("need at least two variables to eliminate one")
     if integral_feasible_point(inst.P) is None:
@@ -249,16 +252,11 @@ def eliminate_tight_variable(inst):
     gj = inst.gamma[j]
     new_gamma = tuple([v - alpha * gj * a for v, a in zip(gbar, a2)])
     new_R = frozenset((r - alpha * gj * beta) % inst.m for r in inst.R)
-    new_c = None
-    if inst.c is not None:
-        cbar = inst.c[:j] + inst.c[j + 1:]
-        new_c = tuple([v - alpha * inst.c[j] * a for v, a in zip(cbar, a2)])
     reduced = RCctufInstance(
         Polyhedron(TUMatrix.trusted(IntMatrix(tuple(new_rows), len(a2))), tuple(new_rhs)),
         new_gamma,
         inst.m,
         new_R,
-        new_c,
     )
     return reduced, BackMap(j, alpha, beta, a2)
 
@@ -289,10 +287,11 @@ def solve_r_minus_1(inst):
     """Feasibility solver for |R| = m-1: eliminate tight constraints until the
     flatness machinery applies (its width bound is zero there, so after
     elimination no flat row can remain).  Returns a solution or None.
+    `inst` must have no objective (see `eliminate_tight_variable`).
     """
     if len(inst.R) != inst.m - 1:
         raise CctuError("solver requires exactly m-1 target residues")
-    level = inst.without_objective()
+    level = inst
     lifts = []
     while True:
         if integral_feasible_point(level.P) is None:
@@ -319,16 +318,3 @@ def solve_r_minus_1(inst):
     if not inst.is_feasible_point(x):
         raise SolutionCheckError("lifted |R| = m-1 solution is infeasible")
     return x
-
-
-def detect_unboundedness(inst):
-    """A problem with an objective is unbounded iff it is feasible and its
-    relaxation is unbounded; feasibility is decided by the proximity-box
-    oracle.
-    """
-    if inst.c is None:
-        raise CctuError("unboundedness needs an objective")
-    out = lp_optimize(inst.P, inst.c, "min")
-    if out.tag != "unbounded":
-        return False
-    return oracle_solve(inst.without_objective()).status == "feasible"

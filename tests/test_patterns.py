@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import cctu.baseblocks as bb
 import cctu.patterns as patterns
 from cctu.errors import CctuError, ScaleError, UnsupportedInstanceError
 from cctu.fileio import parse_instance
@@ -26,7 +27,13 @@ from cctu.patterns import (
     valid_subpatterns,
 )
 from cctu.polyhedra import Polyhedron, RCctufInstance, lp_optimize, oracle_solve
-from cctu.seymour import find_sum_decomposition
+from cctu.seymour import (
+    classify,
+    find_sum_decomposition,
+    pivot_transform_instance,
+    recognize_network_matrix,
+)
+from cctu.structure import eliminate_tight_variable
 from random_systems import random_instance, random_tu_matrix
 
 
@@ -330,6 +337,35 @@ def test_solver_optimization_matches_oracle(rng):
             assert inst.is_feasible_point(res.x)
             assert inst.objective(res.x) == res.value
         done += 1
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        bb.normalize,
+        lambda inst: bb.solve_base_block(inst, classify(inst.P.T)),
+        lambda inst: bb.solve_network_cctu(inst, recognize_network_matrix(inst.P.T.matrix)),
+        bb.solve_const_core,
+        eliminate_tight_variable,
+        lambda inst: pivot_transform_instance(inst, 0, 0),
+    ],
+    ids=[
+        "normalize",
+        "solve_base_block",
+        "solve_network_cctu",
+        "solve_const_core",
+        "eliminate_tight_variable",
+        "pivot_transform_instance",
+    ],
+)
+def test_feasibility_layers_reject_objectives(entry):
+    """Base blocks, elimination and pivoting decide feasibility only; given an
+    objective they raise instead of dropping it.  So the driver's objective
+    tests above also show that solve_rcctuf never passes an objective down."""
+    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (2, 0))
+    inst = RCctufInstance(P, (1,), 3, frozenset({1}), (1,))
+    with pytest.raises(ValueError, match="the caller owns the objective"):
+        entry(inst)
 
 
 def test_solver_unsupported_combination():

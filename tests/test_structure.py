@@ -8,10 +8,10 @@ import pytest
 
 from cctu.errors import InfeasibleRelaxationError
 from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular, tu_appendable_rows
+from cctu.patterns import solve_rcctuf
 from cctu.polyhedra import Polyhedron, RCctufInstance, lp_optimize, oracle_solve
 from cctu.structure import (
     bound_scalar_products,
-    detect_unboundedness,
     eliminate_tight_variable,
     find_flat_or_solve,
     proximal_solution,
@@ -221,13 +221,14 @@ def test_solve_r_minus_1_matches_oracle(rng):
 def test_detect_unboundedness_cases():
     # min -x over x >= 0 with parity 0: feasible, relaxation unbounded
     P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))
-    inst = RCctufInstance(P, (1,), 2, frozenset({0}), (-1,))
-    assert detect_unboundedness(inst)
+    unbounded = RCctufInstance(P, (1,), 2, frozenset({0}), (-1,))
     bounded = interval(0, 5, (1,), 2, {0}, c=(-1,))
-    assert not detect_unboundedness(bounded)
     # unbounded relaxation but congruence unattainable
     impossible = RCctufInstance(P, (0,), 2, frozenset({1}), (-1,))
-    assert not detect_unboundedness(impossible)
+    cases = ((unbounded, "unbounded"), (bounded, "feasible"), (impossible, "infeasible"))
+    for inst, verdict in cases:
+        assert solve_rcctuf(inst).status == verdict
+        assert oracle_solve(inst).status == verdict
 
 
 OPTIMIZED_FLATNESS_CHECK = """
