@@ -3,9 +3,15 @@
 Conventions:
   - matrices are immutable, row-major tuples of tuples of Python ints;
   - a matrix is TU iff every square submatrix has determinant in {-1, 0, 1};
-  - certification is exact: exhaustive subdeterminant scan up to
-    EXHAUSTIVE_CAP on the smaller dimension, the Ghouila-Houri signing
-    criterion beyond that.
+  - certification is exact.  Entries are checked first: all must lie in
+    {-1, 0, 1}.  The matrix is then reduced to its core (`reduce_to_core`):
+    deleting a row or column with at most one nonzero entry, or one that
+    repeats or negates another, leaves TU-ness unchanged (Schrijver 1986,
+    Theory of Linear and Integer Programming, 19.1).  The core gets the
+    exhaustive subdeterminant scan when its smaller dimension is at most
+    EXHAUSTIVE_CAP, the Ghouila-Houri signing criterion beyond that.  The
+    entry check must come first, since the reduction would delete a unit
+    row such as (2, 0).
 
 TU verdicts are memoized on the entry tuple; the fuzz harness re-checks the
 same small matrices constantly.
@@ -97,22 +103,132 @@ def determinant(mat):
     return kernels.det_bareiss(mat.flat(), mat.nrows)
 
 
+# ---------------------------------------------------------------------------
+# core reduction
+
+
+@dataclass(frozen=True)
+class CoreOp:
+    """One deletion: axis 'row'/'col', position at deletion time, the deleted
+    values, why it was deletable, and (for unit/duplicate deletions) the
+    index of the partner row/column in the matrix after the deletion."""
+
+    axis: str
+    index: int
+    values: tuple
+    reason: str  # "unit" | "dup" | "negdup"
+    partner: int = None
+    sign: int = 0  # nonzero entry sign for "unit" deletions
+
+
+def reduce_to_core(mat):
+    """Iteratively delete unit rows/columns (at most one nonzero) and
+    duplicate or negated-duplicate rows/columns; returns (core, op_log)."""
+    rows = [list(r) for r in mat.rows]
+    ncols = mat.ncols
+    log = []
+    changed = True
+    while changed:
+        changed = False
+        k = len(rows)
+        # unit rows
+        for i in range(k):
+            nz = [j for j in range(ncols) if rows[i][j] != 0]
+            if len(nz) <= 1:
+                partner = nz[0] if nz else None
+                sign = rows[i][nz[0]] if nz else 0
+                log.append(CoreOp("row", i, tuple(rows[i]), "unit", partner, sign))
+                del rows[i]
+                changed = True
+                break
+        if changed:
+            continue
+        # unit columns
+        for j in range(ncols):
+            nz = [i for i in range(len(rows)) if rows[i][j] != 0]
+            if len(nz) <= 1:
+                partner = nz[0] if nz else None
+                sign = rows[nz[0]][j] if nz else 0
+                log.append(CoreOp("col", j, tuple([r[j] for r in rows]), "unit", partner, sign))
+                for r in rows:
+                    del r[j]
+                ncols -= 1
+                changed = True
+                break
+        if changed:
+            continue
+        # duplicate / negated rows (delete the later twin)
+        found = _find_twin([tuple(r) for r in rows])
+        if found:
+            keep, drop, reason = found
+            log.append(CoreOp("row", drop, tuple(rows[drop]), reason, keep))
+            del rows[drop]
+            changed = True
+            continue
+        cols = [tuple([r[j] for r in rows]) for j in range(ncols)]
+        found = _find_twin(cols)
+        if found:
+            keep, drop, reason = found
+            log.append(CoreOp("col", drop, cols[drop], reason, keep))
+            for r in rows:
+                del r[drop]
+            ncols -= 1
+            changed = True
+            continue
+    core = IntMatrix(tuple([tuple(r) for r in rows]), ncols)
+    return core, tuple(log)
+
+
+def _find_twin(vecs):
+    for a in range(len(vecs)):
+        neg = tuple([-v for v in vecs[a]])
+        for b in range(a + 1, len(vecs)):
+            if vecs[b] == vecs[a]:
+                return (a, b, "dup")
+            if vecs[b] == neg:
+                return (a, b, "negdup")
+    return None
+
+
+def replay_core_ops(core, log):
+    """Undo a deletion log: re-insert rows/columns newest-first.  Recovers the
+    original matrix exactly; the round trip is the correctness check for
+    reduce_to_core."""
+    rows = [list(r) for r in core.rows]
+    ncols = core.ncols
+    for op in reversed(log):
+        if op.axis == "row":
+            if len(op.values) != ncols:
+                raise DimensionError("logged row does not fit the matrix width")
+            rows.insert(op.index, list(op.values))
+        else:
+            if len(op.values) != len(rows):
+                raise DimensionError("logged column does not fit the matrix height")
+            for i, r in enumerate(rows):
+                r.insert(op.index, op.values[i])
+            ncols += 1
+    return IntMatrix(tuple([tuple(r) for r in rows]), ncols)
+
+
+# ---------------------------------------------------------------------------
+# total unimodularity
+
+
 @lru_cache(maxsize=200_000)
 def _tu_cached(rows):
-    k = len(rows)
-    n = len(rows[0]) if rows else 0
+    if any(v not in (-1, 0, 1) for r in rows for v in r):
+        return False
+    core, _ = reduce_to_core(IntMatrix(rows, len(rows[0]) if rows else 0))
+    k, n = core.nrows, core.ncols
     if k == 0 or n == 0:
         return True
-    flat = [v for r in rows for v in r]
-    if any(v not in (-1, 0, 1) for v in flat):
-        return False
+    flat = core.flat()
     if min(k, n) <= EXHAUSTIVE_CAP:
         return kernels.find_non_unit_subdet(flat, k, n) is None
     # Ghouila-Houri on the smaller dimension (TU is transpose-invariant).
     if k <= n:
         return kernels.ghouila_houri_ok(flat, k, n)
-    t = [rows[i][j] for j in range(n) for i in range(k)]
-    return kernels.ghouila_houri_ok(t, n, k)
+    return kernels.ghouila_houri_ok(core.transpose().flat(), n, k)
 
 
 def is_totally_unimodular(mat):
@@ -123,12 +239,30 @@ def is_totally_unimodular(mat):
 def non_tu_witness(mat):
     """A violating (rows, cols, det) triple, or None for TU matrices.
 
-    Only defined for matrices within the exhaustive-scan cap; larger ones get
-    a verdict without a witness.
+    Matrices within the exhaustive-scan cap are scanned whole.  Past the cap,
+    an entry outside {-1, 0, 1} is its own 1x1 witness; otherwise the core is
+    scanned when it fits the cap, and its witness is mapped back to the
+    input's row and column indices (the core is a submatrix of the input).
+    A non-TU matrix whose core is past the cap gets None.
     """
-    if min(mat.nrows, mat.ncols) > EXHAUSTIVE_CAP:
+    k, n = mat.nrows, mat.ncols
+    if min(k, n) <= EXHAUSTIVE_CAP:
+        return kernels.find_non_unit_subdet(mat.flat(), k, n)
+    for i, r in enumerate(mat.rows):
+        for j, v in enumerate(r):
+            if v not in (-1, 0, 1):
+                return ((i,), (j,), v)
+    core, log = reduce_to_core(mat)
+    if min(core.nrows, core.ncols) > EXHAUSTIVE_CAP:
         return None
-    return kernels.find_non_unit_subdet(mat.flat(), mat.nrows, mat.ncols)
+    found = kernels.find_non_unit_subdet(core.flat(), core.nrows, core.ncols)
+    if found is None:
+        return None
+    kept_rows, kept_cols = list(range(k)), list(range(n))
+    for op in log:
+        del (kept_rows if op.axis == "row" else kept_cols)[op.index]
+    rows, cols, det = found
+    return (tuple([kept_rows[i] for i in rows]), tuple([kept_cols[j] for j in cols]), det)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Sum decompositions of TU matrices, pivoting, network-matrix recognition,
-core reduction, and the desk-scale classifier.
+and the desk-scale classifier.  Core reduction (`reduce_to_core`,
+`replay_core_ops`) lives in `matrices`, which certifies TU-ness on the core;
+it is imported here, where recognition and classification use it.
 
 Recognition strategy: a matrix is a network matrix iff its core is, because
 unit/duplicate/negated rows and columns map to leaf arcs, subdivisions,
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import DimensionError, ScaleError
-from .matrices import IntMatrix, TUMatrix, is_totally_unimodular
+from .matrices import IntMatrix, TUMatrix, is_totally_unimodular, reduce_to_core, replay_core_ops
 from .polyhedra import Polyhedron, RCctufInstance
 from .structure import bound_scalar_products
 
@@ -240,112 +242,6 @@ def _try_separation(mat, rows1, rows2, cols1, cols2):
     if kind >= 2 and not is_totally_unimodular(dec.second_summand()):
         return None
     return dec
-
-
-# ---------------------------------------------------------------------------
-# core reduction
-
-
-@dataclass(frozen=True)
-class CoreOp:
-    """One deletion: axis 'row'/'col', position at deletion time, the deleted
-    values, why it was deletable, and (for unit/duplicate deletions) the
-    index of the partner row/column in the matrix after the deletion."""
-
-    axis: str
-    index: int
-    values: tuple
-    reason: str  # "unit" | "dup" | "negdup"
-    partner: int = None
-    sign: int = 0  # nonzero entry sign for "unit" deletions
-
-
-def reduce_to_core(mat):
-    """Iteratively delete unit rows/columns (at most one nonzero) and
-    duplicate or negated-duplicate rows/columns; returns (core, op_log)."""
-    rows = [list(r) for r in mat.rows]
-    ncols = mat.ncols
-    log = []
-    changed = True
-    while changed:
-        changed = False
-        k = len(rows)
-        # unit rows
-        for i in range(k):
-            nz = [j for j in range(ncols) if rows[i][j] != 0]
-            if len(nz) <= 1:
-                partner = nz[0] if nz else None
-                sign = rows[i][nz[0]] if nz else 0
-                log.append(CoreOp("row", i, tuple(rows[i]), "unit", partner, sign))
-                del rows[i]
-                changed = True
-                break
-        if changed:
-            continue
-        # unit columns
-        for j in range(ncols):
-            nz = [i for i in range(len(rows)) if rows[i][j] != 0]
-            if len(nz) <= 1:
-                partner = nz[0] if nz else None
-                sign = rows[nz[0]][j] if nz else 0
-                log.append(CoreOp("col", j, tuple([r[j] for r in rows]), "unit", partner, sign))
-                for r in rows:
-                    del r[j]
-                ncols -= 1
-                changed = True
-                break
-        if changed:
-            continue
-        # duplicate / negated rows (delete the later twin)
-        found = _find_twin([tuple(r) for r in rows])
-        if found:
-            keep, drop, reason = found
-            log.append(CoreOp("row", drop, tuple(rows[drop]), reason, keep))
-            del rows[drop]
-            changed = True
-            continue
-        cols = [tuple([r[j] for r in rows]) for j in range(ncols)]
-        found = _find_twin(cols)
-        if found:
-            keep, drop, reason = found
-            log.append(CoreOp("col", drop, cols[drop], reason, keep))
-            for r in rows:
-                del r[drop]
-            ncols -= 1
-            changed = True
-            continue
-    core = IntMatrix(tuple([tuple(r) for r in rows]), ncols)
-    return core, tuple(log)
-
-
-def _find_twin(vecs):
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            if vecs[b] == vecs[a]:
-                return (a, b, "dup")
-            if vecs[b] == tuple([-v for v in vecs[a]]):
-                return (a, b, "negdup")
-    return None
-
-
-def replay_core_ops(core, log):
-    """Undo a deletion log: re-insert rows/columns newest-first.  Recovers the
-    original matrix exactly; the round trip is the correctness check for
-    reduce_to_core."""
-    rows = [list(r) for r in core.rows]
-    ncols = core.ncols
-    for op in reversed(log):
-        if op.axis == "row":
-            if len(op.values) != ncols:
-                raise DimensionError("logged row does not fit the matrix width")
-            rows.insert(op.index, list(op.values))
-        else:
-            if len(op.values) != len(rows):
-                raise DimensionError("logged column does not fit the matrix height")
-            for i, r in enumerate(rows):
-                r.insert(op.index, op.values[i])
-            ncols += 1
-    return IntMatrix(tuple([tuple(r) for r in rows]), ncols)
 
 
 def matches_special_core(core):

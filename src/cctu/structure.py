@@ -287,8 +287,12 @@ def solve_r_minus_1(inst):
     """Feasibility solver for |R| = m-1: eliminate tight constraints until the
     flatness machinery applies (its width bound is zero there, so after
     elimination no flat row can remain).  Returns a solution or None.
-    `inst` must have no objective (see `eliminate_tight_variable`).
+    Raises ValueError when `inst` has an objective: the caller owns it.
     """
+    if inst.c is not None:
+        raise ValueError(
+            "the |R| = m-1 solver takes feasibility instances; the caller owns the objective"
+        )
     if len(inst.R) != inst.m - 1:
         raise CctuError("solver requires exactly m-1 target residues")
     level = inst

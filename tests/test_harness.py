@@ -184,19 +184,35 @@ def test_cli_check_tu_negative(tmp_path, capsys):
     assert "not totally unimodular" in capsys.readouterr().out
 
 
-def test_cli_check_tu_negative_past_the_exhaustive_scan(tmp_path, capsys):
-    """A non-TU matrix larger than 8x8 on both sides has no scanned witness;
-    check-tu still gives the verdict instead of a traceback."""
-    cycle = [[1 if j in (i, (i + 1) % 5) else 0 for j in range(9)] for i in range(5)]
-    unit = [[1 if j == 5 + i else 0 for j in range(9)] for i in range(4)]
-    text = "rows 9\ncols 9\nT\n"
-    text += "".join(" ".join(str(v) for v in row) + "\n" for row in cycle + unit)
-    text += "b " + " ".join(["1"] * 9) + "\ngamma " + " ".join(["1"] * 9) + "\nm 3\nR 0\n"
+def check_tu_output(tmp_path, capsys, rows):
+    k, n = len(rows), len(rows[0])
+    text = f"rows {k}\ncols {n}\nT\n"
+    text += "".join(" ".join(str(v) for v in row) + "\n" for row in rows)
+    text += "b " + " ".join(["1"] * k) + "\ngamma " + " ".join(["1"] * n) + "\nm 3\nR 0\n"
     path = tmp_path / "big.txt"
     path.write_text(text)
     code = run_cli(tmp_path, "check-tu", "--input", str(path))
     assert code == 1
-    assert "not totally unimodular (no witness past the 8x8 scan)" in capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+def test_cli_check_tu_negative_past_the_exhaustive_scan(tmp_path, capsys):
+    """A non-TU matrix larger than 8x8 on both sides whose core fits the scan:
+    the core's witness is printed in the input's row and column indices."""
+    cycle = [[1 if j in (i, (i + 1) % 5) else 0 for j in range(9)] for i in range(5)]
+    unit = [[1 if j == 5 + i else 0 for j in range(9)] for i in range(4)]
+    out = check_tu_output(tmp_path, capsys, cycle + unit)
+    assert "not totally unimodular: rows [0, 1, 2, 3, 4] cols [0, 1, 2, 3, 4] det 2" in out
+
+
+def test_cli_check_tu_negative_with_a_core_past_the_exhaustive_scan(tmp_path, capsys):
+    """A non-TU matrix whose core is past the 8x8 scan has no scanned witness;
+    check-tu still gives the verdict instead of a traceback."""
+    intervals = [(a, a + 1) for a in range(8)] + [(a, a + 2) for a in range(7)]
+    rows = [[1 if lo <= r <= hi else 0 for lo, hi in intervals] for r in range(9)]
+    rows[1][0] = -1  # rows 0, 1 on columns 0 and 8 read ((1, 1), (-1, 1)): det 2
+    out = check_tu_output(tmp_path, capsys, rows)
+    assert "not totally unimodular (no witness past the 8x8 scan)" in out
 
 
 def test_cli_generate_and_decompose(tmp_path, capsys):

@@ -12,6 +12,7 @@ from cctu.matrices import (
     is_totally_unimodular,
     is_tu_appendable,
     non_tu_witness,
+    reduce_to_core,
     tu_appendable_rows,
 )
 from random_systems import random_tu_matrix
@@ -114,8 +115,9 @@ def test_tu_matches_exhaustive_enumeration_up_to_6x6():
         assert is_totally_unimodular(mat) == exhaustive_tu(mat) == True
 
 
-def test_ghouila_houri_branch_on_9x12_matrices():
-    # min dimension 9 forces the Ghouila-Houri branch
+def test_tu_verdicts_on_9x12_matrices():
+    # Columns c and c+4 are twins, so the core is 4x4 and gets the
+    # subdeterminant scan; the Ghouila-Houri branch has its own tests below.
     rows = tuple(
         tuple(1 if c % 4 in (r % 4, (r + 1) % 4) else 0 for c in range(12)) for r in range(9)
     )
@@ -126,6 +128,161 @@ def test_ghouila_houri_branch_on_9x12_matrices():
     spoiled = [list(r) for r in rows]
     spoiled[0][2] = -1
     assert not is_totally_unimodular(IntMatrix(tuple(tuple(r) for r in spoiled)))
+
+
+def interval_matrix():
+    """9x15 consecutive-ones matrix (hence TU): one column per interval of
+    length 2 or 3 on nine points.  No row or column is a unit vector and none
+    repeats or negates another, so the matrix is its own core."""
+    intervals = [(a, a + 1) for a in range(8)] + [(a, a + 2) for a in range(7)]
+    return IntMatrix(
+        tuple(tuple(1 if lo <= r <= hi else 0 for lo, hi in intervals) for r in range(9))
+    )
+
+
+def spoiled_interval_matrix():
+    # rows 0 and 1 on the columns [0, 1] and [0, 2] become ((1, 1), (-1, 1)), det 2
+    rows = [list(r) for r in interval_matrix().rows]
+    rows[1][0] = -1
+    return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def test_ghouila_houri_branch_on_a_core_past_the_cap(monkeypatch):
+    from cctu import kernels, matrices
+
+    calls = []
+    original = kernels.ghouila_houri_ok
+
+    def counted(flat, k, n):
+        calls.append((k, n))
+        return original(flat, k, n)
+
+    monkeypatch.setattr(kernels, "ghouila_houri_ok", counted)
+    matrices._tu_cached.cache_clear()
+    for mat, verdict in ((interval_matrix(), True), (spoiled_interval_matrix(), False)):
+        core, _ = reduce_to_core(mat)
+        assert (core.nrows, core.ncols) == (9, 15)
+        assert is_totally_unimodular(mat) is verdict
+        assert is_totally_unimodular(mat.transpose()) is verdict
+    assert calls == [(9, 15)] * 4
+
+
+def test_tall_matrices_with_small_cores_skip_ghouila_houri(monkeypatch):
+    from cctu import kernels, matrices
+
+    def boom(flat, k, n):
+        raise AssertionError("Ghouila-Houri ran on a core within the cap")
+
+    monkeypatch.setattr(kernels, "ghouila_houri_ok", boom)
+    matrices._tu_cached.cache_clear()
+    ident = IntMatrix.identity(12)
+    tall = ident
+    for i in range(12):
+        tall = tall.with_row(ident.row(i)).with_row([-v for v in ident.row(11 - i)])
+    assert (tall.nrows, tall.ncols) == (36, 12)
+    assert is_totally_unimodular(tall)
+    # the same padding around a 5-cycle incidence matrix: 5x5 core, det 2
+    cycle = [[1 if j in (i, (i + 1) % 5) else 0 for j in range(12)] for i in range(5)]
+    bad = IntMatrix(tuple(tuple(r) for r in cycle + [list(r) for r in tall.rows]))
+    assert min(bad.nrows, bad.ncols) == 12
+    assert not is_totally_unimodular(bad)
+
+
+def pad_with_core_ops(rng, mat, count):
+    """Inserts zero, unit, duplicate and negated rows and columns at random
+    positions; none of them changes whether the matrix is TU."""
+    rows = [list(r) for r in mat.rows]
+    for _ in range(count):
+        transpose = rng.random() < 0.5
+        if transpose:
+            rows = [list(c) for c in zip(*rows)]
+        n = len(rows[0])
+        kind = rng.choice(("zero", "unit", "dup", "neg"))
+        if kind == "zero":
+            new = [0] * n
+        elif kind == "unit":
+            new = [0] * n
+            new[rng.randrange(n)] = rng.choice((-1, 1))
+        else:
+            src = rng.choice(rows)
+            new = list(src) if kind == "dup" else [-v for v in src]
+        rows.insert(rng.randint(0, len(rows)), new)
+        if transpose:
+            rows = [list(c) for c in zip(*rows)]
+    return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def test_core_verdict_matches_the_full_scan_on_padded_matrices():
+    rng = random.Random(19)
+    bases = [random_tu_matrix(rng, rng.randint(2, 4), rng.randint(2, 4)) for _ in range(12)]
+    while len(bases) < 24:
+        k, n = rng.randint(2, 4), rng.randint(2, 4)
+        mat = IntMatrix(tuple(tuple(rng.choice((-1, 0, 1)) for _ in range(n)) for _ in range(k)))
+        if not exhaustive_tu(mat):
+            bases.append(mat)
+    verdicts = set()
+    for base in bases:
+        mat = pad_with_core_ops(rng, base, rng.randint(1, 3))
+        assert min(mat.nrows, mat.ncols) <= 6
+        verdict = exhaustive_tu(mat)
+        assert verdict == exhaustive_tu(base)
+        assert is_totally_unimodular(mat) == verdict
+        witness = non_tu_witness(mat)
+        if verdict:
+            assert witness is None
+        else:
+            rows, cols, det = witness
+            assert abs(det) > 1 and cofactor_det(mat.submatrix(rows, cols)) == det
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_bad_entries_in_unit_rows_and_columns_are_not_tu():
+    # the core reduction would delete these unit rows and columns outright
+    assert not is_totally_unimodular(IntMatrix(((2, 0), (0, 1))))
+    assert not is_totally_unimodular(IntMatrix(((2, 0), (0, 1))).transpose())
+    tall = IntMatrix.identity(3)
+    for i in range(9):
+        tall = tall.with_row(IntMatrix.identity(3).row(i % 3))
+    rows = [list(r) for r in tall.rows]
+    rows[7][1] = 2  # row 7 is the unit row (0, 1, 0): now (0, 2, 0)
+    bad = IntMatrix(tuple(tuple(r) for r in rows))
+    assert (bad.nrows, bad.ncols) == (12, 3)
+    assert not is_totally_unimodular(bad)
+    assert not is_totally_unimodular(bad.transpose())
+    assert non_tu_witness(bad) == ((7,), (1,), 2)
+    # past the cap on both sides, the bad entry is its own witness
+    wide = [list(r) for r in IntMatrix.identity(12).rows]
+    wide[4][4] = -3
+    wide = IntMatrix(tuple(tuple(r) for r in wide))
+    assert not is_totally_unimodular(wide)
+    assert non_tu_witness(wide) == ((4,), (4,), -3)
+
+
+def test_non_tu_witness_past_the_cap_comes_from_the_core():
+    """10x10, non-TU, with a 5x5 core: the core's witness is mapped back to
+    the input's indices and checked against the input itself."""
+    rng = random.Random(23)
+    rows = [[1 if j in (i, (i + 1) % 5) else 0 for j in range(10)] for i in range(5)]
+    rows += [[1 if j == 5 + i else 0 for j in range(10)] for i in range(4)]
+    rows.append([-v for v in rows[2]])
+    order_r, order_c = list(range(10)), list(range(10))
+    rng.shuffle(order_r)
+    rng.shuffle(order_c)
+    mat = IntMatrix(tuple(tuple(rows[i][j] for j in order_c) for i in order_r))
+    core, _ = reduce_to_core(mat)
+    assert (core.nrows, core.ncols) == (5, 5)
+    assert not is_totally_unimodular(mat)
+    rows_w, cols_w, det = non_tu_witness(mat)
+    assert list(rows_w) == sorted(rows_w) and list(cols_w) == sorted(cols_w)
+    assert abs(det) > 1
+    assert cofactor_det(mat.submatrix(rows_w, cols_w)) == det
+    assert non_tu_witness(IntMatrix.identity(10)) is None
+
+
+def test_non_tu_witness_is_none_when_the_core_is_past_the_cap():
+    assert not is_totally_unimodular(spoiled_interval_matrix())
+    assert non_tu_witness(spoiled_interval_matrix()) is None
 
 
 def test_non_tu_witness_names_a_violating_submatrix():

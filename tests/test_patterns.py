@@ -33,7 +33,7 @@ from cctu.seymour import (
     pivot_transform_instance,
     recognize_network_matrix,
 )
-from cctu.structure import eliminate_tight_variable
+from cctu.structure import eliminate_tight_variable, solve_r_minus_1
 from random_systems import random_instance, random_tu_matrix
 
 
@@ -340,14 +340,17 @@ def test_solver_optimization_matches_oracle(rng):
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "entry, R",
     [
-        bb.normalize,
-        lambda inst: bb.solve_base_block(inst, classify(inst.P.T)),
-        lambda inst: bb.solve_network_cctu(inst, recognize_network_matrix(inst.P.T.matrix)),
-        bb.solve_const_core,
-        eliminate_tight_variable,
-        lambda inst: pivot_transform_instance(inst, 0, 0),
+        (bb.normalize, {1}),
+        (lambda inst: bb.solve_base_block(inst, classify(inst.P.T)), {1}),
+        (lambda inst: bb.solve_network_cctu(inst, recognize_network_matrix(inst.P.T.matrix)), {1}),
+        (bb.solve_const_core, {1}),
+        (eliminate_tight_variable, {1}),
+        (lambda inst: pivot_transform_instance(inst, 0, 0), {1}),
+        # |R| = m - 1, so the residue-count check cannot fire first; one
+        # variable, so the objective must be refused before the univariate solve
+        (solve_r_minus_1, {1, 2}),
     ],
     ids=[
         "normalize",
@@ -356,14 +359,16 @@ def test_solver_optimization_matches_oracle(rng):
         "solve_const_core",
         "eliminate_tight_variable",
         "pivot_transform_instance",
+        "solve_r_minus_1",
     ],
 )
-def test_feasibility_layers_reject_objectives(entry):
-    """Base blocks, elimination and pivoting decide feasibility only; given an
-    objective they raise instead of dropping it.  So the driver's objective
-    tests above also show that solve_rcctuf never passes an objective down."""
+def test_feasibility_layers_reject_objectives(entry, R):
+    """Base blocks, elimination, pivoting and the |R| = m-1 solver decide
+    feasibility only; given an objective they raise instead of dropping it.
+    So the driver's objective tests above also show that solve_rcctuf never
+    passes an objective down."""
     P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (2, 0))
-    inst = RCctufInstance(P, (1,), 3, frozenset({1}), (1,))
+    inst = RCctufInstance(P, (1,), 3, frozenset(R), (1,))
     with pytest.raises(ValueError, match="the caller owns the objective"):
         entry(inst)
 
