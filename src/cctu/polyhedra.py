@@ -129,8 +129,10 @@ def width(P, d):
     lo = lp_optimize(P, d, "min")
     if lo.tag == "infeasible":
         raise InfeasibleRelaxationError("width of an empty polyhedron")
+    if lo.tag == "unbounded":
+        return WidthResult(False)
     hi = lp_optimize(P, d, "max")
-    if lo.tag == "unbounded" or hi.tag == "unbounded":
+    if hi.tag == "unbounded":
         return WidthResult(False)
     w = int(hi.value - lo.value)
     return WidthResult(True, w)

@@ -7,6 +7,9 @@ while keeping the total in the target set; deleting maximum-size runs keeps
 the number of deletion steps small.  Each candidate run is located by the
 pair of chunks holding its endpoints, enumerating the two in-chunk offsets
 directly (the three-variable integer programs collapse to a modular check).
+Only each offset mod m changes the removed residue, so the best run takes
+one of the m longest choices at each end, and the scan costs O(m^2) per
+chunk pair whatever the multiplicities.
 """
 
 from dataclasses import dataclass
@@ -72,21 +75,25 @@ def max_removable_interval(g, S, allow_singleton=False):
         j, rj, lj = live[jpos]
         for kpos in range(jpos, len(live)):
             k, rk, lk = live[kpos]
+            # the removed residue depends on the run lengths at each end only
+            # mod m, so a longer valid run lies m positions further out unless
+            # the chunk ends first: the best run starts at one of the first m
+            # offsets of chunk j and ends at one of the last m of chunk k
             if kpos == jpos:
-                # both endpoints inside one chunk: removed sum is a run of rj
-                for x in range(1, lj + 1):
-                    for y in range(x if allow_singleton else x + 1, lj + 1):
-                        removed = (y - x + 1) * rj
-                        if (total - removed) % m in S:
-                            cand = (-(y - x + 1), j, k, prefix[j] + x)
-                            if best is None or cand < best:
-                                best = cand
-                                best_iv = Interval(prefix[j] + x, prefix[j] + y, removed % m)
+                # both endpoints inside one chunk: removed sum is a run of rj,
+                # and a run of length y starts earliest at offset 1
+                for y in range(max(1 if allow_singleton else 2, lj - m + 1), lj + 1):
+                    removed = y * rj
+                    if (total - removed) % m in S:
+                        cand = (-y, j, k, prefix[j] + 1)
+                        if best is None or cand < best:
+                            best = cand
+                            best_iv = Interval(prefix[j] + 1, prefix[j] + y, removed % m)
             else:
                 mid = sum(mult for t, _, mult in live[jpos + 1:kpos])
                 mid_res = sum(r * mult for t, r, mult in live[jpos + 1:kpos])
-                for x in range(1, lj + 1):
-                    for y in range(1, lk + 1):
+                for x in range(1, min(lj, m) + 1):
+                    for y in range(max(1, lk - m + 1), lk + 1):
                         removed = (lj - x + 1) * rj + mid_res + y * rk
                         if (total - removed) % m in S:
                             size = (lj - x + 1) + mid + y

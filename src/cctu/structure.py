@@ -7,6 +7,14 @@ solution of the relaxed problem can be pulled back under the constraint by
 the shortening transform.  Iterating either exhibits a flat row or strips
 the system bare, and for |R| = m-1 the flat width bound is zero, so tight
 constraints are the only obstruction and they project away exactly.
+
+Tight constraints are found from one feasible vertex x0.  The affine hull of
+a nonempty P = {x : Ax <= b} is cut out by its implicit equalities, the rows
+with a_i.x = b_i on all of P (Schrijver 1986, Theory of Linear and Integer
+Programming, section 8.2).  Such a row is tight at x0, so only the rows
+tight there need an LP (min a_i.x over P); and when none is an implicit
+equality, P is full-dimensional and no nonzero row has width 0 over P or
+over any polyhedron containing it.
 """
 
 from dataclasses import dataclass
@@ -81,24 +89,33 @@ def find_flat_or_solve(inst):
     transfers.  Otherwise the row is dropped.  Dropped rows are re-added in
     reverse order, repairing the solution with the shortening transform.
 
+    The width scan runs only when a flat row can exist.  A width is never
+    negative, so a bound below zero (|R| = m) admits none.  A row of width 0
+    over a polyhedron containing P is constant on P, so with bound 0
+    (|R| = m-1) a flat row needs P to lie in a hyperplane, which by the
+    affine-hull theorem (Schrijver 1986, section 8.2) means some row is an
+    implicit equality of P; without one the scan is skipped.
+
     The "infeasible" tag covers the degenerate terminal case where even the
     unconstrained congruence is unsatisfiable (gcd obstruction); no flat row
     exists there.
     """
-    if integral_feasible_point(inst.P) is None:
+    x0 = integral_feasible_point(inst.P)
+    if x0 is None:
         raise InfeasibleRelaxationError("relaxation is infeasible")
     mat = inst.P.T.matrix
     rows = mat.rows
     rhs = inst.P.b
     k = len(rows)
     bound = inst.m - len(inst.R) - 1
-    for idx in range(k):
-        if not any(rows[idx]):
-            continue  # vacuous zero row, not a direction
-        current = _sub_polyhedron(mat, rhs, range(idx, k))
-        res = width(current, rows[idx])
-        if res.finite and res.width <= bound:
-            return FlatnessOutcome("flat", row_index=idx, width=res.width)
+    if bound > 0 or (bound == 0 and _first_implicit_equality(inst.P, x0) is not None):
+        for idx in range(k):
+            if not any(rows[idx]):
+                continue  # vacuous zero row, not a direction
+            current = _sub_polyhedron(mat, rhs, range(idx, k))
+            res = width(current, rows[idx])
+            if res.finite and res.width <= bound:
+                return FlatnessOutcome("flat", row_index=idx, width=res.width)
     x = solve_unconstrained_congruence(inst.gamma, inst.m, inst.R)
     if x is None:
         return FlatnessOutcome("infeasible")
@@ -121,6 +138,22 @@ def find_flat_or_solve(inst):
     if not inst.is_feasible_point(x):
         raise SolutionCheckError("stripped-system solution is infeasible")
     return FlatnessOutcome("solution", x=x)
+
+
+def _first_implicit_equality(P, x0):
+    """Index of the first nonzero row with a_i.x = b_i on all of P, or None.
+
+    `x0` is a point of P.  An implicit equality is tight at every point of
+    P, so only the rows tight at x0 are candidates, and each costs one LP:
+    the row is an implicit equality exactly when its minimum over P is b_i.
+    """
+    for i, (row, bv) in enumerate(zip(P.T.matrix.rows, P.b)):
+        if not any(row) or sum(a * v for a, v in zip(row, x0)) != bv:
+            continue
+        lo = lp_optimize(P, row, "min")
+        if lo.tag == "optimal" and lo.value == bv:
+            return i
+    return None
 
 
 def _sub_polyhedron(mat, rhs, idx):
@@ -197,43 +230,32 @@ def eliminate_tight_variable(inst):
     """Project out one variable through a constraint tight on the whole
     polyhedron, or return None when no constraint qualifies.
 
-    Scan order: first the rows whose LP maximum and minimum both equal the
-    right-hand side (tight constraints proper), then rows of width zero
-    whose common value sits strictly below the right-hand side (the bound
-    tightens to that value without changing the polyhedron).  Returns
-    (reduced instance, BackMap).  Raises ValueError when `inst` has an
-    objective: elimination preserves feasibility, and the caller owns the
+    Picks the first nonzero row that is an implicit equality of P, that is,
+    tight at every point of P, so beta is its right-hand side.  Such a row
+    is tight at the feasible vertex x0, so only the rows tight at x0 are
+    tested, with one LP each.  No row of width 0 below its right-hand side
+    needs a look of its own: the affine hull of a nonempty P is cut out by
+    its implicit equalities (Schrijver 1986, Theory of Linear and Integer
+    Programming, section 8.2), so when none exists P is full-dimensional and
+    no nonzero row is constant on it.
+
+    Returns (reduced instance, BackMap).  Raises ValueError when `inst` has
+    an objective: elimination preserves feasibility, and the caller owns the
     objective.
     """
     if inst.c is not None:
         raise ValueError("elimination takes feasibility instances; the caller owns the objective")
     if inst.nvars < 2:
         raise DimensionError("need at least two variables to eliminate one")
-    if integral_feasible_point(inst.P) is None:
+    x0 = integral_feasible_point(inst.P)
+    if x0 is None:
         raise InfeasibleRelaxationError("relaxation is infeasible")
+    i = _first_implicit_equality(inst.P, x0)
+    if i is None:
+        return None
     rows = inst.P.T.matrix.rows
     rhs = inst.P.b
-    pick = None
-    deferred = None
-    for i, (row, bv) in enumerate(zip(rows, rhs)):
-        if not any(row):
-            continue
-        hi = lp_optimize(inst.P, row, "max")
-        if hi.tag == "unbounded":
-            continue
-        lo = lp_optimize(inst.P, row, "min")
-        if lo.tag == "unbounded" or lo.value != hi.value:
-            continue
-        if hi.value == bv:
-            pick = (i, bv)
-            break
-        if deferred is None:
-            deferred = (i, int(hi.value))
-    if pick is None:
-        pick = deferred
-    if pick is None:
-        return None
-    i, beta = pick
+    beta = rhs[i]
     row = rows[i]
     j = max(t for t in range(len(row)) if row[t] != 0)
     alpha = row[j]
@@ -295,11 +317,15 @@ def solve_r_minus_1(inst):
         )
     if len(inst.R) != inst.m - 1:
         raise CctuError("solver requires exactly m-1 target residues")
+    if integral_feasible_point(inst.P) is None:
+        return None
+    if inst.nvars == 0:
+        return () if 0 in inst.R else None  # () is the only point, of residue 0
+    # each level is the projection of the one before through an implicit
+    # equality, so it is nonempty too
     level = inst
     lifts = []
     while True:
-        if integral_feasible_point(level.P) is None:
-            return None
         if level.nvars == 1:
             x = _solve_univariate(level)
             break

@@ -9,6 +9,7 @@ from cctu.errors import InputFormatError
 from cctu.fileio import parse_instance, serialize_instance
 from cctu.generators import generate
 from cctu.matrices import IntMatrix, TUMatrix
+from cctu.patterns import is_prime, solve_rcctuf
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
 from cctu.seymour import classify, recognize_network_matrix
 from cctu.verify import verify_solution
@@ -39,10 +40,10 @@ def test_roundtrip_with_objective():
     assert parse_instance(serialize_instance(inst)) == inst
 
 
-def zero_column_instance(b):
+def zero_column_instance(b, m=3, R=frozenset({0}), c=None):
     """A k x 0 system: the only point is x = (), feasible iff b >= 0."""
     P = Polyhedron(TUMatrix.certify(IntMatrix(((),) * len(b), 0)), b)
-    return RCctufInstance(P, (), 3, frozenset({0}))
+    return RCctufInstance(P, (), m, R, c)
 
 
 def test_roundtrip_zero_columns():
@@ -62,6 +63,21 @@ def test_cli_solves_zero_column_files(tmp_path, capsys):
         assert data["status"] == ora.status and code == (0 if ora.status == "feasible" else 1), b
         if ora.status == "feasible":
             assert data["x"] == []
+
+
+def test_zero_column_instances_on_every_supported_shape():
+    # () has residue 0, so it solves exactly when b >= 0 and 0 is a target
+    for m in range(2, 8):
+        for ell in (m, m - 1, m - 2):
+            if ell < 1 or (ell == m - 2 and not is_prime(m)):
+                continue
+            for R in (frozenset(range(ell)), frozenset(range(m - ell, m))):
+                for b in ((1,), (-1,), (0, 2)):
+                    for c in (None, ()):
+                        inst = zero_column_instance(b, m, R, c)
+                        res = solve_rcctuf(inst)
+                        assert res.status == oracle_solve(inst).status, (m, R, b)
+                        assert res.status == ("feasible" if min(b) >= 0 and 0 in R else "infeasible")
 
 
 def test_residue_out_of_range_rejected():
@@ -141,6 +157,17 @@ def test_cli_solve_infeasible_reports_flat_row(tmp_path, capsys):
     code = run_cli(tmp_path, "solve", "--input", str(path))
     out = capsys.readouterr().out
     assert code == 1 and "infeasible" in out and "flat_row" in out
+
+
+def test_cli_solve_with_a_large_right_hand_side(tmp_path, capsys):
+    # 29990 <= x1 <= 30000: the shortening step sees multiplicities near 3 * 10^4
+    text = "rows 2\ncols 2\nT\n1 0\n-1 0\nb 30000 -29990\ngamma 1 1\nm 3\nR 1 2\n"
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    code = run_cli(tmp_path, "solve", "--input", str(path), "--json")
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["status"] == oracle_solve(parse_instance(text)).status == "feasible"
 
 
 def test_cli_solve_json(tmp_path, capsys):

@@ -183,3 +183,60 @@ def test_transform_cost_monotone_when_x0_optimal(rng):
         tilde = transform_solution(inst, y, out.vertex)
         assert inst.objective(tilde) <= inst.objective(y)
         done += 1
+
+
+def reference_max_removable_interval(g, S, allow_singleton=False):
+    """The interval search by full enumeration of both in-chunk offsets,
+    O(multiplicity^2) per chunk pair; returns (first, last, removed_residue)
+    or None."""
+    m = g.m
+    total = g.total_residue
+    live = [(idx, r, mult) for idx, (r, mult) in enumerate(g.groups) if mult > 0]
+    prefix = [sum(mult for _, mult in g.groups[:idx]) for idx in range(len(g.groups))]
+    best = None
+    for jpos, (j, rj, lj) in enumerate(live):
+        for kpos in range(jpos, len(live)):
+            k, rk, lk = live[kpos]
+            between = live[jpos + 1:kpos]
+            for x in range(1, lj + 1):
+                for y in range(1, (lj if k == j else lk) + 1):
+                    if k == j:
+                        if y < x or (y == x and not allow_singleton):
+                            continue
+                        size, removed, last = y - x + 1, (y - x + 1) * rj, prefix[j] + y
+                    else:
+                        size = (lj - x + 1) + sum(mult for _, _, mult in between) + y
+                        removed = (lj - x + 1) * rj + sum(r * mult for _, r, mult in between) + y * rk
+                        last = prefix[k] + y
+                    if (total - removed) % m in S:
+                        cand = (-size, j, k, prefix[j] + x, last, removed % m)
+                        if best is None or cand < best:
+                            best = cand
+    return None if best is None else best[3:]
+
+
+def test_interval_scan_of_the_top_offsets_matches_full_enumeration():
+    rng = random.Random(53)
+    for _ in range(1500):
+        m = rng.choice((2, 3, 4, 5, 7))
+        groups = tuple(
+            (rng.randrange(m), rng.randint(0, rng.choice((3, 9, 16))))
+            for _ in range(rng.randint(1, 4))
+        )
+        S = frozenset(rng.sample(range(m), rng.randint(1, m)))
+        singleton = rng.random() < 0.5
+        iv = max_removable_interval(ResidueGroups(groups, m, S), S, singleton)
+        got = None if iv is None else (iv.first, iv.last, iv.removed_residue)
+        assert got == reference_max_removable_interval(ResidueGroups(groups, m, S), S, singleton)
+
+
+def test_multiplicity_of_a_million_shortens_at_once():
+    # 10^6 ones then 10^6 twos mod 3: the whole sum is 0, so removing it
+    # all leaves residue 0; with one two fewer the sum is 1, and a single
+    # term is left
+    big = 10**6
+    g = ResidueGroups(((1, big), (2, big)), 3, frozenset({0}))
+    iv = max_removable_interval(g, {0})
+    assert (iv.first, iv.last, iv.removed_residue) == (1, 2 * big, 0)
+    mu = shorten_residue_sum(ResidueGroups(((1, big), (2, big - 1)), 3, frozenset({1, 2})))
+    assert sum(mu) <= 1 and (mu[0] + 2 * mu[1]) % 3 in (1, 2)

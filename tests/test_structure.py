@@ -6,11 +6,19 @@ from pathlib import Path
 
 import pytest
 
+from cctu import structure
 from cctu.errors import InfeasibleRelaxationError
 from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular, tu_appendable_rows
 from cctu.patterns import solve_rcctuf
-from cctu.polyhedra import Polyhedron, RCctufInstance, lp_optimize, oracle_solve
+from cctu.polyhedra import (
+    Polyhedron,
+    RCctufInstance,
+    integral_feasible_point,
+    lp_optimize,
+    oracle_solve,
+)
 from cctu.structure import (
+    BackMap,
     bound_scalar_products,
     eliminate_tight_variable,
     find_flat_or_solve,
@@ -18,7 +26,7 @@ from cctu.structure import (
     solve_r_minus_1,
     solve_unconstrained_congruence,
 )
-from random_systems import random_instance
+from random_systems import random_instance, random_tu_matrix
 
 
 def interval(lo, hi, gamma, m, R, c=None):
@@ -270,3 +278,151 @@ def test_structure_checks_survive_python_O(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "feasible" in proc.stdout
+
+
+def reference_tight_pick(inst):
+    """Row choice of elimination by its two-LPs-per-row definition: the first
+    nonzero row whose LP maximum and minimum both equal its right-hand side,
+    else the first row of width 0 below its right-hand side.  Returns
+    (row index, beta) or None."""
+    deferred = None
+    for i, (row, bv) in enumerate(zip(inst.P.T.matrix.rows, inst.P.b)):
+        if not any(row):
+            continue
+        hi = lp_optimize(inst.P, row, "max")
+        if hi.tag == "unbounded":
+            continue
+        lo = lp_optimize(inst.P, row, "min")
+        if lo.tag == "unbounded" or lo.value != hi.value:
+            continue
+        if hi.value == bv:
+            return i, bv
+        if deferred is None:
+            deferred = (i, int(hi.value))
+    # the affine hull of P is cut out by its implicit equalities, so a row of
+    # width 0 below its bound means some other row is tight on all of P
+    assert deferred is None
+    return None
+
+
+def reference_flat_row(inst):
+    """Flatness scan by its two-LPs-per-row definition: the first nonzero row
+    whose width over the rows from it onward is at most m-|R|-1, as
+    (row index, width), or None."""
+    mat = inst.P.T.matrix
+    k = mat.nrows
+    for idx in range(k):
+        if not any(mat.rows[idx]):
+            continue
+        sub = Polyhedron(TUMatrix.trusted(IntMatrix(mat.rows[idx:], mat.ncols)), inst.P.b[idx:])
+        lo = lp_optimize(sub, mat.rows[idx], "min")
+        hi = lp_optimize(sub, mat.rows[idx], "max")
+        if lo.tag == "optimal" and hi.tag == "optimal":
+            w = int(hi.value - lo.value)
+            if w <= inst.m - len(inst.R) - 1:
+                return idx, w
+    return None
+
+
+def polyhedron_with_implicit_equalities(rng):
+    """A seeded TU system around an integer point x*, with negated-row pairs
+    (some pinning a row to its value at x*, some leaving width 1) and pinned
+    or narrow box rows appended in shuffled order; one in eight right-hand
+    sides is redrawn at random, so some systems are empty."""
+    n = rng.randint(2, 4)
+    T = random_tu_matrix(rng, rng.randint(1, n + 1), n)
+    star = [rng.randint(-3, 3) for _ in range(n)]
+    rows = list(T.rows)
+    rhs = [v + rng.choice((0, 0, 1, 2)) for v in T.mul_vec(star)]
+    for _ in range(rng.randint(0, 2)):
+        row = rng.choice(T.rows)
+        value = sum(a * v for a, v in zip(row, star))
+        rows += [row, tuple([-a for a in row])]
+        rhs += [value + rng.choice((0, 0, 1)), -value]
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        unit = tuple([1 if t == i else 0 for t in range(n)])
+        rows += [unit, tuple([-a for a in unit])]
+        rhs += [star[i] + rng.choice((0, 1, 3)), -star[i]]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    if rng.random() < 0.125:
+        rhs = [rng.randint(-3, 3) for _ in rhs]
+    P = Polyhedron(
+        TUMatrix.trusted(IntMatrix(tuple([rows[t] for t in order]), n)),
+        tuple([rhs[t] for t in order]),
+    )
+    m = rng.choice((2, 3, 5))
+    R = frozenset(rng.sample(range(m), rng.choice((m - 1, m - 1, rng.randint(1, m)))))
+    return RCctufInstance(P, tuple([rng.randint(-3, 3) for _ in range(n)]), m, R)
+
+
+def test_tight_rows_from_the_feasible_vertex_match_two_lps_per_row():
+    rng = random.Random(2024)
+    eliminated = flat = 0
+    for _ in range(300):
+        inst = polyhedron_with_implicit_equalities(rng)
+        if integral_feasible_point(inst.P) is None:
+            with pytest.raises(InfeasibleRelaxationError):
+                eliminate_tight_variable(inst)
+            with pytest.raises(InfeasibleRelaxationError):
+                find_flat_or_solve(inst)
+            continue
+        pick = reference_tight_pick(inst)
+        step = eliminate_tight_variable(inst)
+        if pick is None:
+            assert step is None
+        else:
+            eliminated += 1
+            i, beta = pick
+            row = inst.P.T.matrix.rows[i]
+            j = max(t for t in range(len(row)) if row[t])
+            reduced, back = step
+            assert back == BackMap(j, row[j], beta, row[:j] + row[j + 1:])
+            assert reduced.P.b == tuple([
+                bv - row[j] * beta * r[j]
+                for t, (r, bv) in enumerate(zip(inst.P.T.matrix.rows, inst.P.b))
+                if t != i
+            ])
+        ref = reference_flat_row(inst)
+        out = find_flat_or_solve(inst)
+        if ref is None:
+            assert out.tag != "flat"
+            assert out.tag == "infeasible" or inst.is_feasible_point(out.x)
+        else:
+            flat += 1
+            assert (out.tag, out.row_index, out.width) == ("flat",) + ref
+    assert eliminated > 50 and flat > 50
+
+
+def counting(monkeypatch, name):
+    calls = []
+    real = getattr(structure, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, name, wrapped)
+    return calls
+
+
+def test_full_dimensional_box_costs_one_lp_per_row_tight_at_the_vertex(monkeypatch):
+    n = 3
+    units = [tuple([s if t == i else 0 for t in range(n)]) for i in range(n) for s in (1, -1)]
+    P = Polyhedron(TUMatrix.certify(IntMatrix(tuple(units))), (2, 0) * n)
+    x0 = integral_feasible_point(P)
+    tight = [row for row, bv in zip(units, P.b) if sum(a * v for a, v in zip(row, x0)) == bv]
+    assert len(tight) == n
+    inst = RCctufInstance(P, (1,) * n, 3, frozenset({1, 2}))
+    lps = counting(monkeypatch, "lp_optimize")
+    widths = counting(monkeypatch, "width")
+    assert eliminate_tight_variable(inst) is None
+    assert [tuple(args[1]) for args in lps] == tight
+    out = find_flat_or_solve(inst)
+    assert out.tag == "solution" and inst.is_feasible_point(out.x)
+    assert widths == []
+    # a pinned coordinate is an implicit equality, so the width scan runs
+    pinned = inst.replaced(P=P.with_rows([(0, 0, 1), (0, 0, -1)], [0, 0]))
+    out = find_flat_or_solve(pinned)
+    assert (out.tag, out.width) == ("flat", 0)
+    assert widths
