@@ -489,6 +489,11 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
     handle objectives through the proximity box around an optimal relaxation
     vertex (complete by the proximity bound).
 
+    Over a TU system the optimal relaxation vertex is integral, and its value
+    bounds c.x from below on every integer point.  So when its residue is
+    already in R it is optimal, and it is returned without a feasibility
+    solve or a box scan.
+
     Scale-cap classifier or terminal failures, and recursion past MAX_DEPTH,
     fall back to the enumeration oracle, flagged in stats["oracle_fallback"].
     """
@@ -498,6 +503,12 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
     )
     if not supported:
         return SolveResult("unsupported", stats=stats)
+    out = lp_optimize(inst.P, inst.c, "min") if inst.c is not None else None
+    if out is not None and out.tag == "infeasible":
+        return SolveResult("infeasible", stats=stats)
+    if out is not None and out.tag == "optimal" and inst.residue(out.vertex) in inst.R:
+        x = _checked(inst, out.vertex, "optimal vertex")
+        return SolveResult("feasible", x, inst.objective(x), stats)
 
     def feasible_point(inst, depth):
         """A solution of the objective-free `inst`, or None."""
@@ -548,9 +559,6 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
                 return member.lift(sol)
         return None
 
-    out = lp_optimize(inst.P, inst.c, "min") if inst.c is not None else None
-    if out is not None and out.tag == "infeasible":
-        return SolveResult("infeasible", stats=stats)
     x = feasible_point(inst.without_objective(), 0)
     del feasible_point  # it refers to itself through its closure; free it without the GC
     if x is None:

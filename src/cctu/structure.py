@@ -15,6 +15,11 @@ Programming, section 8.2).  Such a row is tight at x0, so only the rows
 tight there need an LP (min a_i.x over P); and when none is an implicit
 equality, P is full-dimensional and no nonzero row has width 0 over P or
 over any polyhedron containing it.
+
+The same vertex can answer an |R| = m-1 instance outright: over a TU system
+it is integral, so when its residue is in R it is a solution.  Likewise an
+integral LP optimum whose residue is in R is optimal, since the LP value
+bounds every integer point; the driver in `patterns` uses that.
 """
 
 from dataclasses import dataclass
@@ -309,6 +314,9 @@ def solve_r_minus_1(inst):
     """Feasibility solver for |R| = m-1: eliminate tight constraints until the
     flatness machinery applies (its width bound is zero there, so after
     elimination no flat row can remain).  Returns a solution or None.
+
+    The feasibility check yields an integral vertex of P; when its residue is
+    in R it is returned as it is, and only otherwise does elimination run.
     Raises ValueError when `inst` has an objective: the caller owns it.
     """
     if inst.c is not None:
@@ -317,10 +325,13 @@ def solve_r_minus_1(inst):
         )
     if len(inst.R) != inst.m - 1:
         raise CctuError("solver requires exactly m-1 target residues")
-    if integral_feasible_point(inst.P) is None:
+    x0 = integral_feasible_point(inst.P)
+    if x0 is None:
         return None
+    if inst.residue(x0) in inst.R:
+        return x0
     if inst.nvars == 0:
-        return () if 0 in inst.R else None  # () is the only point, of residue 0
+        return None  # () is the only point, and its residue 0 is not in R
     # each level is the projection of the one before through an implicit
     # equality, so it is nonempty too
     level = inst

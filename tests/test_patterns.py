@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cctu.baseblocks as bb
+import cctu.lp as lp
 import cctu.patterns as patterns
 from cctu.errors import CctuError, ScaleError, UnsupportedInstanceError
 from cctu.fileio import parse_instance
@@ -34,6 +35,7 @@ from cctu.seymour import (
     recognize_network_matrix,
 )
 from cctu.structure import eliminate_tight_variable, solve_r_minus_1
+from cctu.verify import verify_solution
 from random_systems import random_instance, random_tu_matrix
 
 
@@ -600,3 +602,111 @@ def test_decomposition_step_recursion_budget_is_checked(monkeypatch):
     monkeypatch.setattr(patterns, "decomp_progress_step", greedy)
     with pytest.raises(CctuError, match="pattern recursions"):
         solve_rcctuf(parse_instance(RECURSIVE))
+
+
+# ---------------------------------------------------------------------------
+# the relaxation vertex: an optimal vertex of the relaxation whose residue is
+# in R is optimal for the whole problem, and a feasible vertex in R solves an
+# |R| = m-1 instance
+
+
+def supported_shapes():
+    for m in range(2, 8):
+        for ell in (m, m - 1, m - 2):
+            if ell >= 1 and (ell >= m - 1 or is_prime(m)):
+                yield m, ell
+
+
+def test_relaxation_vertex_in_R_is_optimal_on_every_supported_shape(rng, monkeypatch):
+    scans = []
+    real_scan = patterns.search_box
+
+    def counted_scan(*args, **kwargs):
+        scans.append(args)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(patterns, "search_box", counted_scan)
+    qualifying = scanned = 0
+    for m, ell in supported_shapes():
+        for _ in range(30):
+            inst = random_instance(rng, n_max=3, m_choices=(m,), r_size=ell, with_c=True)
+            out = lp_optimize(inst.P, inst.c, "min")
+            del scans[:]
+            res = solve_rcctuf(inst)
+            ora = oracle_solve(inst)
+            assert (res.status, res.value) == (ora.status, ora.value), (inst, res, ora)
+            if res.status == "feasible":
+                assert verify_solution(inst, res.x).ok
+            if out.tag == "optimal" and inst.residue(out.vertex) in inst.R:
+                qualifying += 1
+                assert (res.x, res.stats["subproblems"], scans) == (out.vertex, 0, [])
+            elif res.status == "feasible":
+                # the vertex misses R: the proximity box around it decides
+                scanned += 1
+                assert res.stats["subproblems"] >= 1 and len(scans) == 1
+                assert scans[0][1] == out.vertex
+    assert qualifying > 0 and scanned > 0
+
+
+def counting_lps(monkeypatch):
+    calls = []
+    real = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    return calls
+
+
+def box_instance(R):
+    """Minimize x over 0 <= x <= 2 with x in R (mod 3)."""
+    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (2, 0))
+    return RCctufInstance(P, (1,), 3, frozenset(R), (1,))
+
+
+def test_a_vertex_in_R_costs_one_lp(monkeypatch):
+    lps = counting_lps(monkeypatch)
+    # the optimal vertex x = 0 has residue 0
+    res = solve_rcctuf(box_instance({0}))
+    assert (res.status, res.x, res.value) == ("feasible", (0,), 0)
+    assert res.stats["subproblems"] == 0 and len(lps) == 1
+    # the |R| = m-1 solver: a pinned point is the only vertex, of residue 2
+    del lps[:]
+    P = Polyhedron(TUMatrix.certify(IntMatrix(((1, 0), (-1, 0), (0, 1), (0, -1)))), (1, -1, 1, -1))
+    assert solve_r_minus_1(RCctufInstance(P, (1, 1), 3, frozenset({1, 2}))) == (1, 1)
+    assert len(lps) == 1
+    # the optimal vertex x = 0 misses R = {1, 2}: the whole path runs
+    del lps[:]
+    res = solve_rcctuf(box_instance({1, 2}))
+    assert (res.status, res.x, res.value) == ("feasible", (1,), 1)
+    assert res.stats["subproblems"] >= 1 and len(lps) > 1
+
+
+OPTIMIZED_VERTEX_CHECK = """
+import cctu.patterns as patterns
+from cctu.errors import SolutionCheckError
+from cctu.fileio import parse_instance
+from cctu.polyhedra import LpOutcome
+
+inst = parse_instance("rows 2\\ncols 1\\nT\\n1\\n-1\\nb 2 0\\ngamma 1\\nm 3\\nR 1\\nc 1\\n")
+# a "vertex" of residue 1, far outside 0 <= x <= 2
+patterns.lp_optimize = lambda P, c, sense="min": LpOutcome("optimal", (10**6,), 10**6)
+try:
+    print("returned", patterns.solve_rcctuf(inst).x)
+except SolutionCheckError as exc:
+    print("raised", type(exc).__name__)
+"""
+
+
+def test_vertex_shortcut_check_survives_python_O():
+    """The vertex answered without a feasibility solve is still checked
+    against its instance, also under python -O."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_VERTEX_CHECK], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "SolutionCheckError"], proc.stdout
