@@ -38,7 +38,7 @@ from itertools import product
 
 from . import kernels
 from .errors import CctuError, InfeasibleRelaxationError, ScaleError, SolutionCheckError
-from .matrices import IntMatrix, TUMatrix
+from .matrices import IntMatrix, TUMatrix, kept_indices
 from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, integral_feasible_point
 from .seymour import NetworkRepresentation, recognize_network_matrix, reduce_to_core, tree_path
 
@@ -493,23 +493,22 @@ def _transposed_solve(norm, rep, budget):
     return norm.lift(xhat)
 
 
-def _stems(core, log):
-    """Forward-replay stem tracking: per row/column of the full matrix, the
-    (core index, sign) it stems from, or None."""
-    row_stems = [(i, 1) for i in range(core.nrows)]
-    col_stems = [(j, 1) for j in range(core.ncols)]
+def _stems(mat, log):
+    """Per row and per column of `mat`, the (core index, sign) it stems from,
+    or None, where (core, log) = reduce_to_core(mat)."""
+    stems = {}
+    for axis, kept in zip(("row", "col"), kept_indices(mat, log)):
+        for t, i in enumerate(kept):
+            stems[axis, i] = (t, 1)
     for op in reversed(log):
-        stems = row_stems if op.axis == "row" else col_stems
-        if op.reason == "unit":
-            stems.insert(op.index, None)
-        else:
-            base = stems[op.partner]
-            if base is None:
-                stems.insert(op.index, None)
-            else:
-                flip = 1 if op.reason == "dup" else -1
-                stems.insert(op.index, (base[0], base[1] * flip))
-    return row_stems, col_stems
+        base = None if op.reason == "unit" else stems[op.axis, op.partner]
+        if base is not None:
+            base = (base[0], base[1] if op.reason == "dup" else -base[1])
+        stems[op.axis, op.index] = base
+    return (
+        [stems["row", i] for i in range(mat.nrows)],
+        [stems["col", j] for j in range(mat.ncols)],
+    )
 
 
 def _const_core_solve(norm, budget):
@@ -517,7 +516,7 @@ def _const_core_solve(norm, budget):
     ell = core.ncols
     if ell > CORE_COL_CAP:
         raise ScaleError(f"{ell}-column core exceeds the guessing cap")
-    row_stems, col_stems = _stems(core, log)
+    row_stems, col_stems = _stems(norm.T, log)
     nhat = len(norm.gamma)
     khat = norm.T.nrows
     s_rows = []

@@ -7,7 +7,9 @@ Conventions:
     {-1, 0, 1}.  The matrix is then reduced to its core (`reduce_to_core`):
     deleting a row or column with at most one nonzero entry, or one that
     repeats or negates another, leaves TU-ness unchanged (Schrijver 1986,
-    Theory of Linear and Integer Programming, 19.1).  The core gets the
+    Theory of Linear and Integer Programming, 19.1).  The reduction log
+    names input indices, so the core is the submatrix on the rows and
+    columns the log does not name (`kept_indices`).  The core gets the
     exhaustive subdeterminant scan when its smaller dimension is at most
     EXHAUSTIVE_CAP, the Ghouila-Houri signing criterion beyond that.  The
     entry check must come first, since the reduction would delete a unit
@@ -20,6 +22,7 @@ same small matrices constantly.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import kernels
 from .errors import DimensionError, ScaleError
@@ -107,107 +110,78 @@ def determinant(mat):
 # core reduction
 
 
-@dataclass(frozen=True)
-class CoreOp:
-    """One deletion: axis 'row'/'col', position at deletion time, the deleted
-    values, why it was deletable, and (for unit/duplicate deletions) the
-    index of the partner row/column in the matrix after the deletion."""
+class CoreOp(NamedTuple):
+    """One deletion from `reduce_to_core`.  `index` is the deleted row or
+    column of the input; `partner` is the input index of the line it stems
+    from: the sole nonzero's column (row) of a "unit" row (column), with that
+    entry's `sign`, or the earlier copy a "dup"/"negdup" line repeats or
+    negates.  A unit line with no nonzero has no partner."""
 
-    axis: str
+    axis: str  # "row" | "col"
     index: int
-    values: tuple
     reason: str  # "unit" | "dup" | "negdup"
     partner: int = None
-    sign: int = 0  # nonzero entry sign for "unit" deletions
+    sign: int = 0
 
 
 def reduce_to_core(mat):
-    """Iteratively delete unit rows/columns (at most one nonzero) and
-    duplicate or negated-duplicate rows/columns; returns (core, op_log)."""
-    rows = [list(r) for r in mat.rows]
-    ncols = mat.ncols
+    """Delete unit rows/columns (at most one nonzero) and rows/columns that
+    repeat or negate an earlier one until none is left; returns (core, log).
+
+    Each scan looks at every live row, or every live column, on the live
+    lines of the other axis; rows and columns alternate until a scan deletes
+    nothing.  The core is the submatrix on the indices the log does not name
+    (`kept_indices`), and the log lists the deletions in the order made.
+    """
+    # rows and columns as tuples; zip over no rows would drop the columns
+    lines = (mat.rows, list(zip(*mat.rows)) if mat.nrows else [()] * mat.ncols)
+    live = [list(range(mat.nrows)), list(range(mat.ncols))]
     log = []
-    changed = True
-    while changed:
-        changed = False
-        k = len(rows)
-        # unit rows
-        for i in range(k):
-            nz = [j for j in range(ncols) if rows[i][j] != 0]
-            if len(nz) <= 1:
-                partner = nz[0] if nz else None
-                sign = rows[i][nz[0]] if nz else 0
-                log.append(CoreOp("row", i, tuple(rows[i]), "unit", partner, sign))
-                del rows[i]
-                changed = True
-                break
-        if changed:
-            continue
-        # unit columns
-        for j in range(ncols):
-            nz = [i for i in range(len(rows)) if rows[i][j] != 0]
-            if len(nz) <= 1:
-                partner = nz[0] if nz else None
-                sign = rows[nz[0]][j] if nz else 0
-                log.append(CoreOp("col", j, tuple([r[j] for r in rows]), "unit", partner, sign))
-                for r in rows:
-                    del r[j]
-                ncols -= 1
-                changed = True
-                break
-        if changed:
-            continue
-        # duplicate / negated rows (delete the later twin)
-        found = _find_twin([tuple(r) for r in rows])
-        if found:
-            keep, drop, reason = found
-            log.append(CoreOp("row", drop, tuple(rows[drop]), reason, keep))
-            del rows[drop]
-            changed = True
-            continue
-        cols = [tuple([r[j] for r in rows]) for j in range(ncols)]
-        found = _find_twin(cols)
-        if found:
-            keep, drop, reason = found
-            log.append(CoreOp("col", drop, cols[drop], reason, keep))
-            for r in rows:
-                del r[drop]
-            ncols -= 1
-            changed = True
-            continue
-    core = IntMatrix(tuple([tuple(r) for r in rows]), ncols)
-    return core, tuple(log)
+    axis, first = 0, True
+    while True:
+        kept = _scan(("row", "col")[axis], lines[axis], live[axis], live[1 - axis], log)
+        if len(kept) == len(live[axis]) and not first:
+            break
+        live[axis] = kept
+        axis, first = 1 - axis, False
+    return (mat.submatrix(*live) if log else mat), tuple(log)
 
 
-def _find_twin(vecs):
-    for a in range(len(vecs)):
-        neg = tuple([-v for v in vecs[a]])
-        for b in range(a + 1, len(vecs)):
-            if vecs[b] == vecs[a]:
-                return (a, b, "dup")
-            if vecs[b] == neg:
-                return (a, b, "negdup")
-    return None
-
-
-def replay_core_ops(core, log):
-    """Undo a deletion log: re-insert rows/columns newest-first.  Recovers the
-    original matrix exactly; the round trip is the correctness check for
-    reduce_to_core."""
-    rows = [list(r) for r in core.rows]
-    ncols = core.ncols
-    for op in reversed(log):
-        if op.axis == "row":
-            if len(op.values) != ncols:
-                raise DimensionError("logged row does not fit the matrix width")
-            rows.insert(op.index, list(op.values))
+def _scan(axis, lines, live, across, log):
+    """Log the unit lines among `live` and each line whose sign-normalised
+    entries on `across` match an earlier one's; returns the other lines."""
+    kept = []
+    seen = {}
+    for i in live:
+        line = lines[i]
+        # `across` is ascending, so at full length it is every index
+        vec = line if len(line) == len(across) else tuple([line[j] for j in across])
+        if len(vec) - vec.count(0) <= 1:
+            t = next((t for t, v in enumerate(vec) if v), None)
+            if t is None:
+                log.append(CoreOp(axis, i, "unit"))
+            else:
+                log.append(CoreOp(axis, i, "unit", across[t], vec[t]))
+            continue
+        sign = 1 if next(v for v in vec if v) > 0 else -1
+        key = vec if sign == 1 else tuple([-v for v in vec])
+        twin = seen.get(key)
+        if twin is None:
+            seen[key] = (i, sign)
+            kept.append(i)
         else:
-            if len(op.values) != len(rows):
-                raise DimensionError("logged column does not fit the matrix height")
-            for i, r in enumerate(rows):
-                r.insert(op.index, op.values[i])
-            ncols += 1
-    return IntMatrix(tuple([tuple(r) for r in rows]), ncols)
+            log.append(CoreOp(axis, i, "dup" if twin[1] == sign else "negdup", twin[0]))
+    return kept
+
+
+def kept_indices(mat, log):
+    """The input rows and columns that `log` does not delete, as two
+    ascending lists: the core is `mat.submatrix(*kept_indices(mat, log))`."""
+    gone = {(op.axis, op.index) for op in log}
+    return (
+        [i for i in range(mat.nrows) if ("row", i) not in gone],
+        [j for j in range(mat.ncols) if ("col", j) not in gone],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +232,7 @@ def non_tu_witness(mat):
     found = kernels.find_non_unit_subdet(core.flat(), core.nrows, core.ncols)
     if found is None:
         return None
-    kept_rows, kept_cols = list(range(k)), list(range(n))
-    for op in log:
-        del (kept_rows if op.axis == "row" else kept_cols)[op.index]
+    kept_rows, kept_cols = kept_indices(mat, log)
     rows, cols, det = found
     return (tuple([kept_rows[i] for i in rows]), tuple([kept_cols[j] for j in cols]), det)
 

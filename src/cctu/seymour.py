@@ -1,15 +1,17 @@
 """Sum decompositions of TU matrices, pivoting, network-matrix recognition,
 and the desk-scale classifier.  Core reduction (`reduce_to_core`,
-`replay_core_ops`) lives in `matrices`, which certifies TU-ness on the core;
+`kept_indices`) lives in `matrices`, which certifies TU-ness on the core;
 it is imported here, where recognition and classification use it.
 
 Recognition strategy: a matrix is a network matrix iff its core is, because
 unit/duplicate/negated rows and columns map to leaf arcs, subdivisions,
 parallel arcs, and reversals on the graph side.  So we strip the matrix to
-its core (logging each deletion), brute-force a tree representation of the
-small core over Pruefer-enumerated trees with an orientation parity check,
-and replay the log backwards to extend the representation to the full
-matrix.  Every positive answer is certified by an exact rebuild.
+its core, brute-force a tree representation of the small core over
+Pruefer-enumerated trees with an orientation parity check, and extend it to
+the full matrix from the reduction log: each entry names a deleted row or
+column of the input and the input line it stems from, so re-adding the
+entries newest first assigns that line's arc by index.  Every positive answer
+is certified by an exact rebuild.
 
 Classification runs from most to least structured: network matrix or
 transpose, constant core, 1-/2-/3-sum separation (exhaustive bipartition
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import DimensionError, ScaleError
-from .matrices import IntMatrix, TUMatrix, is_totally_unimodular, reduce_to_core, replay_core_ops
+from .matrices import IntMatrix, TUMatrix, is_totally_unimodular, kept_indices, reduce_to_core
 from .polyhedra import Polyhedron, RCctufInstance
 from .structure import bound_scalar_products
 
@@ -483,49 +485,50 @@ def _support_path(support, edges, incident):
     return ((u, w), seq)
 
 
-def _extend_representation(rep, op):
-    """Insert one logged deletion back into a network representation."""
+def _extend_representation(rep, mat, log):
+    """Extend a network representation of the core of `mat` to `mat` itself
+    by re-adding the logged deletions newest first, keyed by input index."""
+    kept_rows, kept_cols = kept_indices(mat, log)
     nv = rep.nvertices
-    tree = list(rep.tree_arcs)
-    cols = list(rep.col_arcs)
-    if op.axis == "row":
-        if op.reason == "unit":
+    tree = dict(zip(kept_rows, rep.tree_arcs))
+    cols = dict(zip(kept_cols, rep.col_arcs))
+    for op in reversed(log):
+        if op.axis == "row":
             z = nv
             nv += 1
-            if op.partner is None:
+            if op.reason != "unit":
+                # duplicate or negated row: subdivide the earlier twin's arc
+                a, b = tree[op.partner]
+                tree[op.partner] = (a, z)
+                tree[op.index] = (z, b) if op.reason == "dup" else (b, z)
+            elif op.partner is None:
                 # zero row: a leaf arc no column path can cross
-                tree.insert(op.index, (0, z))
+                tree[op.index] = (0, z)
             else:
                 # reroute the partner column's tail through a fresh leaf arc
                 v, w = cols[op.partner]
-                tree.insert(op.index, (z, v) if op.sign == 1 else (v, z))
+                tree[op.index] = (z, v) if op.sign == 1 else (v, z)
                 cols[op.partner] = (z, w)
-        else:
-            # duplicate or negated row: subdivide the kept twin's arc;
-            # the kept row's index is unchanged by deleting the later twin
-            a, b = tree[op.partner]
-            z = nv
-            nv += 1
-            tree[op.partner] = (a, z)
-            tree.insert(op.index, (z, b) if op.reason == "dup" else (b, z))
-    else:
-        if op.reason == "unit":
-            if op.partner is None:
-                cols.insert(op.index, (0, 0))
-            else:
-                a, b = tree[op.partner]
-                cols.insert(op.index, (a, b) if op.sign == 1 else (b, a))
-        else:
+        elif op.reason != "unit":
             v, w = cols[op.partner]
-            cols.insert(op.index, (v, w) if op.reason == "dup" else (w, v))
-    return NetworkRepresentation(nv, tuple(tree), tuple(cols))
+            cols[op.index] = (v, w) if op.reason == "dup" else (w, v)
+        elif op.partner is None:
+            cols[op.index] = (0, 0)
+        else:
+            a, b = tree[op.partner]
+            cols[op.index] = (a, b) if op.sign == 1 else (b, a)
+    return NetworkRepresentation(
+        nv,
+        tuple([tree[i] for i in range(mat.nrows)]),
+        tuple([cols[j] for j in range(mat.ncols)]),
+    )
 
 
 def recognize_network_matrix(mat):
     """A NetworkRepresentation whose rebuild equals `mat`, or None.
 
     Entries must lie in {-1, 0, 1}.  Reduces to the core, solves the core by
-    tree enumeration, replays the reduction log as graph extensions, and
+    tree enumeration, re-adds the logged deletions as graph extensions, and
     certifies the result by rebuilding.  Raises ScaleError when the core has
     more than TREE_ROWS rows.
     """
@@ -535,8 +538,7 @@ def recognize_network_matrix(mat):
     rep = _core_network_representation(core)
     if rep is None:
         return None
-    for op in reversed(log):
-        rep = _extend_representation(rep, op)
+    rep = _extend_representation(rep, mat, log)
     if rep.rebuild().rows != mat.rows:
         return None
     return rep

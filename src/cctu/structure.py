@@ -23,7 +23,6 @@ bounds every integer point; the driver in `patterns` uses that.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import CctuError, DimensionError, InfeasibleRelaxationError, SolutionCheckError
 from .matrices import IntMatrix, TUMatrix

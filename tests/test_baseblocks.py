@@ -21,7 +21,7 @@ from cctu.baseblocks import (
 from cctu.generators import random_network_matrix
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
-from cctu.seymour import SPECIAL_CORES, classify, recognize_network_matrix
+from cctu.seymour import SPECIAL_CORES, classify, recognize_network_matrix, reduce_to_core
 from random_systems import random_tu_matrix
 
 
@@ -289,6 +289,21 @@ def test_const_core_recognizes_the_guessed_matrix_once(monkeypatch):
     assert (x is None) == (oracle_solve(inst).status == "infeasible")
     if x is not None:
         assert inst.is_feasible_point(x)
+
+
+def test_stems_name_the_core_line_and_sign_of_every_line():
+    """SPECIAL_CORES[0] padded with four columns (zero, unit, a copy of
+    column 2, the negation of column 4) and four rows (zero, unit, a copy of
+    row 1, the negation of row 3)."""
+    core_rows = SPECIAL_CORES[0].rows
+    rows = [r + (0, -1 if i == 0 else 0, r[2], -r[4]) for i, r in enumerate(core_rows)]
+    rows += [(0,) * 9, (0, -1) + (0,) * 7, rows[1], tuple([-v for v in rows[3]])]
+    mat = IntMatrix(tuple(rows))
+    core, log = reduce_to_core(mat)
+    assert core.rows == core_rows
+    row_stems, col_stems = bb._stems(mat, log)
+    assert row_stems == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), None, None, (1, 1), (3, -1)]
+    assert col_stems == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), None, None, (2, 1), (4, -1)]
 
 
 OPTIMIZED_CHECK = """

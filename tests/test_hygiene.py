@@ -70,3 +70,22 @@ def test_patterns_has_no_assert_statements():
     on every solve; those checks must also run under python -O."""
     lines = assert_lines(SRC / "patterns.py")
     assert not lines, f"patterns.py has assert statements on lines {lines}; raise a CctuError instead"
+
+
+def test_library_has_no_unused_imports():
+    """Every name a module imports is used in it; an unused import is dead
+    code that still couples the modules.  `__init__.py` re-exports names,
+    so it is exempt."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not offenders, "unused imports: " + ", ".join(offenders)

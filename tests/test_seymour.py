@@ -1,7 +1,7 @@
 import random
 
 from cctu.generators import random_network_matrix
-from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular
+from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular, kept_indices
 from cctu.polyhedra import oracle_solve
 from cctu.seymour import (
     SPECIAL_CORES,
@@ -14,7 +14,6 @@ from cctu.seymour import (
     pivot_transform_instance,
     recognize_network_matrix,
     reduce_to_core,
-    replay_core_ops,
 )
 from random_systems import random_instance, random_tu_matrix
 
@@ -85,10 +84,52 @@ def test_two_sum_composition():
     assert k_sum(dec).rows == ((1, 1), (0, 1))
 
 
+def _line(mat, axis, i, across):
+    """Entries of row (or column) i of `mat` on the column (or row) indices
+    `across`."""
+    if axis == "row":
+        return tuple([mat[i, j] for j in across])
+    return tuple([mat[j, i] for j in across])
+
+
+def check_core_log(mat, core, log):
+    """Check a reduction log against the input it was made from: re-add the
+    deletions newest first, and check that each was valid on the lines live
+    when it was made, that each index is kept or deleted once, and that the
+    core is the submatrix on the kept indices."""
+    rows, cols = kept_indices(mat, log)
+    assert core.rows == mat.submatrix(rows, cols).rows and core.ncols == len(cols)
+    live = {"row": set(rows), "col": set(cols)}
+    size = {"row": mat.nrows, "col": mat.ncols}
+    for op in reversed(log):
+        other = "col" if op.axis == "row" else "row"
+        assert 0 <= op.index < size[op.axis] and op.index not in live[op.axis]
+        across = sorted(live[other])
+        vec = _line(mat, op.axis, op.index, across)
+        if op.reason == "unit":
+            nonzero = [(j, v) for j, v in zip(across, vec) if v]
+            expected = [(op.partner, op.sign)] if op.partner is not None else []
+            assert nonzero == expected
+        else:
+            assert op.partner in live[op.axis] and op.partner < op.index
+            twin = _line(mat, op.axis, op.partner, across)
+            flip = {"dup": 1, "negdup": -1}[op.reason]
+            assert vec == tuple([flip * v for v in twin])
+        live[op.axis].add(op.index)
+    assert live == {"row": set(range(mat.nrows)), "col": set(range(mat.ncols))}
+    for lines in (core.rows, core.transpose().rows):
+        normed = set()
+        for line in lines:
+            assert len(line) - line.count(0) >= 2
+            first = next(v for v in line if v)
+            normed.add(tuple([v * first for v in line]))
+        assert len(normed) == len(lines)
+
+
 def test_reduce_identity_to_empty_core():
     core, log = reduce_to_core(IntMatrix.identity(4))
     assert core.nrows == 0 and core.ncols == 0
-    assert replay_core_ops(core, log).rows == IntMatrix.identity(4).rows
+    check_core_log(IntMatrix.identity(4), core, log)
 
 
 def test_special_matrices_are_their_own_cores():
@@ -106,7 +147,7 @@ def test_core_reduction_strips_appended_junk():
     mat = IntMatrix(tuple(rows))
     core, log = reduce_to_core(mat)
     assert core.rows == base.rows
-    assert replay_core_ops(core, log).rows == mat.rows
+    check_core_log(mat, core, log)
 
 
 def test_core_replay_roundtrip_random():
@@ -114,7 +155,73 @@ def test_core_replay_roundtrip_random():
     for _ in range(40):
         mat = random_tu_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         core, log = reduce_to_core(mat)
-        assert replay_core_ops(core, log).rows == mat.rows
+        check_core_log(mat, core, log)
+
+
+def _matrix_with_twins(rng):
+    """A random {-1, 0, 1} matrix, 0 to 7 rows and columns, with a few
+    repeated or negated rows and columns spliced in."""
+    k, n = rng.randint(0, 7), rng.randint(0, 7)
+    density = rng.choice((0.2, 0.5, 0.8))
+    rows = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)] for _ in range(k)]
+    for _ in range(rng.randint(0, 2) if rows else 0):
+        copy = [rng.choice((1, -1)) * v for v in rng.choice(rows)]
+        rows.insert(rng.randint(0, len(rows)), copy)
+    for _ in range(rng.randint(0, 2) if rows and n else 0):
+        j, sign, at = rng.randrange(len(rows[0])), rng.choice((1, -1)), rng.randint(0, len(rows[0]))
+        for r in rows:
+            r.insert(at, sign * r[j])
+    return IntMatrix(tuple([tuple(r) for r in rows]), len(rows[0]) if rows else n)
+
+
+def test_core_log_is_valid_on_seeded_matrices():
+    rng = random.Random(12)
+    shapes = set()
+    for _ in range(2000):
+        mat = _matrix_with_twins(rng)
+        for m in (mat, mat.transpose()):
+            core, log = reduce_to_core(m)
+            check_core_log(m, core, log)
+            shapes.add((m.nrows == 0, m.ncols == 0))
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_core_keeps_the_same_lines_whatever_the_deletion_order():
+    """Kept indices pinned on inputs where the order of deletions matters to
+    the log; the values are those of the reduction that deleted one line at a
+    time, rescanning from row 0 after each deletion."""
+    c = SPECIAL_CORES[0].rows
+    # rows 0 and 2 repeat each other; row 0 turns unit once the columns 0 and
+    # 1, which repeat each other, go
+    twin_turns_unit = IntMatrix(
+        ((1, 1) + (0,) * 5, (0, 0) + c[0], (1, 1) + (0,) * 5)
+        + tuple([(0, 0) + r for r in c[1:]])
+    )
+    # rows 2, 4 and 6 negate, repeat and negate row 0; column 4 negates
+    # column 1, and column 6 repeats column 4
+    v = c[2]
+    neg = tuple([-x for x in v])
+    rows = [list(r) for r in (v, c[0], neg, c[1], v, c[3], neg, c[4])]
+    for r in rows:
+        r.insert(1, -r[3])
+        r.append(r[4])
+    negated_chain = IntMatrix(tuple([tuple(r) for r in rows]))
+    # row 2 repeats row 1, which repeats row 0 once column 0 (unit, nonzero
+    # in row 0) goes
+    x = c[3]
+    earlier_copy_deleted = IntMatrix(
+        ((1,) + x, (0,) + x, (0,) + x) + tuple([(0,) + c[i] for i in (0, 1, 2, 4)])
+    )
+    pinned = (
+        (twin_turns_unit, [1, 3, 4, 5, 6], [2, 3, 4, 5, 6]),
+        (negated_chain, [0, 1, 3, 5, 7], [0, 1, 2, 3, 5]),
+        (earlier_copy_deleted, [0, 3, 4, 5, 6], [1, 2, 3, 4, 5]),
+    )
+    for mat, rows_kept, cols_kept in pinned:
+        core, log = reduce_to_core(mat)
+        check_core_log(mat, core, log)
+        assert kept_indices(mat, log) == (rows_kept, cols_kept)
+        assert matches_special_core(core)
 
 
 def test_special_core_detection_modulo_transforms():
