@@ -236,7 +236,7 @@ def cmd_proximity(args):
         print("instance infeasible")
         return EXIT_INFEASIBLE
     x = proximal_solution(plain, x0, out.x)
-    dist = max(abs(a - b) for a, b in zip(x, x0))
+    dist = max((abs(a - b) for a, b in zip(x, x0)), default=0)
     print("x0: " + " ".join(str(v) for v in x0))
     print("x:  " + " ".join(str(v) for v in x))
     print(f"distance {dist} (bound {inst.m - len(inst.R)})")

@@ -7,15 +7,18 @@ Recognition strategy: a matrix is a network matrix iff its core is, because
 unit/duplicate/negated rows and columns map to leaf arcs, subdivisions,
 parallel arcs, and reversals on the graph side.  So we strip the matrix to
 its core, brute-force a tree representation of the small core over
-Pruefer-enumerated trees with an orientation parity check, and extend it to
-the full matrix from the reduction log: each entry names a deleted row or
-column of the input and the input line it stems from, so re-adding the
-entries newest first assigns that line's arc by index.  Every positive answer
-is certified by an exact rebuild.
+Pruefer-enumerated trees (skipping, by a bitmask test, every tree on which
+some column's support is not a path) with an orientation parity check, and
+extend it to the full matrix from the reduction log: each entry names a
+deleted row or column of the input and the input line it stems from, so
+re-adding the entries newest first assigns that line's arc by index.  Every
+positive answer is certified by an exact rebuild.
 
 Classification runs from most to least structured: network matrix or
 transpose, constant core, 1-/2-/3-sum separation (exhaustive bipartition
-search within a budget), then one pivot followed by a sum separation.
+search within a budget), then one pivot followed by a sum separation.  The
+separation search judges each bipartition on sign-normalised column keys and
+runs TU checks only on candidates that could be returned.
 """
 
 import heapq
@@ -178,57 +181,80 @@ def _rank1_factor(block):
 def find_sum_decomposition(mat):
     """Exhaustive 1-/2-/3-sum separation with n_A, n_B >= 2.
 
-    Scans row and column bipartitions in bitmask order, factors the
-    off-diagonal blocks as rank-one products, and verifies total
-    unimodularity of both bordered summands.  None when no separation
-    exists; ScaleError above the dimension budget.
+    Scans row bipartitions in bitmask order and column bipartitions in
+    `combinations` order.  An off-diagonal block is zero or rank one iff the
+    sign-normalised keys of its nonzero columns agree, so each candidate is
+    judged on per-row-mask column keys, without building a submatrix.  The
+    first 1-sum is returned at once.  Otherwise the 2-sum candidates, then
+    the 3-sum candidates, are built in scan order, and the first whose
+    bordered summands are both TU is returned: TU checks run only on
+    candidates that could be returned.  None when no separation exists;
+    ScaleError above the dimension budget.
     """
     k, n = mat.nrows, mat.ncols
     if k + n > SUM_TOTAL_DIM:
         raise ScaleError(f"separation search over {k}+{n} dimensions exceeds budget")
     if n < 4 or k < 2:
         return None
-    best = {}
-    for rmask in range(0, 1 << k):
+    splits = []
+    for csize in range(2, n - 1):
+        for cols1 in combinations(range(n), csize):
+            cols2 = tuple([j for j in range(n) if j not in cols1])
+            splits.append((cols1, cols2, sum([1 << j for j in cols1])))
+    later = {2: [], 3: []}
+    for rmask in range(1, (1 << k) - 1):
         rows1 = [i for i in range(k) if rmask >> i & 1]
         rows2 = [i for i in range(k) if not rmask >> i & 1]
-        if not rows1 or not rows2:
-            continue
-        for csize in range(2, n - 1):
-            for cols1 in combinations(range(n), csize):
-                cols2 = tuple([j for j in range(n) if j not in cols1])
-                dec = _try_separation(mat, rows1, rows2, cols1, cols2)
-                if dec is not None:
-                    if dec.kind == 1:
-                        return dec
-                    best.setdefault(dec.kind, dec)
+        nz1, class1 = _column_classes(mat, rows1)
+        nz2, class2 = _column_classes(mat, rows2)
+        for cols1, cols2, cmask in splits:
+            top_right = nz1 & ~cmask
+            if top_right and top_right & ~class1[top_right & -top_right]:
+                continue
+            bottom_left = nz2 & cmask
+            if bottom_left and bottom_left & ~class2[bottom_left & -bottom_left]:
+                continue
+            if not bottom_left:
+                if not top_right:
+                    return _sum_at(mat, 1, rows1, rows2, cols1, cols2)
+                later[2].append((rows1, rows2, cols1, cols2))
+            elif not top_right:
+                # mirror layout: swap the blocks so the zero block sits bottom-left
+                later[2].append((rows2, rows1, cols2, cols1))
+            else:
+                later[3].append((rows1, rows2, cols1, cols2))
     for kind in (2, 3):
-        if kind in best:
-            return best[kind]
+        for parts in later[kind]:
+            dec = _sum_at(mat, kind, *parts)
+            if is_totally_unimodular(dec.first_summand()) and is_totally_unimodular(
+                dec.second_summand()
+            ):
+                return dec
     return None
 
 
-def _try_separation(mat, rows1, rows2, cols1, cols2):
-    top_right = mat.submatrix(rows1, cols2)
-    bottom_left = mat.submatrix(rows2, cols1)
-    f1 = _rank1_factor(top_right)
-    f2 = _rank1_factor(bottom_left)
-    if f1 is None or f2 is None:
-        return None
-    e, f = f1
-    g, h = f2
-    tr_zero = all(v == 0 for v in top_right.flat())
-    bl_zero = all(v == 0 for v in bottom_left.flat())
-    if tr_zero and bl_zero:
-        kind = 1
-    elif bl_zero:
-        kind = 2
-    elif tr_zero:
-        # mirror layout: swap the blocks so the zero block sits bottom-left
-        return _try_separation(mat, rows2, rows1, cols2, cols1)
-    else:
-        kind = 3
-    dec = SumDecomposition(
+def _column_classes(mat, rows):
+    """(nonzero, classes) for the columns of `mat` restricted to `rows`:
+    `nonzero` is the bitmask of nonzero columns, and `classes` maps each
+    nonzero column's bit to the bitmask of the columns with the same
+    sign-normalised key (equal or negated entries)."""
+    keys = {}
+    bits = []
+    for j in range(mat.ncols):
+        col = tuple([mat.rows[i][j] for i in rows])
+        lead = next((v for v in col if v), 0)
+        if lead:
+            key = col if lead > 0 else tuple([-v for v in col])
+            keys[key] = keys.get(key, 0) | 1 << j
+            bits.append((1 << j, key))
+    return sum([bit for bit, _ in bits]), {bit: keys[key] for bit, key in bits}
+
+
+def _sum_at(mat, kind, rows1, rows2, cols1, cols2):
+    """The SumDecomposition of `kind` on the given row and column split."""
+    e, f = _rank1_factor(mat.submatrix(rows1, cols2))
+    g, h = _rank1_factor(mat.submatrix(rows2, cols1))
+    return SumDecomposition(
         kind,
         mat.submatrix(rows1, cols1),
         mat.submatrix(rows2, cols2),
@@ -239,11 +265,6 @@ def _try_separation(mat, rows1, rows2, cols1, cols2):
         tuple(rows1) + tuple(rows2),
         tuple(cols1) + tuple(cols2),
     )
-    if kind >= 2 and not is_totally_unimodular(dec.first_summand()):
-        return None
-    if kind >= 2 and not is_totally_unimodular(dec.second_summand()):
-        return None
-    return dec
 
 
 def matches_special_core(core):
@@ -365,11 +386,33 @@ def _core_network_representation(mat):
         raise ScaleError(f"tree search over {k}-row core exceeds the cap")
     nv = k + 1
     cols = [mat.col(j) for j in range(n)]
+    # row bitmasks of the supports that need a path of two or more tree edges
+    supports = {sum([1 << i for i in range(k) if col[i]]) for col in cols}
+    supports = [s for s in supports if s & (s - 1)]
     for edges in _pruefer_trees(nv):
+        incident = [0] * nv
+        for idx, (a, b) in enumerate(edges):
+            incident[a] |= 1 << idx
+            incident[b] |= 1 << idx
+        if not all(_forms_path(s, incident) for s in supports):
+            continue
         rep = _orient_tree_for(mat, cols, edges, nv)
         if rep is not None:
             return rep
     return None
+
+
+def _forms_path(support, incident):
+    """True iff the tree edges in the bitmask `support` form one path.  In a
+    forest that holds iff no vertex meets more than two of them and exactly
+    two vertices meet one; `incident[v]` is the bitmask of edges at v."""
+    ends = 0
+    for edges_at in incident:
+        d = (edges_at & support).bit_count()
+        if d > 2:
+            return False
+        ends += d == 1
+    return ends == 2
 
 
 def _orient_tree_for(mat, cols, edges, nv):

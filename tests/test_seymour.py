@@ -1,11 +1,24 @@
 import random
+import sys
+from itertools import combinations
 
-from cctu.generators import random_network_matrix
+from cctu import seymour
+from cctu.errors import ScaleError
+from cctu.generators import generate, random_network_matrix
 from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular, kept_indices
 from cctu.polyhedra import oracle_solve
 from cctu.seymour import (
     SPECIAL_CORES,
+    SUM_TOTAL_DIM,
+    TREE_ROWS,
+    NetworkRepresentation,
     SumDecomposition,
+    _extend_representation,
+    _forms_path,
+    _orient_tree_for,
+    _pruefer_trees,
+    _rank1_factor,
+    _support_path,
     classify,
     find_sum_decomposition,
     k_sum,
@@ -351,3 +364,167 @@ def test_pivot_transform_equivalence(rng):
         if out.status == "feasible":
             assert inst.is_feasible_point(maps.to_original(out.x))
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# reference searches: one submatrix and rank-one factoring per candidate with
+# TU checks in the scan, and the tree loop without the path filter
+
+
+def reference_sum_decomposition(mat):
+    k, n = mat.nrows, mat.ncols
+    if k + n > SUM_TOTAL_DIM:
+        raise ScaleError("over budget")
+    if n < 4 or k < 2:
+        return None
+    best = {}
+    for rmask in range(0, 1 << k):
+        rows1 = [i for i in range(k) if rmask >> i & 1]
+        rows2 = [i for i in range(k) if not rmask >> i & 1]
+        if not rows1 or not rows2:
+            continue
+        for csize in range(2, n - 1):
+            for cols1 in combinations(range(n), csize):
+                cols2 = tuple([j for j in range(n) if j not in cols1])
+                dec = _reference_separation(mat, rows1, rows2, cols1, cols2)
+                if dec is not None:
+                    if dec.kind == 1:
+                        return dec
+                    best.setdefault(dec.kind, dec)
+    for kind in (2, 3):
+        if kind in best:
+            return best[kind]
+    return None
+
+
+def _reference_separation(mat, rows1, rows2, cols1, cols2):
+    top_right = mat.submatrix(rows1, cols2)
+    bottom_left = mat.submatrix(rows2, cols1)
+    f1 = _rank1_factor(top_right)
+    f2 = _rank1_factor(bottom_left)
+    if f1 is None or f2 is None:
+        return None
+    e, f = f1
+    g, h = f2
+    tr_zero = all(v == 0 for v in top_right.flat())
+    bl_zero = all(v == 0 for v in bottom_left.flat())
+    if tr_zero and bl_zero:
+        kind = 1
+    elif bl_zero:
+        kind = 2
+    elif tr_zero:
+        return _reference_separation(mat, rows2, rows1, cols2, cols1)
+    else:
+        kind = 3
+    dec = SumDecomposition(
+        kind,
+        mat.submatrix(rows1, cols1),
+        mat.submatrix(rows2, cols2),
+        e,
+        f,
+        g,
+        h,
+        tuple(rows1) + tuple(rows2),
+        tuple(cols1) + tuple(cols2),
+    )
+    if kind >= 2 and not is_totally_unimodular(dec.first_summand()):
+        return None
+    if kind >= 2 and not is_totally_unimodular(dec.second_summand()):
+        return None
+    return dec
+
+
+def reference_network_matrix(mat):
+    if any(v not in (-1, 0, 1) for v in mat.flat()):
+        return None
+    core, log = reduce_to_core(mat)
+    k, n = core.nrows, core.ncols
+    if k > TREE_ROWS:
+        raise ScaleError("over the cap")
+    rep = None
+    if k == 0:
+        rep = NetworkRepresentation(1, (), tuple([(0, 0) for _ in range(n)]))
+    cols = [core.col(j) for j in range(n)]
+    for edges in _pruefer_trees(k + 1) if k else ():
+        rep = _orient_tree_for(core, cols, edges, k + 1)
+        if rep is not None:
+            break
+    if rep is None:
+        return None
+    rep = _extend_representation(rep, mat, log)
+    return rep if rep.rebuild().rows == mat.rows else None
+
+
+def _equivalence_corpus():
+    """Generated sum3 and pivoted matrices with their transposes, and seeded
+    random {-1, 0, 1} matrices, all with k + n <= 11."""
+    rng = random.Random(2024)
+    mats = []
+    for seed in range(14):
+        for kind in ("sum3", "pivoted"):
+            mat = generate(kind, 4 + seed % 2, 5, 3, seed).instance.P.T.matrix
+            mats += [mat, mat.transpose()]
+    for _ in range(40):
+        k = rng.randint(2, 6)
+        n = rng.randint(2, 11 - k)
+        density = rng.choice((0.3, 0.5, 0.8))
+        rows = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)] for _ in range(k)]
+        mats.append(IntMatrix(tuple([tuple(r) for r in rows]), n))
+    return mats
+
+
+def test_sum_search_matches_the_per_candidate_scan():
+    found = set()
+    for mat in _equivalence_corpus():
+        dec = find_sum_decomposition(mat)
+        assert repr(dec) == repr(reference_sum_decomposition(mat)), mat
+        found.add(dec.kind if dec else None)
+    assert found == {None, 1, 2, 3}
+
+
+def test_tree_search_matches_the_unfiltered_tree_loop():
+    found = 0
+    for mat in _equivalence_corpus():
+        rep = recognize_network_matrix(mat)
+        assert repr(rep) == repr(reference_network_matrix(mat)), mat
+        found += rep is not None
+    assert found >= 20
+
+
+def test_path_test_agrees_with_the_support_walk_on_small_trees():
+    for nv in range(3, 7):
+        for edges in _pruefer_trees(nv):
+            masks = [0] * nv
+            walk = {v: [] for v in range(nv)}
+            for idx, (a, b) in enumerate(edges):
+                masks[a] |= 1 << idx
+                masks[b] |= 1 << idx
+                walk[a].append((b, idx))
+                walk[b].append((a, idx))
+            for support in range(1 << len(edges)):
+                chosen = [i for i in range(len(edges)) if support >> i & 1]
+                if len(chosen) >= 2:
+                    expected = _support_path(chosen, edges, walk) is not None
+                    assert _forms_path(support, masks) == expected, (edges, chosen)
+
+
+def test_tu_checks_run_only_on_candidates_that_could_be_returned(monkeypatch):
+    calls = []
+    tu = is_totally_unimodular
+
+    def counted(mat):
+        calls.append(mat)
+        return tu(mat)
+
+    monkeypatch.setattr(seymour, "is_totally_unimodular", counted)
+    monkeypatch.setattr(sys.modules[__name__], "is_totally_unimodular", counted)
+    A = IntMatrix(((1, 1), (0, 1)))
+    block_diagonal = IntMatrix(tuple([r + (0, 0) for r in A.rows] + [(0, 0) + r for r in A.rows]))
+    dec = find_sum_decomposition(block_diagonal)
+    assert dec.kind == 1 and k_sum(dec) == block_diagonal and not calls
+    mat = generate("sum3", 4, 5, 3, 0).instance.P.T.matrix
+    dec = find_sum_decomposition(mat)
+    deferred = len(calls)
+    calls.clear()
+    assert repr(reference_sum_decomposition(mat)) == repr(dec) and dec.kind >= 2
+    assert 0 < deferred < len(calls)

@@ -99,3 +99,13 @@ def test_cli_solves_zero_row_files(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert code in (0, 1) and "Traceback" not in err, (inst, err)
         assert ("infeasible" in out) == (code == 1), out
+
+
+def test_cli_proximity_on_a_zero_column_file(tmp_path, capsys):
+    """With no variables the only point is x = (), at distance 0 from itself."""
+    path = tmp_path / "inst.txt"
+    path.write_text("rows 2\ncols 0\nT\nb 0 1\ngamma\nm 3\nR 0\n")
+    code = main(["proximity", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in err, err
+    assert "distance 0 (bound 2)" in out, out
