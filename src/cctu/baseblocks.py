@@ -39,7 +39,7 @@ from itertools import product
 from . import kernels
 from .errors import CctuError, InfeasibleRelaxationError, ScaleError, SolutionCheckError
 from .matrices import IntMatrix, TUMatrix, kept_indices
-from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, integral_feasible_point
+from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, vertex_of
 from .seymour import NetworkRepresentation, recognize_network_matrix, reduce_to_core, tree_path
 
 CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
@@ -68,10 +68,12 @@ class NormalizedCctu:
         return tuple([x0v + xhat[i] - xhat[n + i] for i, x0v in enumerate(self.x0)])
 
 
-def normalize(inst):
+def normalize(inst, *, vertex=None):
     """Normalize `inst` for its whole target set: one LP, one shift, one split.
 
-    Raises InfeasibleRelaxationError when the relaxation is empty, and
+    A caller that holds a point of the relaxation passes it as `vertex`,
+    which is then checked and shifted to the origin instead of solving the
+    LP.  Raises InfeasibleRelaxationError when the relaxation is empty, and
     ValueError when `inst` has an objective (base blocks decide feasibility
     only).  The split doubles the variables; base-block structure survives
     because column copies, column sign flips, and unit rows map to parallel
@@ -79,7 +81,7 @@ def normalize(inst):
     """
     if inst.c is not None:
         raise ValueError("base blocks take feasibility instances; the caller owns the objective")
-    x0 = integral_feasible_point(inst.P)
+    x0 = vertex_of(inst.P, vertex)
     if x0 is None:
         raise InfeasibleRelaxationError("relaxation is infeasible")
     shift = sum(g * v for g, v in zip(inst.gamma, x0))
@@ -581,17 +583,18 @@ def solve_const_core(inst, budget=DEFAULT_ENUM_BUDGET):
     return _const_core_solve(normalize(inst), budget)
 
 
-def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET):
+def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET, *, vertex=None):
     """Dispatch a base-block R-CCTUF/CCTU instance through its reduction.
 
     Normalizes once and runs one reduction and one terminal search for the
     whole target set, returning the first solution found; None means
-    infeasible.  `inst` must have no objective (see `normalize`).
+    infeasible.  `inst` must have no objective, and `vertex`, a point of
+    the relaxation the caller already holds, goes to `normalize`.
     """
     if cls.tag not in ("network", "transposed_network", "constant_core"):
         raise ValueError(f"not a base-block classification: {cls.tag}")
     try:
-        norm = normalize(inst)
+        norm = normalize(inst, vertex=vertex)
     except InfeasibleRelaxationError:
         return None
     if cls.tag == "network":

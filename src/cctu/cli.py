@@ -231,7 +231,7 @@ def cmd_proximity(args):
         print("relaxation infeasible")
         return EXIT_INFEASIBLE
     plain = inst.without_objective()  # proximity ignores the objective
-    out = oracle_solve(plain, args.max_enum)
+    out = oracle_solve(plain, args.max_enum, vertex=x0)
     if out.status != "feasible":
         print("instance infeasible")
         return EXIT_INFEASIBLE
@@ -244,6 +244,17 @@ def cmd_proximity(args):
 
 
 def cmd_generate(args):
+    if args.m < 1:
+        problem = f"--m must be at least 1, not {args.m}"
+    elif args.size < 1:
+        problem = f"--size must be at least 1, not {args.size}"
+    elif not 1 <= args.residues <= args.m:
+        problem = f"--residues must lie in 1..{args.m}, not {args.residues}"
+    else:
+        problem = None
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_INPUT
     gen = generate(args.kind, args.size, args.m, args.residues, args.seed, args.objective)
     text = serialize_instance(gen.instance)
     if args.output:
@@ -280,7 +291,8 @@ def cmd_fuzz(args):
         print(
             f"{summary['agreements']}/{summary['total']} oracle-vs-solver agreements "
             f"({summary['feasible']} feasible, {summary['infeasible']} infeasible, "
-            f"{summary['fallbacks']} oracle fallbacks, {summary['unsupported']} unsupported)"
+            f"{summary['unbounded']} unbounded), {summary['unsupported']} unsupported, "
+            f"{summary['skipped']} skipped, {summary['fallbacks']} oracle fallbacks"
         )
         if summary["disagreements"]:
             print(f"reproducers: {', '.join(summary['reproducers'])}")

@@ -119,6 +119,10 @@ def _fuzz_one(args):
 def run_fuzz(n, seed, fixed_m=None, budget=4_000_000, output_prefix=None, jobs=1):
     """n seeded random instances; returns a summary dict.
 
+    Each instance counts in exactly one of agreements, disagreements,
+    unsupported and skipped (more than 6 variables, or a ScaleError), and
+    each agreement in exactly one of feasible, infeasible and unbounded.
+
     With jobs > 1 the instances are checked by a process pool; results and
     reproducers are identical either way (the per-instance seeds are fixed
     up front).
@@ -130,9 +134,11 @@ def run_fuzz(n, seed, fixed_m=None, budget=4_000_000, output_prefix=None, jobs=1
         "agreements": 0,
         "feasible": 0,
         "infeasible": 0,
+        "unbounded": 0,
         "fallbacks": 0,
         "disagreements": 0,
         "unsupported": 0,
+        "skipped": 0,
         "reproducers": [],
         "seed": seed,
     }
@@ -153,10 +159,9 @@ def run_fuzz(n, seed, fixed_m=None, budget=4_000_000, output_prefix=None, jobs=1
             with open(path, "w") as fh:
                 fh.write(serialize_instance(small))
             summary["reproducers"].append(path)
-        elif status == "unsupported":
-            summary["unsupported"] += 1
-        elif status != "skipped":
+        elif status in ("unsupported", "skipped"):
+            summary[status] += 1
+        else:
             summary["agreements"] += 1
-            if status in ("feasible", "infeasible"):
-                summary[status] += 1
+            summary[status] += 1
     return summary

@@ -6,9 +6,14 @@ with negative right-hand side get artificials in phase 1.  The tableau keeps
 integer entries D * B^-1 [A | rhs] and integer reduced costs under one common
 denominator D > 0; a pivot on p rewrites every other row as
 (p * a - f * q) / D, which is exact by Sylvester's identity (Edmonds 1967,
-Bareiss 1968), and then sets D = p.  Over TU systems every pivot is 1, so D
+Bareiss 1968), and then sets D = p.  Over TU systems every pivot is +-1, so D
 stays 1 and vertices come back as plain ints; on other integer data the
 results are still exact, as numerators over one denominator.
+
+With D = 1 and a pivot of +-1 the update is a plain row subtraction, so
+`pivot` then touches only the rows with a nonzero entry in the pivot column,
+and in them only the pivot row's nonzero columns, in place.  Tableau rows
+are therefore mutable lists, owned by the tableau.
 
 `eliminate` runs the same pivot as fraction-free Gauss-Jordan elimination,
 for the rank and null-space computations of the cone decomposition.
@@ -163,18 +168,30 @@ def pivot(rows, r, s, den):
     Sylvester's identity (so a row with f = 0 is still rescaled by p / den),
     and the pivot row stays as it is.  A negative pivot
     negates every row so that the new denominator |p| stays positive.
+
+    A unit pivot (den = 1, p = +-1) is a plain row subtraction.  A -1 pivot
+    row is negated first; then each row with f != 0 loses f times the pivot
+    row, in place and on the pivot row's nonzero columns only, and every
+    other row stays as it is.  Those are exactly the rows of the general
+    update.
     """
     prow = rows[r]
     p = prow[s]
-    unit = p == den == 1
+    if den == 1 and (p == 1 or p == -1):
+        if p < 0:
+            prow = rows[r] = [-q for q in prow]
+        support = [j for j, q in enumerate(prow) if q]
+        for i, row in enumerate(rows):
+            f = row[s]
+            if f and i != r:
+                for j in support:
+                    row[j] -= f * prow[j]
+        return 1
     for i, row in enumerate(rows):
         if i == r:
             continue
         f = row[s]
-        if unit:
-            if f:
-                rows[i] = [a - f * q for a, q in zip(row, prow)]
-        elif f:
+        if f:
             rows[i] = [(p * a - f * q) // den for a, q in zip(row, prow)]
         elif p != den:
             rows[i] = [p * a // den for a in row]

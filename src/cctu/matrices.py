@@ -22,6 +22,7 @@ same small matrices constantly.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from . import kernels
@@ -90,7 +91,7 @@ class IntMatrix:
     def mul_vec(self, x):
         if len(x) != self.ncols:
             raise DimensionError("vector length mismatch")
-        return tuple([sum(a * v for a, v in zip(r, x)) for r in self.rows])
+        return tuple([sum(map(mul, r, x)) for r in self.rows])
 
     @staticmethod
     def identity(n):

@@ -522,7 +522,8 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
             return solve_r_minus_1(inst)
         if ell < m - 2 or not is_prime(m):
             raise UnsupportedInstanceError(f"unsupported combination m={m}, |R|={ell}")
-        if integral_feasible_point(inst.P) is None:
+        x0 = integral_feasible_point(inst.P)
+        if x0 is None:
             return None
         cap = m - ell + 1
         calls = 0
@@ -540,12 +541,12 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
                 raise ScaleError(f"recursion depth {depth} reached MAX_DEPTH")
             cls = classify(inst.P.T)
             if cls.tag in ("network", "transposed_network", "constant_core"):
-                return solve_base_block(inst, cls, budget)
+                return solve_base_block(inst, cls, budget, vertex=x0)
             if cls.tag == "sum":
                 step = decomp_progress_step(inst, split_instance(inst, cls.sum), solver)
         except ScaleError:
             stats["oracle_fallback"] = True
-            out = oracle_solve(inst, budget)
+            out = oracle_solve(inst, budget, vertex=x0)
             return out.x if out.status == "feasible" else None
         if cls.tag == "pivot_then_sum":
             transformed, maps = pivot_transform_instance(inst, *cls.pivot_at)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels, lp
-from .errors import DimensionError, InfeasibleRelaxationError, ScaleError
+from .errors import CctuError, DimensionError, InfeasibleRelaxationError, ScaleError
 from .matrices import IntMatrix, TUMatrix
 
 DEFAULT_ENUM_BUDGET = 4_000_000
@@ -114,6 +114,20 @@ def integral_feasible_point(P):
     return out.vertex if out.tag == "optimal" else None
 
 
+def vertex_of(P, vertex=None):
+    """`vertex` when a caller hands one down, else `integral_feasible_point(P)`.
+
+    A caller that already holds a point of P passes it instead of solving
+    the same LP again.  It is checked to lie in P with an explicit raise, so
+    the check also runs under python -O.
+    """
+    if vertex is None:
+        return integral_feasible_point(P)
+    if len(vertex) != P.nvars or not P.contains(vertex):
+        raise CctuError(f"handed-down point {tuple(vertex)} is not in the polyhedron")
+    return tuple(vertex)
+
+
 @dataclass(frozen=True)
 class WidthResult:
     finite: bool
@@ -145,16 +159,19 @@ class OracleOutcome:
     value: int = None
 
 
-def oracle_solve(inst, budget=DEFAULT_ENUM_BUDGET):
+def oracle_solve(inst, budget=DEFAULT_ENUM_BUDGET, *, vertex=None):
     """Decide `inst` by scanning the proximity box around a relaxation point.
 
-    Feasibility mode enumerates around any relaxation point; optimization
-    mode enumerates around an optimal relaxation vertex and returns the best
-    box point, which the proximity bound makes globally optimal.  An
-    unbounded relaxation with a feasible instance is reported "unbounded"
-    when an objective is present.
+    Feasibility mode enumerates around any relaxation point: `vertex` when
+    the caller hands one down (see `vertex_of`), else one found by LP.
+    Optimization mode enumerates around an optimal relaxation vertex and
+    returns the best box point, which the proximity bound makes globally
+    optimal.  An unbounded relaxation with a feasible instance is reported
+    "unbounded" when an objective is present.
     """
     if inst.c is not None:
+        if vertex is not None:
+            raise ValueError("an objective needs the optimal vertex, not a handed-down point")
         out = lp_optimize(inst.P, inst.c, "min")
         if out.tag == "infeasible":
             return OracleOutcome("infeasible")
@@ -165,7 +182,7 @@ def oracle_solve(inst, budget=DEFAULT_ENUM_BUDGET):
             return OracleOutcome("infeasible")
         x0 = out.vertex
     else:
-        x0 = integral_feasible_point(inst.P)
+        x0 = vertex_of(inst.P, vertex)
         if x0 is None:
             return OracleOutcome("infeasible")
     if len(inst.R) == inst.m:

@@ -16,6 +16,15 @@ tight there need an LP (min a_i.x over P); and when none is an implicit
 equality, P is full-dimensional and no nonzero row has width 0 over P or
 over any polyhedron containing it.
 
+`solve_r_minus_1` solves for that vertex once per solve.  Elimination maps P
+one-to-one onto the next level, so the vertex without the eliminated
+coordinate is a point of the next level, and a row that is not an implicit
+equality stays not one there.  So the vertex is carried down the levels,
+each level's scan starts at the row where the last one stopped, and both
+the vertex and the scan's verdict are handed to `eliminate_tight_variable`
+and `find_flat_or_solve` through their keyword-only `vertex` and `equality`
+arguments.  They check what they are handed and solve neither again.
+
 The same vertex can answer an |R| = m-1 instance outright: over a TU system
 it is integral, so when its residue is in R it is a solution.  Likewise an
 integral LP optimum whose residue is in R is optimal, since the LP value
@@ -23,6 +32,7 @@ bounds every integer point; the driver in `patterns` uses that.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CctuError, DimensionError, InfeasibleRelaxationError, SolutionCheckError
 from .matrices import IntMatrix, TUMatrix
@@ -31,9 +41,12 @@ from .polyhedra import (
     RCctufInstance,
     integral_feasible_point,
     lp_optimize,
+    vertex_of,
     width,
 )
 from .shortening import transform_solution
+
+_UNSCANNED = object()  # default `equality`: P has not been scanned for one
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,7 @@ def solve_unconstrained_congruence(gamma, m, R):
     return None
 
 
-def find_flat_or_solve(inst):
+def find_flat_or_solve(inst, *, vertex=None, equality=_UNSCANNED):
     """Either a feasible solution, or a constraint row that is a flat
     direction of the underlying polyhedron of width at most m-|R|-1.
 
@@ -103,8 +116,12 @@ def find_flat_or_solve(inst):
     The "infeasible" tag covers the degenerate terminal case where even the
     unconstrained congruence is unsatisfiable (gcd obstruction); no flat row
     exists there.
+
+    A caller that holds a point of P passes it as `vertex`, and one that has
+    scanned P for implicit equalities passes the verdict as `equality` (see
+    `eliminate_tight_variable`); neither is then computed again.
     """
-    x0 = integral_feasible_point(inst.P)
+    x0 = vertex_of(inst.P, vertex)
     if x0 is None:
         raise InfeasibleRelaxationError("relaxation is infeasible")
     mat = inst.P.T.matrix
@@ -112,7 +129,9 @@ def find_flat_or_solve(inst):
     rhs = inst.P.b
     k = len(rows)
     bound = inst.m - len(inst.R) - 1
-    if bound > 0 or (bound == 0 and _first_implicit_equality(inst.P, x0) is not None):
+    if bound == 0:
+        equality = _implicit_equality(inst.P, x0, equality)
+    if bound > 0 or (bound == 0 and equality is not None):
         for idx in range(k):
             if not any(rows[idx]):
                 continue  # vacuous zero row, not a direction
@@ -144,20 +163,45 @@ def find_flat_or_solve(inst):
     return FlatnessOutcome("solution", x=x)
 
 
-def _first_implicit_equality(P, x0):
+def _first_implicit_equality(P, x0, start=0):
     """Index of the first nonzero row with a_i.x = b_i on all of P, or None.
 
     `x0` is a point of P.  An implicit equality is tight at every point of
     P, so only the rows tight at x0 are candidates, and each costs one LP:
     the row is an implicit equality exactly when its minimum over P is b_i.
+    A tight row that repeats one already tested has its verdict, so it gets
+    no LP of its own.  The rows before `start` must be known not to be
+    implicit equalities.
     """
-    for i, (row, bv) in enumerate(zip(P.T.matrix.rows, P.b)):
-        if not any(row) or sum(a * v for a, v in zip(row, x0)) != bv:
+    rows = P.T.matrix.rows
+    tested = set()
+    for i in range(start, len(rows)):
+        row = rows[i]
+        bv = P.b[i]
+        if not any(row) or row in tested or sum(map(mul, row, x0)) != bv:
             continue
+        tested.add(row)
         lo = lp_optimize(P, row, "min")
         if lo.tag == "optimal" and lo.value == bv:
             return i
     return None
+
+
+def _implicit_equality(P, x0, equality):
+    """The first implicit equality of P as `_first_implicit_equality` finds
+    it from the point x0, or the handed-down verdict `equality` after a
+    check that its row is nonzero and tight at x0."""
+    if equality is _UNSCANNED:
+        return _first_implicit_equality(P, x0)
+    if equality is not None:
+        rows = P.T.matrix.rows
+        if not (
+            0 <= equality < len(rows)
+            and any(rows[equality])
+            and sum(map(mul, rows[equality], x0)) == P.b[equality]
+        ):
+            raise CctuError(f"handed-down implicit equality {equality} is not tight at {x0}")
+    return equality
 
 
 def _sub_polyhedron(mat, rhs, idx):
@@ -230,7 +274,7 @@ class BackMap:
         return xbar[: self.var_index] + (xj,) + xbar[self.var_index:]
 
 
-def eliminate_tight_variable(inst):
+def eliminate_tight_variable(inst, *, vertex=None, equality=_UNSCANNED):
     """Project out one variable through a constraint tight on the whole
     polyhedron, or return None when no constraint qualifies.
 
@@ -243,6 +287,12 @@ def eliminate_tight_variable(inst):
     Programming, section 8.2), so when none exists P is full-dimensional and
     no nonzero row is constant on it.
 
+    A caller that holds a point of P passes it as `vertex` (checked to lie
+    in P), and one that has already scanned P for implicit equalities passes
+    the index of the first one, or None when P has none, as `equality`.
+    Left out, both are computed here: one LP for the vertex, one per tight
+    row for the scan.
+
     Returns (reduced instance, BackMap).  Raises ValueError when `inst` has
     an objective: elimination preserves feasibility, and the caller owns the
     objective.
@@ -251,10 +301,10 @@ def eliminate_tight_variable(inst):
         raise ValueError("elimination takes feasibility instances; the caller owns the objective")
     if inst.nvars < 2:
         raise DimensionError("need at least two variables to eliminate one")
-    x0 = integral_feasible_point(inst.P)
+    x0 = vertex_of(inst.P, vertex)
     if x0 is None:
         raise InfeasibleRelaxationError("relaxation is infeasible")
-    i = _first_implicit_equality(inst.P, x0)
+    i = _implicit_equality(inst.P, x0, equality)
     if i is None:
         return None
     rows = inst.P.T.matrix.rows
@@ -331,17 +381,18 @@ def solve_r_minus_1(inst):
         return x0
     if inst.nvars == 0:
         return None  # () is the only point, and its residue 0 is not in R
-    # each level is the projection of the one before through an implicit
-    # equality, so it is nonempty too
+    # x0 and the scan position carry down the levels (see the module docstring)
     level = inst
     lifts = []
+    start = 0
     while True:
         if level.nvars == 1:
             x = _solve_univariate(level)
             break
-        step = eliminate_tight_variable(level)
+        i = _first_implicit_equality(level.P, x0, start)
+        step = eliminate_tight_variable(level, vertex=x0, equality=i)
         if step is None:
-            out = find_flat_or_solve(level)
+            out = find_flat_or_solve(level, vertex=x0, equality=None)
             if out.tag == "solution":
                 x = out.x
             elif out.tag == "infeasible":
@@ -351,6 +402,8 @@ def solve_r_minus_1(inst):
             break
         level, bm = step
         lifts.append(bm)
+        x0 = x0[: bm.var_index] + x0[bm.var_index + 1:]
+        start = i
     if x is None:
         return None
     for bm in reversed(lifts):

@@ -70,3 +70,35 @@ def random_instance(rng, n_max=4, m_choices=(2, 3, 5), with_c=False, r_size=None
     R = frozenset(rng.sample(range(m), size))
     c = tuple(rng.randint(-3, 3) for _ in range(n)) if with_c else None
     return RCctufInstance(Polyhedron(TUMatrix.trusted(T), b), gamma, m, R, c)
+
+
+def polyhedron_with_implicit_equalities(rng):
+    """A seeded TU system around an integer point x*, with negated-row pairs
+    (some pinning a row to its value at x*, some leaving width 1) and pinned
+    or narrow box rows appended in shuffled order; one in eight right-hand
+    sides is redrawn at random, so some systems are empty."""
+    n = rng.randint(2, 4)
+    T = random_tu_matrix(rng, rng.randint(1, n + 1), n)
+    star = [rng.randint(-3, 3) for _ in range(n)]
+    rows = list(T.rows)
+    rhs = [v + rng.choice((0, 0, 1, 2)) for v in T.mul_vec(star)]
+    for _ in range(rng.randint(0, 2)):
+        row = rng.choice(T.rows)
+        value = sum(a * v for a, v in zip(row, star))
+        rows += [row, tuple([-a for a in row])]
+        rhs += [value + rng.choice((0, 0, 1)), -value]
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        unit = tuple([1 if t == i else 0 for t in range(n)])
+        rows += [unit, tuple([-a for a in unit])]
+        rhs += [star[i] + rng.choice((0, 1, 3)), -star[i]]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    if rng.random() < 0.125:
+        rhs = [rng.randint(-3, 3) for _ in rhs]
+    P = Polyhedron(
+        TUMatrix.trusted(IntMatrix(tuple([rows[t] for t in order]), n)),
+        tuple([rhs[t] for t in order]),
+    )
+    m = rng.choice((2, 3, 5))
+    R = frozenset(rng.sample(range(m), rng.choice((m - 1, m - 1, rng.randint(1, m)))))
+    return RCctufInstance(P, tuple([rng.randint(-3, 3) for _ in range(n)]), m, R)

@@ -257,6 +257,35 @@ def test_cli_generate_and_decompose(tmp_path, capsys):
     assert code == 0 and "network" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m", "0"], "--m must be at least 1, not 0"),
+        (["--m", "-2"], "--m must be at least 1, not -2"),
+        (["--size", "0"], "--size must be at least 1, not 0"),
+        (["--residues", "0"], "--residues must lie in 1..3, not 0"),
+        (["--residues", "5", "--m", "3"], "--residues must lie in 1..3, not 5"),
+    ],
+)
+def test_cli_generate_rejects_out_of_range_arguments(tmp_path, capsys, flags, message):
+    target = tmp_path / "gen.txt"
+    code = run_cli(tmp_path, "generate", "--kind", "network", "--output", str(target), *flags)
+    captured = capsys.readouterr()
+    assert code == 2 and not target.exists()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_cli_generate_keeps_the_range_ends(tmp_path, capsys):
+    target = tmp_path / "gen.txt"
+    code = run_cli(
+        tmp_path, "generate", "--kind", "network", "--size", "1", "--m", "3",
+        "--residues", "3", "--output", str(target),
+    )
+    assert code == 0
+    inst = parse_instance(target.read_text())
+    assert inst.R == frozenset({0, 1, 2})
+
+
 def test_cli_width_and_proximity(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     path.write_text(MINIMAL)
@@ -365,6 +394,26 @@ def test_fuzz_counts_unsupported_apart_from_disagreements(tmp_path):
     summary = run_fuzz(60, 7, fixed_m=4, output_prefix=str(tmp_path / "repro"))
     assert (summary["disagreements"], summary["unsupported"]) == (0, 23)
     assert summary["reproducers"] == [] and not list(tmp_path.iterdir())
+
+
+def test_fuzz_summary_counts_every_instance_once(capsys):
+    """Agreements split into feasible, infeasible and unbounded, and every
+    instance is an agreement, a disagreement, unsupported or skipped.  At
+    m = 7 some agreements are unbounded; a tiny enumeration budget makes
+    draws raise ScaleError, which skips them."""
+    from cctu.fuzz import run_fuzz
+
+    at_m7 = run_fuzz(12, 0, fixed_m=7)
+    tiny_budget = run_fuzz(12, 0, budget=30)
+    for s in (at_m7, tiny_budget):
+        assert s["feasible"] + s["infeasible"] + s["unbounded"] == s["agreements"]
+        assert s["agreements"] + s["disagreements"] + s["unsupported"] + s["skipped"] == s["total"]
+    assert at_m7["unbounded"] > 0 and tiny_budget["skipped"] > 0
+    assert main(["fuzz", "-n", "3", "--m", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "3/3 oracle-vs-solver agreements (1 feasible, 1 infeasible, 1 unbounded), "
+        "0 unsupported, 0 skipped, 0 oracle fallbacks\n"
+    )
 
 
 def test_fuzz_parallel_matches_serial():

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -180,6 +181,93 @@ def test_eliminate_gives_rank_and_null_directions():
         assert (d is None) == (len(pivots) == n)
         if d is not None:
             assert any(d) and all(sum(a * v for a, v in zip(r, d)) == 0 for r in rows)
+
+
+def reference_pivot(rows, r, s, den):
+    """The dense fraction-free pivot, kept as the reference for `lp.pivot`:
+    every other row with f != 0, and with a non-unit pivot every other row,
+    is rebuilt in full, and a negative pivot negates every row."""
+    prow = rows[r]
+    p = prow[s]
+    unit = p == den == 1
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[s]
+        if unit:
+            if f:
+                rows[i] = [a - f * q for a, q in zip(row, prow)]
+        elif f:
+            rows[i] = [(p * a - f * q) // den for a, q in zip(row, prow)]
+        elif p != den:
+            rows[i] = [p * a // den for a in row]
+    if p < 0:
+        for i, row in enumerate(rows):
+            rows[i] = [-a for a in row]
+        p = -p
+    return p
+
+
+def pivot_case(p, den):
+    if den > 1:
+        return "den > 1"
+    return {1: "unit +1", -1: "unit -1"}.get(p, "den 1, |p| > 1")
+
+
+def test_pivot_matches_the_dense_reference():
+    """Gauss-Jordan runs on seeded integer tableaus: before each pivot, a
+    copy takes the reference pivot, and both must leave the same rows and
+    the same denominator."""
+    rng = random.Random(2031)
+    cases = Counter()
+    for entries in ((-1, 0, 0, 1), (-2, -1, 0, 0, 1, 2, 3)):
+        for _ in range(300):
+            k = rng.randint(1, 6)
+            n = rng.randint(1, 8)
+            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(k)]
+            den = 1
+            for r in rng.sample(range(k), k):
+                support = [j for j in range(n) if rows[r][j]]
+                if not support:
+                    continue
+                s = rng.choice(support)
+                cases[pivot_case(rows[r][s], den)] += 1
+                expected = [list(row) for row in rows]
+                expected_den = reference_pivot(expected, r, s, den)
+                den = lp.pivot(rows, r, s, den)
+                assert (rows, den) == (expected, expected_den)
+    assert min(cases[case] for case in ("unit +1", "unit -1", "den 1, |p| > 1", "den > 1")) > 50
+
+
+def test_eliminate_and_solve_lp_match_the_dense_reference(monkeypatch):
+    """Seeded TU and general integer systems give the same elimination and
+    the same LpResult fields, for min and max, with the reference pivot."""
+    rng = random.Random(2032)
+    systems = []
+    for tu in (True, False):
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            k = rng.randint(1, 6)
+            if tu:
+                rows = random_tu_matrix(rng, k, n).rows
+            else:
+                rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+            b = [rng.randint(-4, 4) for _ in range(k)]
+            c = [rng.randint(-3, 3) for _ in range(n)]
+            systems.append((rows, b, c, n))
+
+    def outputs():
+        out = []
+        for rows, b, c, n in systems:
+            out.append(lp.eliminate(rows, n))
+            for sense in ("min", "max"):
+                res = lp.solve_lp(rows, b, c, sense)
+                out.append((res, type(res.value)))
+        return out
+
+    sparse = outputs()
+    monkeypatch.setattr(lp, "pivot", reference_pivot)
+    assert sparse == outputs()
 
 
 def test_checks_survive_optimized_mode():

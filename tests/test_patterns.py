@@ -10,8 +10,10 @@ import pytest
 import cctu.baseblocks as bb
 import cctu.lp as lp
 import cctu.patterns as patterns
+import cctu.structure as structure
 from cctu.errors import CctuError, ScaleError, UnsupportedInstanceError
 from cctu.fileio import parse_instance
+from cctu.generators import generate
 from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular
 from cctu.patterns import (
     Pattern,
@@ -36,7 +38,7 @@ from cctu.seymour import (
 )
 from cctu.structure import eliminate_tight_variable, solve_r_minus_1
 from cctu.verify import verify_solution
-from random_systems import random_instance, random_tu_matrix
+from random_systems import polyhedron_with_implicit_equalities, random_instance, random_tu_matrix
 
 
 def test_cauchy_davenport_exhaustive():
@@ -682,6 +684,49 @@ def test_a_vertex_in_R_costs_one_lp(monkeypatch):
     res = solve_rcctuf(box_instance({1, 2}))
     assert (res.status, res.x, res.value) == ("feasible", (1,), 1)
     assert res.stats["subproblems"] >= 1 and len(lps) > 1
+
+
+def base_block_instances(rng, count):
+    """Seeded prime |R| = m-2 feasibility instances whose matrix classifies
+    as a base block, so that depth 0 hands its vertex to normalize."""
+    out = []
+    while len(out) < count:
+        m = rng.choice((3, 5, 7))
+        kind = rng.choice(("network", "transposed"))
+        inst = generate(kind, rng.randint(2, 4), m, m - 2, rng.randrange(1 << 30)).instance
+        if classify(inst.P.T).tag in ("network", "transposed_network", "constant_core"):
+            out.append(inst)
+    return out
+
+
+def test_no_lp_is_solved_twice_in_one_solve(monkeypatch):
+    """The vertex and the implicit-equality verdicts of the |R| = m-1 path,
+    and the depth-0 vertex of a prime base block, are handed down rather
+    than solved again.  Feasibility instances only: an objective that equals
+    a tight row, or is zero, repeats the objective LP by coincidence."""
+    lps = counting_lps(monkeypatch)
+    flat_calls = []
+    real_flat = structure.find_flat_or_solve
+
+    def counted_flat(*args, **kwargs):
+        flat_calls.append(args)
+        return real_flat(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "find_flat_or_solve", counted_flat)
+    rng = random.Random(2033)
+    rminus1 = []
+    for _ in range(300):
+        inst = polyhedron_with_implicit_equalities(rng)
+        rminus1.append(inst.replaced(R=frozenset(rng.sample(range(inst.m), inst.m - 1))))
+    past_vertex = 0
+    for inst in rminus1 + base_block_instances(rng, 60):
+        del lps[:]
+        res = solve_rcctuf(inst)
+        keys = [(tuple(map(tuple, rows)), tuple(b), tuple(c), sense) for rows, b, c, sense in lps]
+        assert len(keys) == len(set(keys)), inst
+        assert res.status == oracle_solve(inst).status
+        past_vertex += len(inst.R) == inst.m - 1 and res.status == "feasible" and len(lps) > 1
+    assert past_vertex > 30 and len(flat_calls) > 10
 
 
 OPTIMIZED_VERTEX_CHECK = """

@@ -26,7 +26,7 @@ from cctu.structure import (
     solve_r_minus_1,
     solve_unconstrained_congruence,
 )
-from random_systems import random_instance, random_tu_matrix
+from random_systems import polyhedron_with_implicit_equalities, random_instance
 
 
 def interval(lo, hi, gamma, m, R, c=None):
@@ -280,6 +280,54 @@ def test_structure_checks_survive_python_O(tmp_path):
     assert "feasible" in proc.stdout
 
 
+OPTIMIZED_HANDOFF_CHECK = """
+import cctu.baseblocks as bb
+import cctu.structure as st
+from cctu.errors import CctuError
+from cctu.matrices import IntMatrix, TUMatrix
+from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
+
+# 0 <= x, y <= 2 with x = y; (5, 5) lies outside, (0, 0) is a vertex
+rows = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+P = Polyhedron(TUMatrix.certify(IntMatrix(rows)), (2, 0, 2, 0, 0, 0))
+inst = RCctufInstance(P, (1, 1), 3, frozenset({1, 2}))
+calls = {
+    "normalize": lambda: bb.normalize(inst, vertex=(5, 5)),
+    "eliminate": lambda: st.eliminate_tight_variable(inst, vertex=(5, 5)),
+    "flatness": lambda: st.find_flat_or_solve(inst, vertex=(5, 5)),
+    "oracle": lambda: oracle_solve(inst, vertex=(5, 5)),
+    # row 0 (x <= 2) is not tight at (0, 0), so it is no implicit equality
+    "equality": lambda: st.eliminate_tight_variable(inst, vertex=(0, 0), equality=0),
+    "index": lambda: st.find_flat_or_solve(inst, vertex=(0, 0), equality=-1),
+}
+for name, call in calls.items():
+    try:
+        print(name, "returned", call())
+    except CctuError as exc:
+        print(name, "raised", type(exc).__name__)
+"""
+
+
+def test_handed_down_vertex_checks_survive_python_O():
+    """A vertex outside P, or an implicit-equality verdict that names no
+    row tight at the vertex, raises CctuError, also under python -O."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_HANDOFF_CHECK],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "normalize", "raised", "CctuError",
+        "eliminate", "raised", "CctuError",
+        "flatness", "raised", "CctuError",
+        "oracle", "raised", "CctuError",
+        "equality", "raised", "CctuError",
+        "index", "raised", "CctuError",
+    ], proc.stdout
+
+
 def reference_tight_pick(inst):
     """Row choice of elimination by its two-LPs-per-row definition: the first
     nonzero row whose LP maximum and minimum both equal its right-hand side,
@@ -324,38 +372,6 @@ def reference_flat_row(inst):
     return None
 
 
-def polyhedron_with_implicit_equalities(rng):
-    """A seeded TU system around an integer point x*, with negated-row pairs
-    (some pinning a row to its value at x*, some leaving width 1) and pinned
-    or narrow box rows appended in shuffled order; one in eight right-hand
-    sides is redrawn at random, so some systems are empty."""
-    n = rng.randint(2, 4)
-    T = random_tu_matrix(rng, rng.randint(1, n + 1), n)
-    star = [rng.randint(-3, 3) for _ in range(n)]
-    rows = list(T.rows)
-    rhs = [v + rng.choice((0, 0, 1, 2)) for v in T.mul_vec(star)]
-    for _ in range(rng.randint(0, 2)):
-        row = rng.choice(T.rows)
-        value = sum(a * v for a, v in zip(row, star))
-        rows += [row, tuple([-a for a in row])]
-        rhs += [value + rng.choice((0, 0, 1)), -value]
-    for i in rng.sample(range(n), rng.randint(0, n)):
-        unit = tuple([1 if t == i else 0 for t in range(n)])
-        rows += [unit, tuple([-a for a in unit])]
-        rhs += [star[i] + rng.choice((0, 1, 3)), -star[i]]
-    order = list(range(len(rows)))
-    rng.shuffle(order)
-    if rng.random() < 0.125:
-        rhs = [rng.randint(-3, 3) for _ in rhs]
-    P = Polyhedron(
-        TUMatrix.trusted(IntMatrix(tuple([rows[t] for t in order]), n)),
-        tuple([rhs[t] for t in order]),
-    )
-    m = rng.choice((2, 3, 5))
-    R = frozenset(rng.sample(range(m), rng.choice((m - 1, m - 1, rng.randint(1, m)))))
-    return RCctufInstance(P, tuple([rng.randint(-3, 3) for _ in range(n)]), m, R)
-
-
 def test_tight_rows_from_the_feasible_vertex_match_two_lps_per_row():
     rng = random.Random(2024)
     eliminated = flat = 0
@@ -383,8 +399,13 @@ def test_tight_rows_from_the_feasible_vertex_match_two_lps_per_row():
                 for t, (r, bv) in enumerate(zip(inst.P.T.matrix.rows, inst.P.b))
                 if t != i
             ])
+        # the same answers from a handed-down vertex and verdict
+        x0 = integral_feasible_point(inst.P)
+        equality = None if pick is None else pick[0]
+        assert eliminate_tight_variable(inst, vertex=x0, equality=equality) == step
         ref = reference_flat_row(inst)
         out = find_flat_or_solve(inst)
+        assert find_flat_or_solve(inst, vertex=x0, equality=equality) == out
         if ref is None:
             assert out.tag != "flat"
             assert out.tag == "infeasible" or inst.is_feasible_point(out.x)
