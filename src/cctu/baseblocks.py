@@ -40,7 +40,13 @@ from . import kernels
 from .errors import CctuError, InfeasibleRelaxationError, ScaleError, SolutionCheckError
 from .matrices import IntMatrix, TUMatrix, kept_indices
 from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, vertex_of
-from .seymour import NetworkRepresentation, recognize_network_matrix, reduce_to_core, tree_path
+from .seymour import (
+    NetworkRepresentation,
+    recognize_network_matrix,
+    reduce_to_core,
+    tree_adjacency,
+    tree_path,
+)
 
 CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
 
@@ -217,14 +223,11 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
             free.append(e)
     free.sort()
     # fundamental-cycle coefficients of each free edge on each forest edge
-    adj = {v: [] for v in range(nvertices)}
-    for t in forest:
-        adj[edges[t].tail].append((edges[t].head, t, 1))
-        adj[edges[t].head].append((edges[t].tail, t, -1))
+    adj = tree_adjacency(nvertices, [(edges[t].tail, edges[t].head) for t in forest])
     coeff = {t: [0] * len(free) for t in forest}
     for pos, e in enumerate(free):
-        for (t, sgn) in tree_path(adj, edges[e].head, edges[e].tail):
-            coeff[t][pos] = sgn
+        for (f, sgn) in tree_path(adj, edges[e].head, edges[e].tail):
+            coeff[forest[f]][pos] = sgn
     size = 1
     lo = []
     hi = []
@@ -248,11 +251,8 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
             if coeff[t][pos]:
                 s += coeff[t][pos] * edges[t].eta
         rho.append(s % m)
-    flat = [v for row in rows for v in row]
     found, z, _ = kernels.box_search(
-        flat,
-        len(rows),
-        len(free),
+        rows,
         rhs,
         rho,
         m,
@@ -306,10 +306,7 @@ def solution_to_circulation(ccc, rep, xhat):
     """
     ntree = len(rep.tree_arcs)
     flows = [0] * len(ccc.arcs)
-    adj = {v: [] for v in range(rep.nvertices)}
-    for idx, (a, b) in enumerate(rep.tree_arcs):
-        adj[a].append((b, idx, 1))
-        adj[b].append((a, idx, -1))
+    adj = tree_adjacency(rep.nvertices, rep.tree_arcs)
     for j, (v, w) in enumerate(rep.col_arcs):
         x = xhat[j]
         flows[2 * ntree + j] += x  # reverse column arc (w, v)
@@ -419,11 +416,8 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
         row[w] -= 1
         rows.append(tuple(row))
         rhs.append(bv)
-    flat = [v for row in rows for v in row]
     found, levels, _ = kernels.box_search(
-        flat,
-        len(rows),
-        nv,
+        rows,
         rhs,
         list(ctc.alpha),
         m,

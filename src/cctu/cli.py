@@ -243,6 +243,11 @@ def cmd_proximity(args):
     return EXIT_OK
 
 
+def _input_error(problem):
+    print(f"error: {problem}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def cmd_generate(args):
     if args.m < 1:
         problem = f"--m must be at least 1, not {args.m}"
@@ -253,8 +258,7 @@ def cmd_generate(args):
     else:
         problem = None
     if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(problem)
     gen = generate(args.kind, args.size, args.m, args.residues, args.seed, args.objective)
     text = serialize_instance(gen.instance)
     if args.output:
@@ -282,6 +286,16 @@ def cmd_verify(args):
 
 
 def cmd_fuzz(args):
+    if args.m < 0:
+        problem = f"--m must be at least 0, not {args.m}"
+    elif args.n < 0:
+        problem = f"-n must be at least 0, not {args.n}"
+    elif args.jobs < 1:
+        problem = f"--jobs must be at least 1, not {args.jobs}"
+    else:
+        problem = None
+    if problem is not None:
+        return _input_error(problem)
     summary = run_fuzz(
         args.n, args.seed, args.m or None, args.max_enum, args.output, jobs=args.jobs
     )

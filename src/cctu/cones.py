@@ -31,14 +31,6 @@ class ElementaryDecomposition:
     rays: tuple  # n integer vectors
     coeffs: tuple  # n nonnegative integers
 
-    def reconstructs(self):
-        n = len(self.x0)
-        total = [0] * n
-        for lam, ray in zip(self.coeffs, self.rays):
-            for i in range(n):
-                total[i] += lam * ray[i]
-        return tuple(total) == tuple([yv - xv for yv, xv in zip(self.y, self.x0)])
-
     def point_for(self, mu):
         """x0 + sum(mu[i] * rays[i]) for 0 <= mu <= coeffs."""
         x = list(self.x0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import ScaleError
 from .matrices import IntMatrix, TUMatrix, is_totally_unimodular
 from .polyhedra import Polyhedron, RCctufInstance
-from .seymour import SPECIAL_CORES, SumDecomposition, k_sum, pivot
+from .seymour import SPECIAL_CORES, NetworkRepresentation, SumDecomposition, k_sum, pivot
 from .structure import solve_unconstrained_congruence
 
 KINDS = ("network", "transposed", "sum1", "sum2", "sum3", "pivoted", "const_core")
@@ -23,49 +23,12 @@ def random_network_matrix(rng, k, n):
     """Network matrix from a random directed tree on k+1 vertices with n
     random path-incidence columns."""
     nv = k + 1
-    parent = [None] * nv
     order = list(range(1, nv))
     rng.shuffle(order)
-    for v in order:
-        parent[v] = rng.randrange(v)
-    arcs = []
-    for v in order:
-        if rng.random() < 0.5:
-            arcs.append((parent[v], v))
-        else:
-            arcs.append((v, parent[v]))
-    cols = []
-    for _ in range(n):
-        if nv >= 2:
-            v, w = rng.sample(range(nv), 2)
-        else:
-            v = w = 0
-        cols.append(_path_column(arcs, parent, v, w))
-    return IntMatrix(tuple([tuple([cols[j][i] for j in range(n)]) for i in range(k)]), n)
-
-
-def _path_column(arcs, parent, v, w):
-    def chain(u):
-        seq = [u]
-        while parent[u] is not None:
-            u = parent[u]
-            seq.append(u)
-        return seq
-
-    cv, cw = chain(v), chain(w)
-    sw = set(cw)
-    meet = next(u for u in cv if u in sw)
-    path = cv[: cv.index(meet) + 1] + list(reversed(cw[: cw.index(meet)]))
-    col = []
-    for (a, b) in arcs:
-        val = 0
-        for p, q in zip(path, path[1:]):
-            if (a, b) == (p, q):
-                val = 1
-            elif (a, b) == (q, p):
-                val = -1
-        col.append(val)
-    return col
+    parent = {v: rng.randrange(v) for v in order}
+    arcs = [(parent[v], v) if rng.random() < 0.5 else (v, parent[v]) for v in order]
+    ends = [tuple(rng.sample(range(nv), 2)) if nv >= 2 else (0, 0) for _ in range(n)]
+    return NetworkRepresentation(nv, tuple(arcs), tuple(ends)).rebuild()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Exact integer kernels for the hot inner loops.
 
 Subdeterminant scans, the Ghouila-Houri signing check and the integer box
-search.  All functions work on flat row-major integer lists.  Arithmetic is
-exact: Python integers never overflow.
+search.  Matrices come as sequences of rows.  Arithmetic is exact: Python
+integers never overflow.
 """
 
 from itertools import combinations
@@ -10,13 +10,12 @@ from itertools import combinations
 BACKEND = "python"
 
 
-def det_bareiss(flat, n):
-    """Exact determinant of an n*n integer matrix via fraction-free elimination.
-
-    `flat` is the matrix in row-major order.  Intermediate values are leading
-    principal minors, hence integers.
+def det_bareiss(rows):
+    """Exact determinant of a square integer matrix via fraction-free
+    elimination.  Intermediate values are leading principal minors, hence
+    integers.
     """
-    return _det_rows([list(flat[i * n:(i + 1) * n]) for i in range(n)])
+    return _det_rows([list(r) for r in rows])
 
 
 def _det_rows(a):
@@ -49,7 +48,7 @@ def _det_rows(a):
     return sign * a[n - 1][n - 1]
 
 
-def find_non_unit_subdet(flat, k, n):
+def find_non_unit_subdet(rows):
     """Search all square submatrices for a determinant outside {-1, 0, 1}.
 
     Returns (row_indices, col_indices, det) for the first violation in
@@ -57,31 +56,32 @@ def find_non_unit_subdet(flat, k, n):
     {-1, 0, 1}.  1x1 submatrices are included, so non-{-1,0,1} entries are
     caught here too.
     """
-    for i in range(k):
-        for j in range(n):
-            if flat[i * n + j] not in (-1, 0, 1):
-                return ((i,), (j,), flat[i * n + j])
-    full = [flat[i * n:(i + 1) * n] for i in range(k)]
+    for i, r in enumerate(rows):
+        for j, v in enumerate(r):
+            if v not in (-1, 0, 1):
+                return ((i,), (j,), v)
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
     for order in range(2, min(k, n) + 1):
-        for rows in combinations(range(k), order):
-            picked = [full[i] for i in rows]
+        for sub in combinations(range(k), order):
+            picked = [rows[i] for i in sub]
             for cols in combinations(range(n), order):
                 d = _det_rows([[r[j] for j in cols] for r in picked])
                 if d not in (-1, 0, 1):
-                    return (rows, cols, d)
+                    return (sub, cols, d)
     return None
 
 
-def ghouila_houri_ok(flat, k, n):
+def ghouila_houri_ok(rows):
     """Ghouila-Houri criterion on rows: every row subset admits a +-1 signing
     whose signed sum has all entries in {-1, 0, 1}.
 
     Exact but exponential; intended for matrices past the exhaustive-scan cap.
     Entries must already be in {-1, 0, 1}.
     """
-    rows = [tuple(flat[i * n:(i + 1) * n]) for i in range(k)]
-    for size in range(1, k + 1):
-        for subset in combinations(range(k), size):
+    n = len(rows[0]) if rows else 0
+    for size in range(1, len(rows) + 1):
+        for subset in combinations(range(len(rows)), size):
             if not _signing_exists([rows[i] for i in subset], n):
                 return False
     return True
@@ -118,9 +118,9 @@ def _signing_exists(rows, n):
     return found
 
 
-def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c):
+def box_search(rows, b, gamma, m, rmask, lo, hi, c):
     """Scan the integer box [lo, hi] for points with T x <= b and
-    gamma.x mod m in the residue mask.
+    gamma.x mod m in the residue mask; `rows` are the rows of T.
 
     Depth-first over coordinates with per-row interval pruning (partial sum
     plus the best the remaining coordinates can do).  Without a cost vector
@@ -129,6 +129,8 @@ def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c):
 
     Returns (found, point, value).
     """
+    k = len(rows)
+    n = len(lo)
     if any(lo[j] > hi[j] for j in range(n)):
         return (False, None, 0)
     if n == 0:
@@ -136,11 +138,10 @@ def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c):
         ok = all(bv >= 0 for bv in b) and (rmask >> (0 % m)) & 1
         return (bool(ok), [] if ok else None, 0)
     # suffix extrema of each row over the remaining coordinates
-    row = [tflat[i * n:(i + 1) * n] for i in range(k)]
     suf_min = [[0] * (n + 1) for _ in range(k)]
     for i in range(k):
         for j in range(n - 1, -1, -1):
-            t = row[i][j]
+            t = rows[i][j]
             contrib = t * lo[j] if t >= 0 else t * hi[j]
             suf_min[i][j] = suf_min[i][j + 1] + contrib
     minimize = c is not None
@@ -167,7 +168,7 @@ def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c):
         for v in range(lo[j], hi[j] + 1):
             ok = True
             for i in range(k):
-                partial[i] += row[i][j] * v
+                partial[i] += rows[i][j] * v
                 if partial[i] + suf_min[i][j + 1] > b[i]:
                     ok = False
             new_cost = cost + cost_row[j] * v
@@ -178,7 +179,7 @@ def box_search(tflat, k, n, b, gamma, m, rmask, lo, hi, c):
                 if rec(j + 1, new_cost) and not minimize:
                     return True
             for i in range(k):
-                partial[i] -= row[i][j] * v
+                partial[i] -= rows[i][j] * v
         return False
 
     rec(0, 0)

@@ -104,7 +104,7 @@ def determinant(mat):
     """Exact determinant of a square IntMatrix (fraction-free elimination)."""
     if mat.nrows != mat.ncols:
         raise DimensionError(f"determinant of a {mat.nrows}x{mat.ncols} matrix")
-    return kernels.det_bareiss(mat.flat(), mat.nrows)
+    return kernels.det_bareiss(mat.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +197,10 @@ def _tu_cached(rows):
     k, n = core.nrows, core.ncols
     if k == 0 or n == 0:
         return True
-    flat = core.flat()
     if min(k, n) <= EXHAUSTIVE_CAP:
-        return kernels.find_non_unit_subdet(flat, k, n) is None
+        return kernels.find_non_unit_subdet(core.rows) is None
     # Ghouila-Houri on the smaller dimension (TU is transpose-invariant).
-    if k <= n:
-        return kernels.ghouila_houri_ok(flat, k, n)
-    return kernels.ghouila_houri_ok(core.transpose().flat(), n, k)
+    return kernels.ghouila_houri_ok(core.rows if k <= n else core.transpose().rows)
 
 
 def is_totally_unimodular(mat):
@@ -222,7 +219,7 @@ def non_tu_witness(mat):
     """
     k, n = mat.nrows, mat.ncols
     if min(k, n) <= EXHAUSTIVE_CAP:
-        return kernels.find_non_unit_subdet(mat.flat(), k, n)
+        return kernels.find_non_unit_subdet(mat.rows)
     for i, r in enumerate(mat.rows):
         for j, v in enumerate(r):
             if v not in (-1, 0, 1):
@@ -230,7 +227,7 @@ def non_tu_witness(mat):
     core, log = reduce_to_core(mat)
     if min(core.nrows, core.ncols) > EXHAUSTIVE_CAP:
         return None
-    found = kernels.find_non_unit_subdet(core.flat(), core.nrows, core.ncols)
+    found = kernels.find_non_unit_subdet(core.rows)
     if found is None:
         return None
     kept_rows, kept_cols = kept_indices(mat, log)

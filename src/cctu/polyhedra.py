@@ -207,9 +207,7 @@ def search_box(inst, center, radius, budget=DEFAULT_ENUM_BUDGET):
     hi = [v + radius for v in center]
     rmask = sum(1 << r for r in inst.R)
     found, x, value = kernels.box_search(
-        inst.P.T.matrix.flat(),
-        inst.P.T.nrows,
-        n,
+        inst.P.T.matrix.rows,
         list(inst.P.b),
         list(inst.gamma),
         inst.m,

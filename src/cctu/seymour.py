@@ -7,12 +7,20 @@ Recognition strategy: a matrix is a network matrix iff its core is, because
 unit/duplicate/negated rows and columns map to leaf arcs, subdivisions,
 parallel arcs, and reversals on the graph side.  So we strip the matrix to
 its core, brute-force a tree representation of the small core over
-Pruefer-enumerated trees (skipping, by a bitmask test, every tree on which
-some column's support is not a path) with an orientation parity check, and
-extend it to the full matrix from the reduction log: each entry names a
-deleted row or column of the input and the input line it stems from, so
-re-adding the entries newest first assigns that line's arc by index.  Every
-positive answer is certified by an exact rebuild.
+Pruefer-enumerated trees with an orientation parity check, and extend it to
+the full matrix from the reduction log: each entry names a deleted row or
+column of the input and the input line it stems from, so re-adding the
+entries newest first assigns that line's arc by index.  Every positive
+answer is certified by an exact rebuild.
+
+Per tree, each column's support is a bitmask of tree edges.  `_path_ends`
+tests it against per-vertex incidence masks: the edges form one path iff no
+vertex meets more than two of them and exactly two vertices meet one, and
+those two are the path's ends.  A tree on which some support is not a path
+is skipped.  Otherwise each column is walked from end to end by `tree_path`,
+the same walk that rebuilds a matrix from its representation (and that the
+generators use to draw network matrices), and its steps give the parity
+constraints.
 
 Classification runs from most to least structured: network matrix or
 transpose, constant core, 1-/2-/3-sum separation (exhaustive bipartition
@@ -103,14 +111,6 @@ class SumDecomposition:
     h: tuple
     row_perm: tuple
     col_perm: tuple
-
-    @property
-    def n_A(self):
-        return self.A.ncols
-
-    @property
-    def n_B(self):
-        return self.B.ncols
 
     def first_summand(self):
         """The bordered left block whose TU-ness certifies the sum."""
@@ -307,10 +307,7 @@ class NetworkRepresentation:
     col_arcs: tuple
 
     def rebuild(self):
-        adj = {v: [] for v in range(self.nvertices)}
-        for idx, (a, b) in enumerate(self.tree_arcs):
-            adj[a].append((b, idx, 1))
-            adj[b].append((a, idx, -1))
+        adj = tree_adjacency(self.nvertices, self.tree_arcs)
         rows = len(self.tree_arcs)
         cols = []
         for (v, w) in self.col_arcs:
@@ -321,6 +318,25 @@ class NetworkRepresentation:
         return IntMatrix(
             tuple([tuple([col[i] for col in cols]) for i in range(rows)]), len(self.col_arcs)
         )
+
+
+def tree_adjacency(nv, arcs):
+    """Each vertex's (neighbour, arc index, sign) entries, the form
+    `tree_path` walks; sign 1 leaves an arc's tail."""
+    adj = [[] for _ in range(nv)]
+    for idx, (a, b) in enumerate(arcs):
+        adj[a].append((b, idx, 1))
+        adj[b].append((a, idx, -1))
+    return adj
+
+
+def _incidence_masks(nv, edges):
+    """incident[v]: the bitmask of the edges at vertex v."""
+    incident = [0] * nv
+    for idx, (a, b) in enumerate(edges):
+        incident[a] |= 1 << idx
+        incident[b] |= 1 << idx
+    return incident
 
 
 def tree_path(adj, v, w):
@@ -390,11 +406,8 @@ def _core_network_representation(mat):
     supports = {sum([1 << i for i in range(k) if col[i]]) for col in cols}
     supports = [s for s in supports if s & (s - 1)]
     for edges in _pruefer_trees(nv):
-        incident = [0] * nv
-        for idx, (a, b) in enumerate(edges):
-            incident[a] |= 1 << idx
-            incident[b] |= 1 << idx
-        if not all(_forms_path(s, incident) for s in supports):
+        incident = _incidence_masks(nv, edges)
+        if not all(_path_ends(s, incident) for s in supports):
             continue
         rep = _orient_tree_for(mat, cols, edges, nv)
         if rep is not None:
@@ -402,17 +415,19 @@ def _core_network_representation(mat):
     return None
 
 
-def _forms_path(support, incident):
-    """True iff the tree edges in the bitmask `support` form one path.  In a
-    forest that holds iff no vertex meets more than two of them and exactly
-    two vertices meet one; `incident[v]` is the bitmask of edges at v."""
-    ends = 0
-    for edges_at in incident:
+def _path_ends(support, incident):
+    """The two ends, ascending, of the path that the tree edges in the bitmask
+    `support` form, or None when they form no path.  In a forest they form
+    one iff no vertex meets more than two of them and exactly two vertices
+    meet one; `incident[v]` is the bitmask of edges at v."""
+    ends = []
+    for v, edges_at in enumerate(incident):
         d = (edges_at & support).bit_count()
-        if d > 2:
-            return False
-        ends += d == 1
-    return ends == 2
+        if d == 1:
+            ends.append(v)
+        elif d > 2:
+            return None
+    return tuple(ends) if len(ends) == 2 else None
 
 
 def _orient_tree_for(mat, cols, edges, nv):
@@ -424,10 +439,8 @@ def _orient_tree_for(mat, cols, edges, nv):
     """
     k = len(edges)
     n = len(cols)
-    incident = {v: [] for v in range(nv)}
-    for idx, (a, b) in enumerate(edges):
-        incident[a].append((b, idx))
-        incident[b].append((a, idx))
+    incident = _incidence_masks(nv, edges)
+    adj = tree_adjacency(nv, edges)
     # union-find with parity over k edge-orientation variables + n column flips
     parent = list(range(k + n))
     par = [0] * (k + n)
@@ -458,74 +471,40 @@ def _orient_tree_for(mat, cols, edges, nv):
         par[rx] = px ^ py ^ rel
         return True
 
-    col_paths = []
+    col_ends = []
     for j, col in enumerate(cols):
-        support = [i for i in range(k) if col[i] != 0]
+        support = sum([1 << i for i in range(k) if col[i]])
         if not support:
-            col_paths.append(None)
+            col_ends.append(None)
             continue
-        path = _support_path(support, edges, incident)
-        if path is None:
+        if support & (support - 1):
+            ends = _path_ends(support, incident)  # walked from its lower end
+        else:
+            ends = edges[support.bit_length() - 1]  # one edge, walked as stored
+        if ends is None:
             return None
-        col_paths.append(path)
-        for (edge_idx, forward_along) in path[1]:
+        col_ends.append(ends)
+        for (edge_idx, sgn) in tree_path(adj, *ends):
             # orientation variable o[edge]: 0 means the arc is (a, b) as stored.
             # entry +1 wants traversal direction == arc direction
             desired = 0 if mat[edge_idx, j] == 1 else 1
-            rel = (0 if forward_along else 1) ^ desired
+            rel = (0 if sgn == 1 else 1) ^ desired
             if not union(edge_idx, k + j, rel):
                 return None
     tree_arcs = []
     for idx, (a, b) in enumerate(edges):
         tree_arcs.append((a, b) if parity(idx) == 0 else (b, a))
     col_arcs = []
-    for j, info in enumerate(col_paths):
-        if info is None:
+    for j, ends in enumerate(col_ends):
+        if ends is None:
             col_arcs.append((0, 0))
-            continue
-        (u, w), _ = info
-        col_arcs.append((u, w) if parity(k + j) == 0 else (w, u))
+        else:
+            u, w = ends
+            col_arcs.append((u, w) if parity(k + j) == 0 else (w, u))
     rep = NetworkRepresentation(nv, tuple(tree_arcs), tuple(col_arcs))
     if rep.rebuild().rows != mat.rows:
         return None
     return rep
-
-
-def _support_path(support, edges, incident):
-    """If the support edges form a path, return ((u, w), [(edge, forward)]):
-    endpoints and the edge sequence walked from u to w with per-edge
-    direction flags (forward = traversed tail-to-head as stored)."""
-    sset = set(support)
-    degree = {}
-    for i in support:
-        for v in edges[i]:
-            degree[v] = degree.get(v, 0) + 1
-    ends = [v for v, d in degree.items() if d == 1]
-    if len(support) == 1:
-        a, b = edges[support[0]]
-        return ((a, b), [(support[0], True)])
-    if len(ends) != 2 or any(d > 2 for d in degree.values()):
-        return None
-    u, w = min(ends), max(ends)
-    seq = []
-    cur = u
-    used = set()
-    while cur != w:
-        step = None
-        for (nb, idx) in incident[cur]:
-            if idx in sset and idx not in used:
-                step = (nb, idx)
-                break
-        if step is None:
-            return None
-        nb, idx = step
-        a, b = edges[idx]
-        seq.append((idx, (a, b) == (cur, nb)))
-        used.add(idx)
-        cur = nb
-    if len(seq) != len(support):
-        return None  # support is disconnected
-    return ((u, w), seq)
 
 
 def _extend_representation(rep, mat, log):
@@ -665,30 +644,17 @@ def pivot_transform_instance(inst, i, j):
         raise ValueError("pivoting takes feasibility instances; the caller owns the objective")
     mat = inst.P.T.matrix
     n = mat.ncols
-    eps = mat[i, j]
-    if eps not in (-1, 1):
-        raise ValueError("pivot entry must be +1 or -1")
-    d = tuple([1 if t == j else 0 for t in range(n)])
-    bounds, _ = bound_scalar_products(inst, [d])
+    # pivoting (T; gamma) on (i, j) gives T Q and gamma Q, except that row i
+    # of T Q is e_j; Q is the identity with row j replaced by the negated
+    # pivot row, which is also the bound row on y_j
+    pivoted = pivot(IntMatrix(mat.rows + (inst.gamma,), n), i, j).rows
+    q_row = tuple([-v for v in pivoted[i]])
+    eye = IntMatrix.identity(n).rows
+    bounds, _ = bound_scalar_products(inst, [eye[j]])
     (_, u), = bounds.bounds
-    # Q: column j scaled by eps; column c (c != j) gets -eps*T[i,c] in row j
-    Q = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    Qinv = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    Q[j][j] = eps
-    Qinv[j][j] = eps
-    for c in range(n):
-        if c != j:
-            Q[j][c] = -eps * mat[i, c]
-            Qinv[j][c] = mat[i, c]
-    Qm = IntMatrix(tuple([tuple(r) for r in Q]))
-    Qinvm = IntMatrix(tuple([tuple(r) for r in Qinv]))
-    new_rows = []
-    for r in range(mat.nrows):
-        new_rows.append(tuple([sum(mat[r, t] * Qm[t, c] for t in range(n)) for c in range(n)]))
-    bound_row = tuple([eps if c == j else -eps * mat[i, c] for c in range(n)])
-    new_rows.append(bound_row)
-    new_b = inst.P.b + (u,)
-    new_gamma = tuple([sum(inst.gamma[t] * Qm[t, c] for t in range(n)) for c in range(n)])
-    new_P = Polyhedron(TUMatrix.trusted(IntMatrix(tuple(new_rows))), new_b)
-    transformed = RCctufInstance(new_P, new_gamma, inst.m, inst.R)
-    return transformed, PivotMaps(Qm, Qinvm)
+    Q = IntMatrix(eye[:j] + (q_row,) + eye[j + 1:], n)
+    Qinv = IntMatrix(eye[:j] + (mat.rows[i],) + eye[j + 1:], n)
+    new_rows = pivoted[:i] + (eye[j],) + pivoted[i + 1:-1] + (q_row,)
+    new_P = Polyhedron(TUMatrix.trusted(IntMatrix(new_rows, n)), inst.P.b + (u,))
+    transformed = RCctufInstance(new_P, pivoted[-1], inst.m, inst.R)
+    return transformed, PivotMaps(Q, Qinv)

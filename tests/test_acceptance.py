@@ -241,7 +241,7 @@ def test_criterion_4_elementary_decomposition():
         out = lp_optimize(P, c, "max")
         y = out.vertex if out.tag == "optimal" else x0
         dec = decompose_solutions(P, x0, y)
-        assert dec.reconstructs()
+        assert dec.point_for(dec.coeffs) == dec.y
         for lam, ray in zip(dec.coeffs, dec.rays):
             assert all(isinstance(v, int) for v in ray) and lam >= 0
             if lam:

@@ -398,10 +398,10 @@ def test_three_sum_border_rows_are_tu_appendable():
             continue
         n = mat.ncols
         d_f = [0] * n
-        for j, fv in zip(dec.col_perm[dec.n_A:], dec.f):
+        for j, fv in zip(dec.col_perm[dec.A.ncols:], dec.f):
             d_f[j] = fv
         d_h = [0] * n
-        for j, hv in zip(dec.col_perm[:dec.n_A], dec.h):
+        for j, hv in zip(dec.col_perm[:dec.A.ncols], dec.h):
             d_h[j] = hv
         d_hf = [a + b for a, b in zip(d_f, d_h)]
         stacked = mat

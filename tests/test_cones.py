@@ -59,7 +59,7 @@ def test_identity_shift_decomposition():
     # 0 <= x <= 5, x0=1, y=4: single ray (1) with coefficient 3
     P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, 5))
     dec = decompose_solutions(P, (1,), (4,))
-    assert dec.reconstructs()
+    assert dec.point_for(dec.coeffs) == dec.y
     used = [(r, l) for r, l in zip(dec.rays, dec.coeffs) if l]
     assert used == [((1,), 3)]
 
@@ -67,7 +67,7 @@ def test_identity_shift_decomposition():
 def test_equal_points_decompose_trivially():
     P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, 5))
     dec = decompose_solutions(P, (2,), (2,))
-    assert dec.reconstructs() and all(l == 0 for l in dec.coeffs)
+    assert dec.point_for(dec.coeffs) == dec.y and all(l == 0 for l in dec.coeffs)
 
 
 def _bounded_system(rng, n, k):
@@ -102,7 +102,7 @@ def test_decomposition_contract_on_random_systems(rng):
             continue
         x0, y = pts
         dec = decompose_solutions(P, x0, y)
-        assert dec.reconstructs()
+        assert dec.point_for(dec.coeffs) == dec.y
         tu = P.T
         for lam, ray in zip(dec.coeffs, dec.rays):
             if lam:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import pytest
 from cctu.cli import main
 from cctu.errors import InputFormatError
 from cctu.fileio import parse_instance, serialize_instance
-from cctu.generators import generate
+from cctu.generators import KINDS, generate, random_network_matrix
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.patterns import is_prime, solve_rcctuf
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
@@ -114,7 +116,7 @@ def test_generator_sum3_classifies_as_sum():
     from cctu.seymour import find_sum_decomposition
 
     dec = find_sum_decomposition(gen.instance.P.T.matrix)
-    assert dec is not None and dec.n_A >= 2 and dec.n_B >= 2
+    assert dec is not None and dec.A.ncols >= 2 and dec.B.ncols >= 2
 
 
 def test_generator_deterministic():
@@ -424,3 +426,62 @@ def test_fuzz_parallel_matches_serial():
     assert {k: v for k, v in a.items() if k != "reproducers"} == {
         k: v for k, v in b.items() if k != "reproducers"
     }
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["-n", "5", "--m", "-3"], "--m must be at least 0, not -3"),
+        (["-n", "-2"], "-n must be at least 0, not -2"),
+        (["-n", "2", "--jobs", "0"], "--jobs must be at least 1, not 0"),
+    ],
+)
+def test_cli_fuzz_rejects_out_of_range_arguments(capsys, flags, message):
+    assert main(["fuzz", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_cli_fuzz_keeps_the_range_ends(capsys):
+    assert main(["fuzz", "-n", "0", "--m", "0", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.startswith("0/0 oracle-vs-solver agreements")
+
+
+# sha256 of generator output.  Every benchmark corpus is drawn from the
+# generators, so a change to these digests re-draws the corpora.
+INSTANCE_DIGESTS = {
+    "network/3": "e2fc2987946b0676baa426f6092a684155728d16ce43a352a9aff16e87a6a636",
+    "network/11": "7d167f5babe78c8469c1322ce8ead41e8eec5813e86d07f9a846016f720387a9",
+    "transposed/3": "94536b7d82d0633d22172777e86067c36426aabf4a2192888b026d2cd25cf70c",
+    "transposed/11": "05c582a4aef9dfa595a92dd81470d1f5dcaa815a07489b4493d3cd74bf1b89b7",
+    "sum1/3": "c68876bd4e4f0a4473444c3a97ef335336a7d37e1d9c019e7eeac1ed9b225bce",
+    "sum1/11": "4282287d57f28832c914acfe07ea42d5c1f1fee6fe4902e8dcae3f90eb543931",
+    "sum2/3": "a8d7ca80abdd5ea7b2b59b28ab6ec003c3c446d9e919828b90f926fb909242d2",
+    "sum2/11": "2fd20e158ef7147b903eac35abbfa1e149979f6f54eeb51d62e20a5f18fa75b5",
+    "sum3/3": "e174eb46a131db7433660289df5da77b8dd0561f91aa54c93fc342c19e4d3a19",
+    "sum3/11": "1c8e361b4bfc73dda5bd248a0049e7b62a2fe8f308740839bd9cd36983330f08",
+    "pivoted/3": "97b9ad79d5e680f51bd3244ab0ca18827a6b9934960513b526c1e0bb5b417230",
+    "pivoted/11": "9551ff10beaeca242bfe6b1922f86f64c3fda9257d7e356db355537a9715decc",
+    "const_core/3": "90303b2dcad9dd40456a68387b36acdb6abb20040e048d984f8fe3ee89124645",
+    "const_core/11": "cc38a42bdc9ba94c553f5ad6a2a9c6b0498fc1d57b827324cf924d707d7a7cf7",
+}
+NETWORK_DIGESTS = {
+    (0, 0, 3): "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    (1, 1, 2): "f3cbeae0b68df6b7cc0a5da43f5202bd33708c72e9f6634344b71f0bb2d44975",
+    (2, 5, 7): "31965d262b20c7246350885b37e1f8e87c9864700541299d6947fec8978fa4ea",
+    (3, 9, 4): "e3c3367735ebcb7a37d5ca5116ec74271df20813ce9296b39fe1c62fa0ffb3fa",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generator_output_is_pinned():
+    for kind in KINDS:
+        for seed in (3, 11):
+            text = serialize_instance(generate(kind, 6, 5, 3, seed, True).instance)
+            assert _sha256(text) == INSTANCE_DIGESTS[f"{kind}/{seed}"], (kind, seed)
+    for (seed, k, n), digest in NETWORK_DIGESTS.items():
+        rows = random_network_matrix(random.Random(seed), k, n).rows
+        assert _sha256(repr(rows)) == digest, (seed, k, n)

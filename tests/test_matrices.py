@@ -153,9 +153,9 @@ def test_ghouila_houri_branch_on_a_core_past_the_cap(monkeypatch):
     calls = []
     original = kernels.ghouila_houri_ok
 
-    def counted(flat, k, n):
-        calls.append((k, n))
-        return original(flat, k, n)
+    def counted(rows):
+        calls.append((len(rows), len(rows[0])))
+        return original(rows)
 
     monkeypatch.setattr(kernels, "ghouila_houri_ok", counted)
     matrices._tu_cached.cache_clear()
@@ -170,7 +170,7 @@ def test_ghouila_houri_branch_on_a_core_past_the_cap(monkeypatch):
 def test_tall_matrices_with_small_cores_skip_ghouila_houri(monkeypatch):
     from cctu import kernels, matrices
 
-    def boom(flat, k, n):
+    def boom(rows):
         raise AssertionError("Ghouila-Houri ran on a core within the cap")
 
     monkeypatch.setattr(kernels, "ghouila_houri_ok", boom)
@@ -304,7 +304,7 @@ def test_subdeterminant_scan_does_not_call_the_public_det_bareiss(monkeypatch):
     witness = non_tu_witness(odd_cycle)
     assert witness is not None and witness[2] == 2
 
-    def boom(flat, n):
+    def boom(rows):
         raise AssertionError("scan called kernels.det_bareiss")
 
     monkeypatch.setattr(kernels, "det_bareiss", boom)

@@ -14,11 +14,10 @@ from cctu.seymour import (
     NetworkRepresentation,
     SumDecomposition,
     _extend_representation,
-    _forms_path,
     _orient_tree_for,
+    _path_ends,
     _pruefer_trees,
     _rank1_factor,
-    _support_path,
     classify,
     find_sum_decomposition,
     k_sum,
@@ -326,7 +325,7 @@ def test_sum_reconstruction_roundtrip_random(rng):
         dec = find_sum_decomposition(mat)
         if dec is None:
             continue
-        assert dec.n_A >= 2 and dec.n_B >= 2
+        assert dec.A.ncols >= 2 and dec.B.ncols >= 2
         assert k_sum(dec).rows == mat.rows
         assert is_totally_unimodular(dec.first_summand())
         assert is_totally_unimodular(dec.second_summand())
@@ -491,21 +490,31 @@ def test_tree_search_matches_the_unfiltered_tree_loop():
     assert found >= 20
 
 
-def test_path_test_agrees_with_the_support_walk_on_small_trees():
+def test_path_ends_agree_with_a_component_walk_on_small_trees():
     for nv in range(3, 7):
         for edges in _pruefer_trees(nv):
             masks = [0] * nv
-            walk = {v: [] for v in range(nv)}
             for idx, (a, b) in enumerate(edges):
                 masks[a] |= 1 << idx
                 masks[b] |= 1 << idx
-                walk[a].append((b, idx))
-                walk[b].append((a, idx))
             for support in range(1 << len(edges)):
-                chosen = [i for i in range(len(edges)) if support >> i & 1]
-                if len(chosen) >= 2:
-                    expected = _support_path(chosen, edges, walk) is not None
-                    assert _forms_path(support, masks) == expected, (edges, chosen)
+                chosen = [edges[i] for i in range(len(edges)) if support >> i & 1]
+                touched = {v for edge in chosen for v in edge}
+                # walk the component of the lowest touched vertex over the chosen edges
+                seen = set(sorted(touched)[:1])
+                stack = list(seen)
+                while stack:
+                    u = stack.pop()
+                    for a, b in chosen:
+                        for x, y in ((a, b), (b, a)):
+                            if x == u and y not in seen:
+                                seen.add(y)
+                                stack.append(y)
+                degree = {v: sum([v in edge for edge in chosen]) for v in touched}
+                expected = None
+                if chosen and seen == touched and max(degree.values()) <= 2:
+                    expected = tuple(sorted([v for v in touched if degree[v] == 1]))
+                assert _path_ends(support, masks) == expected, (edges, chosen)
 
 
 def test_tu_checks_run_only_on_candidates_that_could_be_returned(monkeypatch):
