@@ -22,14 +22,7 @@ from .baseblocks import (
 from .cones import ElementaryDecomposition, decompose_pointed_tu_cone, decompose_solutions
 from .fileio import parse_instance, serialize_instance
 from .generators import generate
-from .matrices import (
-    IntMatrix,
-    TUMatrix,
-    determinant,
-    is_elementary,
-    is_totally_unimodular,
-    is_tu_appendable,
-)
+from .matrices import IntMatrix, TUMatrix, is_totally_unimodular
 from .patterns import (
     Pattern,
     SolveResult,

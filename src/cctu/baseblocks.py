@@ -11,6 +11,9 @@ Pipelines, each run once per solve for the whole target residue set R:
   transposed:  normalize -> constrained tree cuts -> level labeling -> enumerate
   const core:  normalize -> guess core scalar products -> network pipeline
 
+`solve_base_block` normalizes once and hands the result to the pipeline; the
+const-core pipeline's entry point is `solve_const_core(norm)`.
+
 One terminal search over R is exact because the proximity bound does not
 depend on the residue: every residue in R that has a solution has one inside
 the same box (split variables and levels in {0..m-1}, guesses in (-m, m)^l),
@@ -296,32 +299,6 @@ def _nets_to_flows(ccc, edges, nets):
     return tuple(flows)
 
 
-def solution_to_circulation(ccc, rep, xhat):
-    """Forward mapping: a normalized solution (entries in {0..m-1}) to a
-    feasible circulation of equal residue.
-
-    Routes x(e) units along the reverse column arc and its tree path, then
-    cancels flow on antiparallel tree-arc pairs; feasibility of x within the
-    proximity box makes the capacities work out.
-    """
-    ntree = len(rep.tree_arcs)
-    flows = [0] * len(ccc.arcs)
-    adj = tree_adjacency(rep.nvertices, rep.tree_arcs)
-    for j, (v, w) in enumerate(rep.col_arcs):
-        x = xhat[j]
-        flows[2 * ntree + j] += x  # reverse column arc (w, v)
-        for idx, sgn in tree_path(adj, v, w):
-            if sgn == 1:
-                flows[idx] += x
-            else:
-                flows[ntree + idx] += x
-    for idx in range(ntree):
-        cancel = min(flows[idx], flows[ntree + idx])
-        flows[idx] -= cancel
-        flows[ntree + idx] -= cancel
-    return tuple(flows)
-
-
 def circulation_residue(ccc, flows):
     return sum(e * f for e, f in zip(ccc.eta, flows)) % ccc.m
 
@@ -507,7 +484,19 @@ def _stems(mat, log):
     )
 
 
-def _const_core_solve(norm, budget):
+def solve_const_core(norm, budget=DEFAULT_ENUM_BUDGET):
+    """Solve the normalized instance `norm`, for all of norm.R at once, when
+    its constraint matrix has a small core, by guessing the core-column
+    scalar products.  Returns a point of the original instance, or None.
+
+    Each guess pins s_i.x for the stem-support rows s_i, which determines the
+    rows stemming from the core; replacing them by the guess rows yields a
+    system that is a network matrix (and a transposed one), solved by the
+    circulation pipeline.  (2m-1)^l guesses for an l-column core, all inside
+    the proximity box, so one pass serves every target residue.  Only the
+    right-hand side depends on the guess, so the guessed matrix is built and
+    recognized once.
+    """
     core, log = reduce_to_core(norm.T)
     ell = core.ncols
     if ell > CORE_COL_CAP:
@@ -562,21 +551,6 @@ def _const_core_solve(norm, budget):
     return None
 
 
-def solve_const_core(inst, budget=DEFAULT_ENUM_BUDGET):
-    """Solve `inst`, for all of inst.R at once, when its constraint matrix
-    has a small core, by guessing the core-column scalar products.
-
-    Each guess pins s_i.x for the stem-support rows s_i, which determines the
-    rows stemming from the core; replacing them by the guess rows yields a
-    system that is a network matrix (and a transposed one), solved by the
-    circulation pipeline.  (2m-1)^l guesses for an l-column core, all inside
-    the proximity box, so one pass serves every target residue.  Only the
-    right-hand side depends on the guess, so the guessed matrix is built and
-    recognized once.
-    """
-    return _const_core_solve(normalize(inst), budget)
-
-
 def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET, *, vertex=None):
     """Dispatch a base-block R-CCTUF/CCTU instance through its reduction.
 
@@ -596,7 +570,7 @@ def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET, *, vertex=None):
     elif cls.tag == "transposed_network":
         x = _transposed_solve(norm, _split_transposed(cls.network), budget)
     else:
-        x = _const_core_solve(norm, budget)
+        x = solve_const_core(norm, budget)
     if x is not None and not inst.is_feasible_point(x):
         raise SolutionCheckError(f"base-block point {x} is infeasible")
     return x

@@ -35,11 +35,20 @@ EXIT_INPUT = 2
 EXIT_SCALE = 3
 EXIT_CHECK = 4
 
+
+def positive_int(text):
+    """argparse type for counts and budgets that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 # flags shared by several subcommands; each subcommand takes only those it reads
 FLAGS = {
     "input": {"required": True, "help": "instance file"},
     "skip-tu-check": {"action": "store_true", "help": "trust the input matrix"},
-    "max-enum": {"type": int, "default": 4_000_000, "help": "enumeration budget"},
+    "max-enum": {"type": positive_int, "default": 4_000_000, "help": "enumeration budget"},
     "json": {"action": "store_true", "help": "machine-readable output"},
     "output": {"help": "write results/artifacts here"},
     "seed": {"type": int, "default": 0},
@@ -116,11 +125,7 @@ def _emit(args, report):
 def cmd_solve(args):
     inst = _load(args)
     start = time.perf_counter()
-    try:
-        res = solve_rcctuf(inst, args.max_enum)
-    except ScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCALE
+    res = solve_rcctuf(inst, args.max_enum)
     elapsed = time.perf_counter() - start
     if res.status == "feasible":
         check = verify_solution(inst, res.x)
@@ -144,11 +149,7 @@ def cmd_solve(args):
 def cmd_oracle(args):
     inst = _load(args)
     start = time.perf_counter()
-    try:
-        out = oracle_solve(inst, args.max_enum)
-    except ScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCALE
+    out = oracle_solve(inst, args.max_enum)
     report = SolveReport(out.status, out.x, out.value, {}, time.perf_counter() - start, "oracle")
     _emit(args, report)
     return EXIT_OK if out.status in ("feasible", "unbounded") else EXIT_INFEASIBLE
@@ -197,11 +198,7 @@ def cmd_decompose(args):
         else:
             print(f"{pad}{label}: {cls.tag.replace('_', ' ')}")
 
-    try:
-        tree(inst.P.T, 0, "T")
-    except ScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCALE
+    tree(inst.P.T, 0, "T")
     return EXIT_OK
 
 
@@ -275,11 +272,9 @@ def cmd_verify(args):
     try:
         x = tuple([int(t) for t in args.x.replace(",", " ").split()])
     except ValueError:
-        print("error: --x must be a comma- or space-separated integer vector", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error("--x must be a comma- or space-separated integer vector")
     if len(x) != inst.nvars:
-        print(f"error: expected {inst.nvars} coordinates", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(f"expected {inst.nvars} coordinates")
     report = verify_solution(inst, x)
     print(report.describe())
     return EXIT_OK if report.ok else EXIT_INFEASIBLE

@@ -21,15 +21,13 @@ same small matrices constantly.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from operator import mul
 from typing import NamedTuple
 
 from . import kernels
-from .errors import DimensionError, ScaleError
+from .errors import DimensionError
 
 EXHAUSTIVE_CAP = 8  # exhaustive subdeterminant scan up to this order
-ELEMENTARY_ENUM_CAP = 14  # hard cap on 3^n candidate-row enumeration
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,6 @@ class IntMatrix:
             tuple([tuple([self.rows[i][j] for j in col_idx]) for i in row_idx]), len(col_idx)
         )
 
-    def with_row(self, extra):
-        if len(extra) != self.ncols:
-            raise DimensionError("row length mismatch")
-        return IntMatrix(self.rows + (tuple([int(v) for v in extra]),), self.ncols)
-
     def mul_vec(self, x):
         if len(x) != self.ncols:
             raise DimensionError("vector length mismatch")
@@ -98,13 +91,6 @@ class IntMatrix:
         return IntMatrix(
             tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]), n
         )
-
-
-def determinant(mat):
-    """Exact determinant of a square IntMatrix (fraction-free elimination)."""
-    if mat.nrows != mat.ncols:
-        raise DimensionError(f"determinant of a {mat.nrows}x{mat.ncols} matrix")
-    return kernels.det_bareiss(mat.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -260,46 +246,3 @@ class TUMatrix:
     @property
     def ncols(self):
         return self.matrix.ncols
-
-
-def is_tu_appendable(tu, d):
-    """True iff appending the row d^T to `tu` keeps the matrix TU."""
-    mat = tu.matrix if isinstance(tu, TUMatrix) else tu
-    if len(d) != mat.ncols:
-        raise DimensionError("appended row length mismatch")
-    if any(v not in (-1, 0, 1) for v in d):
-        return False
-    return _tu_cached(mat.with_row(d).rows)
-
-
-def tu_appendable_rows(tu):
-    """All rows d in {-1,0,1}^n that are TU-appendable, in lexicographic order.
-
-    Enumeration support for tests; capped at ELEMENTARY_ENUM_CAP columns.
-    """
-    mat = tu.matrix if isinstance(tu, TUMatrix) else tu
-    n = mat.ncols
-    if n > ELEMENTARY_ENUM_CAP:
-        raise ScaleError(f"3^{n} candidate rows exceeds the enumeration cap")
-    return [d for d in product((-1, 0, 1), repeat=n) if is_tu_appendable(mat, d)]
-
-
-def is_elementary(tu, x):
-    """True iff d^T x is in {-1, 0, 1} for every TU-appendable row d.
-
-    Decided by enumerating candidate rows in {-1,0,1}^n and filtering by
-    TU-appendability; a test-support operation, capped at
-    ELEMENTARY_ENUM_CAP variables.
-    """
-    mat = tu.matrix if isinstance(tu, TUMatrix) else tu
-    if len(x) != mat.ncols:
-        raise DimensionError("vector length mismatch")
-    n = len(x)
-    if n > ELEMENTARY_ENUM_CAP:
-        raise ScaleError(f"3^{n} candidate rows exceeds the enumeration cap")
-    for d in product((-1, 0, 1), repeat=n):
-        if sum(a * v for a, v in zip(d, x)) in (-1, 0, 1):
-            continue
-        if is_tu_appendable(mat, d):
-            return False
-    return True

@@ -86,10 +86,6 @@ class Split:
     def n_a(self):
         return len(self.a_cols)
 
-    @property
-    def n_b(self):
-        return len(self.b_cols)
-
     def _direction(self, cols, coeffs):
         d = [0] * self.inst.nvars
         for j, v in zip(cols, coeffs):

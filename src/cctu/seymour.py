@@ -619,16 +619,14 @@ def classify(tu):
 
 @dataclass(frozen=True)
 class PivotMaps:
-    """x = Q y for the unimodular column-operation matrix Q."""
+    """x = Q y for the unimodular column-operation matrix Q; Qinv, its
+    integer inverse, certifies that the map is a bijection on integer points."""
 
     Q: IntMatrix
     Qinv: IntMatrix
 
     def to_original(self, y):
         return self.Q.mul_vec(y)
-
-    def to_pivoted(self, x):
-        return self.Qinv.mul_vec(x)
 
 
 def pivot_transform_instance(inst, i, j):

@@ -46,10 +46,6 @@ class Interval:
     last: int
     removed_residue: int
 
-    @property
-    def size(self):
-        return self.last - self.first + 1
-
 
 def max_removable_interval(g, S, allow_singleton=False):
     """Largest interval (at least two positions) whose removal leaves the sum

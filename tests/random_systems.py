@@ -8,6 +8,13 @@ from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import Polyhedron, RCctufInstance
 
 
+def boxed(tu, b, bound):
+    """The polyhedron tu x <= b with every variable in [-bound, bound]."""
+    eye = IntMatrix.identity(tu.ncols).rows
+    rows = eye + tuple([tuple([-v for v in r]) for r in eye])
+    return Polyhedron(tu, b).with_rows(rows, [bound] * len(rows))
+
+
 def random_tu_matrix(rng, k, n):
     """Random network-style TU matrix: rows are tree arcs of a path/tree on
     n+1-ish vertices, columns are path incidence vectors.  Cheap to generate

@@ -12,13 +12,7 @@ from itertools import combinations
 from cctu.cones import decompose_solutions
 from cctu.errors import InfeasibleRelaxationError, ScaleError
 from cctu.generators import KINDS, generate, random_network_matrix
-from cctu.matrices import (
-    IntMatrix,
-    TUMatrix,
-    is_elementary,
-    is_totally_unimodular,
-    tu_appendable_rows,
-)
+from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular
 from cctu.patterns import residue_sumset, solve_rcctuf
 from cctu.polyhedra import (
     Polyhedron,
@@ -31,6 +25,8 @@ from cctu.polyhedra import (
 from cctu.seymour import classify, find_sum_decomposition, k_sum, pivot
 from cctu.shortening import ResidueGroups, shorten_residue_sum
 from cctu.structure import find_flat_or_solve, proximal_solution
+from random_systems import boxed
+from reference import is_elementary, tu_appendable_rows
 
 PASS = "ACCEPTANCE {num}: PASS - {what}"
 
@@ -229,11 +225,7 @@ def test_criterion_4_elementary_decomposition():
         k = rng.randint(1, n + 2)
         T = random_network_matrix(rng, k, n)
         b = tuple(rng.randint(-5, 5) for _ in range(k))
-        P = Polyhedron(TUMatrix.trusted(T), b).with_rows(
-            [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-            + [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)],
-            [6] * (2 * n),
-        )
+        P = boxed(TUMatrix.trusted(T), b, 6)
         x0 = integral_feasible_point(P)
         if x0 is None:
             continue

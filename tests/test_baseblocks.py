@@ -20,9 +20,11 @@ from cctu.baseblocks import (
 )
 from cctu.generators import random_network_matrix
 from cctu.matrices import IntMatrix, TUMatrix
+from cctu.patterns import solve_rcctuf
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
 from cctu.seymour import SPECIAL_CORES, classify, recognize_network_matrix, reduce_to_core
-from random_systems import random_tu_matrix
+from random_systems import boxed, random_tu_matrix
+from reference import is_tu_appendable, solution_to_circulation
 
 
 def test_normalize_shifts_and_splits():
@@ -170,11 +172,7 @@ def network_instance(rng, n=3, k=3, m=3, rsize=1):
     b = tuple(rng.randint(0, 4) for _ in range(k))
     gamma = tuple(rng.randint(-3, 3) for _ in range(n))
     R = frozenset(rng.sample(range(m), rsize))
-    P = Polyhedron(TUMatrix.trusted(T), b).with_rows(
-        [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        + [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)],
-        [4] * (2 * n),
-    )
+    P = boxed(TUMatrix.trusted(T), b, 4)
     return RCctufInstance(P, gamma, m, R)
 
 
@@ -202,11 +200,7 @@ def transposed_instance(rng, n=2, k=3, m=3):
     T = random_tu_matrix(rng, n, k).transpose()  # k x n transpose of network
     b = tuple(rng.randint(0, 3) for _ in range(k))
     gamma = tuple(rng.randint(-3, 3) for _ in range(n))
-    P = Polyhedron(TUMatrix.trusted(T), b).with_rows(
-        [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        + [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)],
-        [3] * (2 * n),
-    )
+    P = boxed(TUMatrix.trusted(T), b, 3)
     return RCctufInstance(P, gamma, m, frozenset(rng.sample(range(m), rng.randint(1, m - 1))))
 
 
@@ -253,11 +247,7 @@ def test_const_core_instance_matches_oracle():
         b = tuple(rng.randint(0, 2) for _ in range(5))
         gamma = tuple(rng.randint(-2, 2) for _ in range(5))
         m = 3
-        P = Polyhedron(TUMatrix.trusted(base), b).with_rows(
-            [tuple(1 if j == i else 0 for j in range(5)) for i in range(5)]
-            + [tuple(-1 if j == i else 0 for j in range(5)) for i in range(5)],
-            [2] * 10,
-        )
+        P = boxed(TUMatrix.trusted(base), b, 2)
         inst = RCctufInstance(P, gamma, m, frozenset({rng.randrange(m)}))
         cls = classify(inst.P.T)
         assert cls.tag == "constant_core"
@@ -276,11 +266,7 @@ def test_const_core_recognizes_the_guessed_matrix_once(monkeypatch):
         return recognize_network_matrix(mat)
 
     monkeypatch.setattr(bb, "recognize_network_matrix", counting)
-    P = Polyhedron(TUMatrix.trusted(SPECIAL_CORES[0]), (1, 2, 0, 1, 2)).with_rows(
-        [tuple(1 if j == i else 0 for j in range(5)) for i in range(5)]
-        + [tuple(-1 if j == i else 0 for j in range(5)) for i in range(5)],
-        [2] * 10,
-    )
+    P = boxed(TUMatrix.trusted(SPECIAL_CORES[0]), (1, 2, 0, 1, 2), 2)
     inst = RCctufInstance(P, (1, -2, 0, 2, 1), 3, frozenset({0, 2}))
     cls = classify(inst.P.T)
     assert cls.tag == "constant_core"
@@ -289,6 +275,26 @@ def test_const_core_recognizes_the_guessed_matrix_once(monkeypatch):
     assert (x is None) == (oracle_solve(inst).status == "infeasible")
     if x is not None:
         assert inst.is_feasible_point(x)
+
+
+def test_solver_reaches_const_core_through_its_module_binding(monkeypatch):
+    """solve_rcctuf reaches the const-core pipeline through the module
+    attribute, which is what a tracer rebinds."""
+    calls = []
+    solve_const_core = bb.solve_const_core
+
+    def counting(norm, budget):
+        calls.append(norm)
+        return solve_const_core(norm, budget)
+
+    monkeypatch.setattr(bb, "solve_const_core", counting)
+    P = boxed(TUMatrix.trusted(SPECIAL_CORES[0]), (1, 2, 0, 1, 2), 2)
+    inst = RCctufInstance(P, (1, -2, 0, 2, 1), 3, frozenset({2}))
+    assert classify(inst.P.T).tag == "constant_core"
+    res = solve_rcctuf(inst)
+    assert len(calls) == 1
+    assert res.status == oracle_solve(inst).status == "feasible"
+    assert inst.is_feasible_point(res.x)
 
 
 def test_stems_name_the_core_line_and_sign_of_every_line():
@@ -310,6 +316,7 @@ OPTIMIZED_CHECK = """
 import cctu.baseblocks as bb
 from cctu.errors import CctuError
 from cctu.matrices import IntMatrix, TUMatrix
+from cctu.patterns import solve_rcctuf
 from cctu.polyhedra import Polyhedron, RCctufInstance
 from cctu.seymour import classify
 
@@ -346,7 +353,6 @@ def test_infeasible_relaxation_returns_none(rng):
 def test_circulation_solution_roundtrip(rng):
     """Forward and backward mappings between box solutions and circulations
     preserve feasibility and residue."""
-    from cctu.baseblocks import solution_to_circulation
     from itertools import product as iproduct
 
     done = 0
@@ -386,7 +392,7 @@ def test_three_sum_border_rows_are_tu_appendable():
     import random as _r
 
     from cctu.generators import generate
-    from cctu.matrices import is_tu_appendable, is_totally_unimodular
+    from cctu.matrices import is_totally_unimodular
     from cctu.seymour import find_sum_decomposition
 
     found = 0
@@ -407,7 +413,7 @@ def test_three_sum_border_rows_are_tu_appendable():
         stacked = mat
         for d in (d_f, d_h, d_hf):
             assert is_tu_appendable(stacked, d)
-            stacked = stacked.with_row(d)
+            stacked = IntMatrix(stacked.rows + (tuple(d),), stacked.ncols)
         assert is_totally_unimodular(stacked)
         found += 1
     assert found >= 3

@@ -4,9 +4,10 @@ import pytest
 
 from cctu.cones import decompose_pointed_tu_cone, decompose_solutions
 from cctu.errors import CctuError
-from cctu.matrices import IntMatrix, TUMatrix, is_elementary
+from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import Polyhedron, integral_feasible_point, lp_optimize
-from random_systems import random_tu_matrix
+from random_systems import boxed, random_tu_matrix
+from reference import is_elementary
 
 
 def test_zero_point_gives_zero_coefficients():
@@ -73,11 +74,7 @@ def test_equal_points_decompose_trivially():
 def _bounded_system(rng, n, k):
     T = random_tu_matrix(rng, k, n)
     b = tuple(rng.randint(-3, 6) for _ in range(k))
-    P = Polyhedron(TUMatrix.trusted(T), b).with_rows(
-        [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        + [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)],
-        [6] * (2 * n),
-    )
+    P = boxed(TUMatrix.trusted(T), b, 6)
     return P
 
 

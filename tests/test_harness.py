@@ -447,6 +447,40 @@ def test_cli_fuzz_keeps_the_range_ends(capsys):
     assert capsys.readouterr().out.startswith("0/0 oracle-vs-solver agreements")
 
 
+# one variable in [0, 5] with its optimal vertex x = 0 outside R, so every
+# answer needs the 5-point proximity box (m - |R| = 2 on each side)
+BOXED_ONE = "rows 2\ncols 1\nT\n1\n-1\nb 5 0\ngamma 1\nm 3\nR 1\nc 1\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "proximity"])
+def test_cli_budget_overrun_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "boxed.txt"
+    path.write_text(BOXED_ONE)
+    assert main([command, "--input", str(path), "--max-enum", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: box of 5 points exceeds budget 1\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "inst.txt"],
+        ["oracle", "--input", "inst.txt"],
+        ["proximity", "--input", "inst.txt"],
+        ["fuzz", "-n", "3"],
+    ],
+    ids=["solve", "oracle", "proximity", "fuzz"],
+)
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_rejects_a_max_enum_below_one(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-enum", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --max-enum: must be at least 1, not {budget}" in captured.err
+    assert captured.out == ""
+
+
 # sha256 of generator output.  Every benchmark corpus is drawn from the
 # generators, so a change to these digests re-draws the corpora.
 INSTANCE_DIGESTS = {

@@ -14,7 +14,7 @@ from cctu.polyhedra import (
     search_box,
     width,
 )
-from random_systems import random_instance, random_tu_matrix
+from random_systems import boxed, random_instance, random_tu_matrix
 
 
 def box_1d(lo, hi):
@@ -54,11 +54,7 @@ def test_lp_vertices_integral_on_random_tu_systems():
         T = random_tu_matrix(rng, k, n)
         b = tuple(rng.randint(-4, 6) for _ in range(k))
         # bound the polyhedron so the optimum exists
-        P = Polyhedron(TUMatrix.trusted(T), b).with_rows(
-            [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-            + [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)],
-            [7] * (2 * n),
-        )
+        P = boxed(TUMatrix.trusted(T), b, 7)
         c = tuple(rng.randint(-3, 3) for _ in range(n))
         out = lp_optimize(P, c, "min")
         if out.tag == "optimal":
@@ -73,11 +69,7 @@ def test_lp_optimum_matches_bruteforce_on_boxes():
         k = rng.randint(1, 4)
         T = random_tu_matrix(rng, k, n)
         b = tuple(rng.randint(-3, 5) for _ in range(k))
-        P = Polyhedron(TUMatrix.trusted(T), b).with_rows(
-            [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-            + [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)],
-            [4] * (2 * n),
-        )
+        P = boxed(TUMatrix.trusted(T), b, 4)
         c = tuple(rng.randint(-3, 3) for _ in range(n))
         pts = [x for x in product(range(-4, 5), repeat=n) if P.contains(x)]
         out = lp_optimize(P, c, "min")

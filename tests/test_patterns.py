@@ -95,7 +95,7 @@ def test_split_combines_to_feasible_points(rng):
         if lp_optimize(inst.P, (0,) * inst.nvars, "min").tag != "optimal":
             continue
         split = oriented_split(inst)
-        assert split.n_b <= split.n_a
+        assert len(split.b_cols) <= split.n_a
         # residue split: gamma splits exactly across the two sides
         x = tuple(rng.randint(-1, 1) for _ in range(inst.nvars))
         xa = tuple(x[c] for c in split.a_cols)
@@ -153,7 +153,7 @@ def test_pattern_matches_bruteforce_residue_scan(rng):
             # listed; every listed residue carries a verifying witness
             sub = split.b_problem(alpha, beta, range(inst.m))
             windowed = set()
-            for x in product(range(-5, 6), repeat=split.n_b):
+            for x in product(range(-5, 6), repeat=len(split.b_cols)):
                 if sub.P.contains(x):
                     windowed.add(split.gamma_b(x))
             assert pattern.complete[cell]
@@ -349,7 +349,7 @@ def test_solver_optimization_matches_oracle(rng):
         (bb.normalize, {1}),
         (lambda inst: bb.solve_base_block(inst, classify(inst.P.T)), {1}),
         (lambda inst: bb.solve_network_cctu(inst, recognize_network_matrix(inst.P.T.matrix)), {1}),
-        (bb.solve_const_core, {1}),
+        (lambda inst: bb.solve_const_core(bb.normalize(inst)), {1}),
         (eliminate_tight_variable, {1}),
         (lambda inst: pivot_transform_instance(inst, 0, 0), {1}),
         # |R| = m - 1, so the residue-count check cannot fire first; one

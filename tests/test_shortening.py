@@ -31,7 +31,7 @@ def test_interval_spanning_two_chunks():
     # chunks (2,2),(1,2): total 6 = 0 mod 3; the whole sum is the best removal
     g = ResidueGroups(((2, 2), (1, 2)), 3, frozenset({0}))
     iv = max_removable_interval(g, {0})
-    assert (iv.first, iv.last) == (1, 4) and iv.size == 4
+    assert (iv.first, iv.last) == (1, 4) and iv.last - iv.first + 1 == 4
 
 
 def exhaustive_best_interval(groups, m, S):
@@ -61,7 +61,7 @@ def test_interval_size_matches_exhaustive_scan():
         if best is None:
             assert iv is None
         else:
-            assert iv is not None and iv.size == best
+            assert iv is not None and iv.last - iv.first + 1 == best
 
 
 def test_shorten_keeps_short_sums():

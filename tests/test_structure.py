@@ -8,7 +8,7 @@ import pytest
 
 from cctu import structure
 from cctu.errors import InfeasibleRelaxationError
-from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular, tu_appendable_rows
+from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular
 from cctu.patterns import solve_rcctuf
 from cctu.polyhedra import (
     Polyhedron,
@@ -27,6 +27,7 @@ from cctu.structure import (
     solve_unconstrained_congruence,
 )
 from random_systems import polyhedron_with_implicit_equalities, random_instance
+from reference import tu_appendable_rows
 
 
 def interval(lo, hi, gamma, m, R, c=None):
