@@ -1,14 +1,31 @@
 """Exact simplex and elimination over integer data, without fractions.
 
-Two-phase primal simplex with Bland's rule on a fraction-free integer
-tableau.  Free variables are split (x = u - v), inequalities get slacks, rows
-with negative right-hand side get artificials in phase 1.  The tableau keeps
-integer entries D * B^-1 [A | rhs] and integer reduced costs under one common
-denominator D > 0; a pivot on p rewrites every other row as
-(p * a - f * q) / D, which is exact by Sylvester's identity (Edmonds 1967,
-Bareiss 1968), and then sets D = p.  Over TU systems every pivot is +-1, so D
-stays 1 and vertices come back as plain ints; on other integer data the
-results are still exact, as numerators over one denominator.
+Two-phase primal simplex with bounded variables and Bland's rule on a
+fraction-free integer tableau.
+
+A row with a single entry of +-1 is a bound l_j <= x_j <= u_j, not a tableau
+row: the tightest bound on each variable wins, crossed bounds and a zero row
+with negative right-hand side make the LP infeasible at once, and a zero row
+with b >= 0 is dropped.  A single entry of |a| >= 2 stays a general row, so
+non-TU data stays exact.  The tableau holds the general rows with one slack
+each; free variables are not split.
+
+Every variable starts at the point of [l_j, u_j] nearest 0, so x = 0 when it
+lies within the bounds.  A tableau column holds y_j with x_j = off_j +
+sgn_j * y_j, and every nonbasic y_j sits at 0.  A variable at its upper bound
+is complemented (sgn_j = -1, off_j = u_j), so it too moves up from 0 and a
+bound flip is a column negation plus a rhs update, not a pivot.  A nonbasic
+variable strictly inside its bounds (only ever at its start point) may move
+either way; it is complemented before it enters downwards.  General rows
+that the start point violates get artificials in phase 1.
+
+The tableau keeps integer entries D * B^-1 [A | rhs] and integer reduced
+costs under one common denominator D > 0; a pivot on p rewrites every other
+row as (p * a - f * q) / D, which is exact by Sylvester's identity (Edmonds
+1967, Bareiss 1968), and then sets D = p.  [T; I; -I] is TU whenever T is
+(Schrijver 1986, Sec. 19), so over TU systems every pivot is +-1, D stays 1
+and points come back as plain ints; on other integer data the results are
+still exact, as numerators over one denominator.
 
 With D = 1 and a pivot of +-1 the update is a plain row subtraction, so
 `pivot` then touches only the rows with a nonzero entry in the pivot column,
@@ -45,39 +62,92 @@ def solve_lp(rows, b, c, sense="min"):
     rows: sequence of integer row tuples (possibly empty), b: ints, c: ints.
     """
     n = len(c)
-    k = len(rows)
     if sense == "max":
         res = solve_lp(rows, b, [-v for v in c], "min")
         if res.status == "optimal":
             return LpResult("optimal", res.x, -res.value, den=res.den)
         return res
 
-    # Standard form: columns = u (n) | v (n) | slacks (k) | artificials | rhs.
-    ncols = 2 * n + k
-    nart = sum(1 for bv in b if bv < 0)
+    # Fold the single-variable rows into bounds: lo <= x <= hi, None for an
+    # infinite bound.
+    lo = [None] * n
+    hi = [None] * n
+    general = []
+    rhs = []
+    for r, bv in zip(rows, b):
+        zeros = r.count(0)
+        if zeros == n:
+            if bv < 0:
+                return LpResult("infeasible")
+            continue
+        if zeros == n - 1:
+            if 1 in r:
+                j = r.index(1)
+                if hi[j] is None or bv < hi[j]:
+                    hi[j] = bv
+                continue
+            if -1 in r:
+                j = r.index(-1)
+                if lo[j] is None or -bv > lo[j]:
+                    lo[j] = -bv
+                continue
+        general.append(r)
+        rhs.append(bv)
+
+    # Start each variable at the point of its bounds nearest 0, complemented
+    # when that is its upper bound; lo, hi become the bounds of y.
+    off = [0] * n
+    sgn = [1] * n
+    for j in range(n):
+        l = lo[j]
+        u = hi[j]
+        if u is None:
+            if l is not None and l > 0:
+                off[j] = l
+                lo[j] = 0
+        elif l is None:
+            if u <= 0:
+                off[j], sgn[j], lo[j], hi[j] = u, -1, 0, None
+        elif l > u:
+            return LpResult("infeasible")
+        elif l > 0:
+            off[j], lo[j], hi[j] = l, 0, u - l
+        elif u < 0 or (u == 0 and l < 0):
+            off[j], sgn[j], lo[j], hi[j] = u, -1, 0, u - l
+
+    # Columns: y (n) | slacks (k) | artificials | rhs.
+    k = len(general)
+    ncols = n + k
+    if any(off):
+        rhs = [bv - sum([a * o for a, o in zip(r, off)]) for r, bv in zip(general, rhs)]
+    nart = sum(1 for bv in rhs if bv < 0)
     width = ncols + nart + 1
+    lo += [0] * (k + nart)
+    hi += [None] * (k + nart)
+    bounds = (lo, hi, off, sgn)
+    complemented = -1 in sgn
     tab = []
     basis = []
     art = ncols
-    for i in range(k):
-        r = rows[i]
-        row = [*r, *[-v for v in r], *[0] * (width - 2 * n)]
-        row[2 * n + i] = 1
-        row[-1] = b[i]
-        if b[i] < 0:
+    for i, r in enumerate(general):
+        row = [a * s for a, s in zip(r, sgn)] if complemented else list(r)
+        row += [0] * (width - n)
+        row[n + i] = 1
+        bv = row[-1] = rhs[i]
+        if bv < 0:
             row = [-v for v in row]
             row[art] = 1
             basis.append(art)
             art += 1
         else:
-            basis.append(2 * n + i)
+            basis.append(n + i)
         tab.append(row)
 
     den = 1
     if nart:
         phase1 = [0] * ncols + [1] * nart + [0]
         tab.append(_reduced_costs(tab, basis, phase1, den))
-        status, den = _simplex(tab, basis, den, allowed=ncols + nart)
+        status, den = _simplex(tab, basis, den, ncols + nart, bounds)
         if status != "optimal":
             raise CctuError("phase-1 simplex reported an unbounded sum of artificials")
         if any(tab[i][-1] for i in range(k) if basis[i] >= ncols):
@@ -86,18 +156,21 @@ def solve_lp(rows, b, c, sense="min"):
         den = _pivot_out_artificials(tab, basis, ncols, den)
         # Artificials never re-enter, and a row that kept one is zero on every
         # structural column, so neither takes part in phase 2.
-        keep = [i for i in range(k) if basis[i] < ncols]
-        tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
+        if max(basis) >= ncols:
+            keep = [i for i in range(k) if basis[i] < ncols]
+            tab = [tab[i] for i in keep]
+            basis = [basis[i] for i in keep]
+        for row in tab:
+            del row[ncols:-1]
 
-    cost = [*c, *[-v for v in c], *[0] * (k + 1)]
+    cost = [cj * s for cj, s in zip(c, sgn)] + [0] * (k + 1)
     tab.append(_reduced_costs(tab, basis, cost, den))
-    status, den = _simplex(tab, basis, den, allowed=ncols)
-    z = [0] * ncols
+    status, den = _simplex(tab, basis, den, ncols, bounds)
     if status == "optimal":
+        x = [den * o for o in off]
         for i, j in enumerate(basis):
-            z[j] = tab[i][-1]
-        x = [z[j] - z[n + j] for j in range(n)]
+            if j < n:
+                x[j] += sgn[j] * tab[i][-1]
         g = gcd(den, *x)
         if g > 1:
             x = [v // g for v in x]
@@ -105,12 +178,20 @@ def solve_lp(rows, b, c, sense="min"):
         value = sum(cj * xj for cj, xj in zip(c, x))
         value = value if den == 1 else Fraction(value, den)
         return LpResult("optimal", tuple(x), value, den=den)
-    # Unbounded: the entering column gives an improving ray, scaled by den.
+    # Unbounded: y_enter grows by den, and each basic y by minus its entry.
     enter = status
-    z[enter] = den
+    ray = [0] * n
+    if enter < n:
+        ray[enter] = sgn[enter] * den
     for i, j in enumerate(basis):
-        z[j] = -tab[i][enter]
-    return LpResult("unbounded", ray=_primitive([z[j] - z[n + j] for j in range(n)]))
+        if j < n:
+            ray[j] = -sgn[j] * tab[i][enter]
+    return LpResult("unbounded", ray=_primitive(ray))
+
+
+def _neg(v):
+    """-v, with None standing for an infinite bound."""
+    return None if v is None else -v
 
 
 def _reduced_costs(tab, basis, cost, den):
@@ -123,38 +204,106 @@ def _reduced_costs(tab, basis, cost, den):
     return red
 
 
-def _simplex(tab, basis, den, allowed):
-    """Bland-rule simplex on a fraction-free tableau whose last row holds the
-    reduced costs.
+def _simplex(tab, basis, den, allowed, bounds):
+    """Bounded-variable Bland-rule simplex on a fraction-free tableau whose
+    last row holds the reduced costs.
 
+    `bounds` is (lo, hi, off, sgn) per column, as in the module docstring;
+    the simplex keeps them current as it complements and shifts columns.
     Entering columns are restricted to indices < allowed (phase 2 excludes
-    artificials this way).  Returns (status, den): status is "optimal" or the
-    entering column index on unboundedness.
+    artificials this way).  The entering column is the first whose reduced
+    cost d improves: d < 0 where y can rise, d > 0 where y can fall (then
+    the column is complemented first).  The step stops at the first bound
+    it meets: a basic y leaves at its bound, ties going to the lowest
+    column index, or, when its own bound comes no later, the entering y
+    flips to it without a pivot.  Returns (status, den): status is "optimal" or
+    the entering column index on unboundedness.
+
+    Termination.  A nonbasic y strictly inside its bounds is at its start
+    point.  When it enters it either becomes basic or flips to a bound, and
+    a basic y leaves only at a bound, so it never returns to the interior:
+    there are at most n such entries.  A flip and a pivot with a positive
+    step strictly lower the objective, and the basis together with the bound
+    each nonbasic y sits at fixes the point, so a run that does not end
+    cycles through degenerate pivots at one point after its last interior
+    entry.  Every column that enters and leaves in that cycle sits at a
+    bound of the point.  Measured from that bound it is a nonnegative
+    variable of a standard-form LP whose tableaux are the cycle's up to
+    column signs, and the cycle would be a cycle of Bland's rule there,
+    which Bland (1977) rules out.
     """
+    lo, hi, off, sgn = bounds
     k = len(basis)
     red = tab[-1]
     while True:
         enter = -1
         for j in range(allowed):
-            if red[j] < 0:
+            d = red[j]
+            if (d < 0 and hi[j] != 0) or (d > 0 and lo[j] != 0):
                 enter = j
                 break
         if enter < 0:
             return "optimal", den
-        # min ratio rhs/a over a > 0, compared by cross-multiplication
+        if red[enter] > 0:  # y falls: complement it so that it rises
+            for row in tab:
+                row[enter] = -row[enter]
+            sgn[enter] = -sgn[enter]
+            lo[enter], hi[enter] = _neg(hi[enter]), _neg(lo[enter])
+        # min ratio over the bounds the step meets, by cross-multiplication
+        h = hi[enter]
         leave = -1
+        best_n, best_a = h, 1
         for i in range(k):
             a = tab[i][enter]
             if a > 0:
-                if leave < 0:
-                    leave, best_r, best_a = i, tab[i][-1], a
+                bnd = lo[basis[i]]
+                if bnd is None:
                     continue
-                lhs = tab[i][-1] * best_a
-                rhs = best_r * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_r, best_a = i, tab[i][-1], a
-        if leave < 0:
+                num = tab[i][-1] - den * bnd
+            elif a < 0:
+                bnd = hi[basis[i]]
+                if bnd is None:
+                    continue
+                num = den * bnd - tab[i][-1]
+                a = -a
+            else:
+                continue
+            if best_n is None:
+                leave, best_n, best_a = i, num, a
+                continue
+            lhs = num * best_a
+            rhs = best_n * a
+            if lhs < rhs or (lhs == rhs and leave >= 0 and basis[i] < basis[leave]):
+                leave, best_n, best_a = i, num, a
+        if best_n is None:
             return enter, den
+        if leave < 0:  # y_enter reaches its own bound h: y = h - y'
+            for row in tab:
+                a = row[enter]
+                if a:
+                    row[-1] -= a * h
+                    row[enter] = -a
+            off[enter] += sgn[enter] * h
+            sgn[enter] = -sgn[enter]
+            lo[enter], hi[enter] = 0, None if lo[enter] is None else h - lo[enter]
+            continue
+        j = basis[leave]
+        row = tab[leave]
+        if row[enter] > 0:  # y_j falls to lo_j: shift so that it sits at 0
+            bnd = lo[j]
+            if bnd:
+                row[-1] -= den * bnd
+                off[j] += sgn[j] * bnd
+                hi[j] = None if hi[j] is None else hi[j] - bnd
+                lo[j] = 0
+        else:  # y_j rises to hi_j: complement it, y_j = hi_j - y'
+            bnd = hi[j]
+            row = tab[leave] = [-v for v in row]
+            row[j] = den
+            row[-1] += den * bnd
+            off[j] += sgn[j] * bnd
+            sgn[j] = -sgn[j]
+            lo[j], hi[j] = 0, None if lo[j] is None else bnd - lo[j]
         den = pivot(tab, leave, enter, den)
         basis[leave] = enter
         red = tab[-1]

@@ -389,8 +389,6 @@ def test_circulation_solution_roundtrip(rng):
 
 def test_three_sum_border_rows_are_tu_appendable():
     """The three coupling rows of a 3-sum can be appended simultaneously."""
-    import random as _r
-
     from cctu.generators import generate
     from cctu.matrices import is_totally_unimodular
     from cctu.seymour import find_sum_decomposition

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from cctu.cones import decompose_pointed_tu_cone, decompose_solutions

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cctu"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cctu"
 
 
 def test_no_tuple_of_generator_expression():
@@ -72,14 +73,10 @@ def test_patterns_has_no_assert_statements():
     assert not lines, f"patterns.py has assert statements on lines {lines}; raise a CctuError instead"
 
 
-def test_library_has_no_unused_imports():
-    """Every name a module imports is used in it; an unused import is dead
-    code that still couples the modules.  `__init__.py` re-exports names,
-    so it is exempt."""
+def unused_imports(paths):
+    """`file:line name` for every imported name that its module never reads."""
     offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text(), str(path))
         imported = {}
         for node in ast.walk(tree):
@@ -88,4 +85,20 @@ def test_library_has_no_unused_imports():
                     imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    return offenders
+
+
+def test_library_has_no_unused_imports():
+    """Every name a module imports is used in it; an unused import is dead
+    code that still couples the modules.  `__init__.py` re-exports names,
+    so it is exempt."""
+    offenders = unused_imports([path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"])
+    assert not offenders, "unused imports: " + ", ".join(offenders)
+
+
+def test_tests_have_no_unused_imports():
+    """The same rule for the test modules and their helpers."""
+    paths = sorted(TESTS.glob("*.py"))
+    assert Path(__file__).resolve() in paths
+    offenders = unused_imports(paths)
     assert not offenders, "unused imports: " + ", ".join(offenders)

@@ -81,21 +81,22 @@ def _enumerate_lp(rows, b, c):
     return "optimal", min(values)
 
 
-def _check_against_enumeration(rows, b, c):
-    res = lp.solve_lp(rows, b, c, "min")
-    status, value = _enumerate_lp(rows, b, c)
-    assert res.status == status, (rows, b, c, res)
+def _check_against_enumeration(rows, b, c, sense="min"):
+    res = lp.solve_lp(rows, b, c, sense)
+    sign = 1 if sense == "min" else -1
+    status, value = _enumerate_lp(rows, b, [sign * v for v in c])
+    assert res.status == status, (rows, b, c, sense, res)
     if status == "optimal":
         x = [Fraction(v, res.den) for v in res.x]
-        assert res.value == value
-        assert sum(cv * xv for cv, xv in zip(c, x)) == value
+        assert res.value == sign * value
+        assert sum(cv * xv for cv, xv in zip(c, x)) == res.value
         assert all(sum(a * v for a, v in zip(row, x)) <= bv for row, bv in zip(rows, b))
         assert res.den > 0 and gcd(res.den, *res.x) == 1
     elif status == "unbounded":
         ray = res.ray
         assert any(ray) and gcd(*ray) == 1, ray
         assert all(sum(a * v for a, v in zip(row, ray)) <= 0 for row in rows)
-        assert sum(cv * v for cv, v in zip(c, ray)) < 0
+        assert sign * sum(cv * v for cv, v in zip(c, ray)) < 0
     return res
 
 
@@ -270,6 +271,91 @@ def test_eliminate_and_solve_lp_match_the_dense_reference(monkeypatch):
     assert sparse == outputs()
 
 
+def _unit(n, j, a=1):
+    return tuple([a if jj == j else 0 for jj in range(n)])
+
+
+def _both_senses(rows, b, c):
+    """The min and max results, each checked against enumeration."""
+    return [_check_against_enumeration(rows, b, c, sense) for sense in ("min", "max")]
+
+
+def test_repeated_bounds_keep_the_tightest():
+    # x0 <= 5, x0 <= 2, x0 >= -3, x0 >= 1, and -4 <= x1 <= 4 twice over
+    rows = [(1, 0), (1, 0), (-1, 0), (-1, 0), (0, 1), (0, -1), (0, 1), (0, -1), (1, 1)]
+    b = [5, 2, 3, -1, 4, 4, 4, 4, 3]
+    lo, hi = _both_senses(rows, b, [1, 0])
+    assert (lo.value, hi.value) == (1, 2)
+    lo, hi = _both_senses(rows, b, [0, 1])
+    assert (lo.value, hi.value) == (-4, 2)
+    rng = random.Random(2033)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        rows = [_unit(n, rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(2, 7))]
+        rows += random_tu_matrix(rng, rng.randint(0, 2), n).rows
+        b = [rng.randint(-3, 4) for _ in rows]
+        _both_senses(rows, b, [rng.randint(-3, 3) for _ in range(n)])
+
+
+def test_fixed_variable():
+    # x0 == 3 by two bounds, x0 + x1 <= 5, x1 >= -4
+    rows = [(1, 0), (-1, 0), (1, 1), (0, -1)]
+    b = [3, -3, 5, 4]
+    lo, hi = _both_senses(rows, b, [1, 1])
+    assert (lo.x, lo.value, hi.x, hi.value) == ((3, -4), -1, (3, 2), 5)
+    for x0 in (-2, 0, 2):  # fixed below, at and above 0
+        res = _both_senses([(1,), (-1,)], [x0, -x0], [1])
+        assert [r.x for r in res] == [(x0,), (x0,)]
+
+
+def test_crossed_bounds_are_infeasible():
+    for rows, b in (
+        ([(1, 0), (-1, 0)], [1, -2]),  # x0 <= 1, x0 >= 2
+        ([(0, 1), (1, -1), (0, -1)], [-3, 0, 2]),  # x1 <= -3, x1 >= -2
+    ):
+        assert [r.status for r in _both_senses(rows, b, [1, -1])] == ["infeasible"] * 2
+
+
+def test_zero_rows_are_decided_at_once():
+    rows = [(0, 0), (1, 1), (-1, 0), (0, -1)]
+    for b0 in (-1, -5):
+        assert [r.status for r in _both_senses(rows, [b0, 2, 0, 0], [1, 2])] == ["infeasible"] * 2
+    for b0 in (0, 3):
+        with_zero = _both_senses(rows, [b0, 2, 0, 0], [1, 2])
+        without = _both_senses(rows[1:], [2, 0, 0], [1, 2])
+        assert [(r.status, r.value) for r in with_zero] == [(r.status, r.value) for r in without]
+        assert [r.value for r in with_zero] == [0, 4]
+
+
+def test_single_entries_beyond_one_stay_general_rows():
+    # 2 x0 <= 3 and x0 >= 0: the maximum 3/2 is not integral
+    lo, hi = _both_senses([(2,), (-1,)], [3, 0], [1])
+    assert (lo.value, hi.x, hi.den, hi.value) == (0, (3,), 2, Fraction(3, 2))
+    rng = random.Random(2034)
+    fractional = 0
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        rows = [_unit(n, rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(rng.randint(1, 4))]
+        rows += [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        b = [rng.randint(-4, 5) for _ in rows]
+        for res in _both_senses(rows, b, [rng.randint(-3, 3) for _ in range(n)]):
+            fractional += res.status == "optimal" and res.den > 1
+    assert fractional > 0
+
+
+def test_free_variables_are_unbounded_both_ways():
+    """Free variables are not split; each direction still gets an improving
+    ray with T.r <= 0 (checked in _check_against_enumeration)."""
+    cases = [
+        ([], [], [1, -2]),  # no rows at all
+        ([(1, -1), (-1, 1)], [0, 0], [1, 1]),  # the line x0 == x1
+        ([(1, 1, 0), (0, 1, -1)], [2, 1], [1, 0, 3]),
+        ([(0, 1), (0, -1)], [3, 3], [2, 1]),  # x0 free, x1 boxed
+    ]
+    for rows, b, c in cases:
+        assert [r.status for r in _both_senses(rows, b, c)] == ["unbounded"] * 2
+
+
 def test_checks_survive_optimized_mode():
     """Exactness checks raise CctuError, not AssertionError, so `-O` keeps them."""
     script = textwrap.dedent(
@@ -293,8 +379,9 @@ def test_checks_survive_optimized_mode():
         print("integral", raises(lambda: lp.as_integer_vector(frac)))
 
         simplex = lp._simplex
-        lp._simplex = lambda tab, basis, den, allowed: (0, den)
-        print("phase1", raises(lambda: lp.solve_lp([(1,)], [-1], [0])))
+        lp._simplex = lambda tab, basis, den, allowed, bounds: (0, den)
+        # a general row: a single +-1 entry would fold into a bound
+        print("phase1", raises(lambda: lp.solve_lp([(1, 1)], [-1], [0, 0])))
         lp._simplex = simplex
 
         orthant = IntMatrix(((-1, 0), (0, -1)))

@@ -46,6 +46,21 @@ def test_integral_feasible_point_cases():
     assert integral_feasible_point(P) is None
 
 
+def test_integral_feasible_point_starts_nearest_the_origin():
+    """The simplex starts every variable at the point of its bounds nearest
+    0: a polyhedron that holds the origin gives the origin back, and a box
+    gives its corner nearest the origin."""
+    rng = random.Random(29)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        T = random_tu_matrix(rng, rng.randint(1, 6), n)
+        P = Polyhedron(TUMatrix.trusted(T), [rng.randint(0, 3) for _ in range(T.nrows)])
+        assert integral_feasible_point(P) == (0,) * n
+    # 1 <= x0 <= 3, -3 <= x1 <= -1
+    box = Polyhedron(TUMatrix.certify(IntMatrix(((-1, 0), (1, 0), (0, -1), (0, 1)))), (-1, 3, 3, -1))
+    assert integral_feasible_point(box) == (1, -1)
+
+
 def test_lp_vertices_integral_on_random_tu_systems():
     rng = random.Random(23)
     for _ in range(40):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
