@@ -8,10 +8,18 @@ orthant-sign rows so the cone is pointed, flip rows to put the target in the
 cone, then peel off one elementary extremal ray per iteration with an exact
 min-ratio step length.
 
-All arithmetic is on integers.  Ranks, null directions and the purification
-of the sliced LP's optimum to a vertex use the fraction-free elimination of
-`lp`; points with fractional coordinates are carried as integer numerators
-over one positive denominator, and ratios are compared by cross-products.
+No LP is solved.  Each ray comes from purifying the current point itself:
+it moves along null directions of its tight rows, on the slice of its face
+where a functional positive on the cone keeps its value, until n - 1
+independent cone rows are tight (Schrijver 1986, section 8).  The cone
+matrix is TU, so that vertex spans an elementary ray and the step along it
+is integral; each step makes one more row tight, so at most n rays are
+taken.
+
+All arithmetic is on integers.  Ranks and null directions use the
+fraction-free elimination of `lp`; points with fractional coordinates are
+carried as integer numerators over one positive denominator, and ratios are
+compared by cross-products.
 """
 
 from dataclasses import dataclass
@@ -47,11 +55,12 @@ def _row_rank(rows):
 
 
 def _vertex_of_optimal_face(rows, rhs, x, q):
-    """Purify an optimal LP point x / q to a vertex of {rows * x <= rhs}.
+    """Purify a point x / q of {rows * x <= rhs} to a vertex of its face.
 
     Repeatedly moves along a null direction of the tight rows until a new
-    constraint binds; requires the feasible set to be bounded along every
-    such direction, which holds for the sliced-cone polytopes used here.
+    constraint binds, so every row tight at x stays tight; requires the
+    feasible set to be bounded along every such direction, which holds for
+    the sliced cones used here.
     Works on integer numerators over the positive denominator q and returns
     the vertex in the same form, (numerators, denominator).
     """
@@ -99,38 +108,6 @@ def _null_direction(rows, n):
     return d
 
 
-def _extremal_ray(eq_rows, lt_rows, n):
-    """An elementary extremal ray of {eq_rows x = 0, lt_rows x <= 0}.
-
-    Maximizes a functional that is strictly positive on the cone minus the
-    origin (minus the sum of the strict rows), sliced at value one; the
-    optimal vertex, purified and rescaled to gcd one, is the ray.  The slice
-    row is not TU, so this is the LP whose tableau denominator exceeds one.
-    """
-    sigma = [-sum(r[j] for r in lt_rows) for j in range(n)]
-    rows = []
-    rhs = []
-    for r in eq_rows:
-        rows.append(tuple(r))
-        rhs.append(0)
-        rows.append(tuple([-v for v in r]))
-        rhs.append(0)
-    for r in lt_rows:
-        rows.append(tuple(r))
-        rhs.append(0)
-    rows.append(tuple(sigma))
-    rhs.append(1)
-    res = lp.solve_lp(rows, rhs, [-v for v in sigma], "min")  # maximize sigma.x
-    if res.status != "optimal":
-        raise CctuError(f"sliced pointed cone must be a polytope, LP says {res.status}")
-    if -res.value != 1:
-        return None  # cone is {0}
-    vertex, _ = _vertex_of_optimal_face(rows, rhs, res.x, res.den)
-    if not any(vertex):
-        raise CctuError("extremal ray must be nonzero")
-    return lp._primitive(vertex)
-
-
 EXTRACTION_SLACK = 2  # ray extractions allowed beyond n before giving up
 
 
@@ -150,36 +127,26 @@ def decompose_pointed_tu_cone(T, y):
     if any(v > 0 for v in mat.mul_vec(y)):
         raise CctuError("point outside the cone")
 
+    # positive on the pointed cone minus the origin, so it slices every face
+    sigma = tuple([-sum(col) for col in zip(*mat.rows)])
+    zeros = (0,) * len(mat.rows)
     y_cur = list(y)
     rays = []
     coeffs = []
     for _ in range(n + EXTRACTION_SLACK):
         if not any(y_cur):
             break
-        prods = mat.mul_vec(y_cur)
-        eq_rows = [r for r, p in zip(mat.rows, prods) if p == 0]
-        lt_all = [(r, p) for r, p in zip(mat.rows, prods) if p != 0]
-        # strict rows dependent on the tight ones are redundant
-        work, pivots, den = lp.eliminate(eq_rows, n)
-        lt_rows = []
-        lt_prods = []
-        for r, p in lt_all:
-            # den * r minus its part in the row space of the tight rows
-            rest = [den * v for v in r]
-            for j, i in pivots.items():
-                if r[j]:
-                    rest = [a - r[j] * w for a, w in zip(rest, work[i])]
-            if any(rest):
-                lt_rows.append(r)
-                lt_prods.append(p)
-        if not lt_rows:
-            raise CctuError("nonzero point with all constraints tight contradicts pointedness")
-        ray = _extremal_ray(eq_rows, lt_rows, n)
-        if ray is None:
-            raise CctuError("cone is {0} although it holds a nonzero point")
+        # purify y_cur within its face, cut at sigma.x == sigma.y_cur: the
+        # vertex has n - 1 independent tight cone rows, so it spans an
+        # extremal ray of that face and hence of the cone
+        s = sum(a * v for a, v in zip(sigma, y_cur))
+        vertex, _ = _vertex_of_optimal_face(mat.rows + (sigma,), zeros + (s,), y_cur, 1)
+        if not any(vertex):
+            raise CctuError("extremal ray must be nonzero")
+        ray = lp._primitive(vertex)
         # step length: exact min ratio over rows the ray pushes toward tightness
         best = None  # (-p, a): the step length is -p / a
-        for r, p in zip(lt_rows, lt_prods):
+        for r, p in zip(mat.rows, mat.mul_vec(y_cur)):
             a = -sum(rv * qv for rv, qv in zip(r, ray))
             if a > 0 and (best is None or -p * best[1] < best[0] * a):
                 best = (-p, a)
@@ -188,7 +155,7 @@ def decompose_pointed_tu_cone(T, y):
         lam, rem = divmod(*best)
         if rem or lam <= 0:
             raise CctuError(f"non-integral or nonpositive step length {best[0]}/{best[1]}")
-        rays.append(tuple(ray))
+        rays.append(ray)
         coeffs.append(lam)
         for i in range(n):
             y_cur[i] -= lam * ray[i]

@@ -1,5 +1,6 @@
 import pytest
 
+from cctu import lp
 from cctu.cones import decompose_pointed_tu_cone, decompose_solutions
 from cctu.errors import CctuError
 from cctu.matrices import IntMatrix, TUMatrix
@@ -121,3 +122,26 @@ def test_at_most_n_nonzero_terms(rng):
         x0, y = pts
         dec = decompose_solutions(P, x0, y)
         assert len(dec.rays) == n and len(dec.coeffs) == n
+
+
+def test_decomposition_solves_no_lp(rng, monkeypatch):
+    """Each ray comes from purifying the current point, not from an LP, and
+    it is still elementary."""
+    cases = []
+    while len(cases) < 40:
+        n = rng.randint(1, 4)
+        P = _bounded_system(rng, n, rng.randint(1, 4))
+        pts = _two_points(rng, P)
+        if pts is not None and pts[0] != pts[1]:
+            cases.append((P, *pts))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the cone decomposition solved an LP")
+
+    monkeypatch.setattr(lp, "solve_lp", no_lp)
+    for P, x0, y in cases:
+        dec = decompose_solutions(P, x0, y)
+        assert dec.point_for(dec.coeffs) == dec.y
+        for lam, ray in zip(dec.coeffs, dec.rays):
+            if lam:
+                assert is_elementary(P.T, ray), (P.T.matrix.rows, ray)

@@ -102,3 +102,18 @@ def test_tests_have_no_unused_imports():
     assert Path(__file__).resolve() in paths
     offenders = unused_imports(paths)
     assert not offenders, "unused imports: " + ", ".join(offenders)
+
+
+def test_only_lp_optimize_solves_lps():
+    """`lp.solve_lp` is referenced only where it is defined and in
+    `polyhedra`, so every LP the solver runs goes through `lp_optimize` and
+    its integrality check."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("lp.py", "polyhedra.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a Name, an Attribute, an imported alias or a definition
+            if "solve_lp" in [getattr(node, key, None) for key in ("id", "attr", "name")]:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "call polyhedra.lp_optimize instead of lp.solve_lp: " + ", ".join(offenders)

@@ -147,8 +147,9 @@ def test_general_integer_lps_match_enumeration():
 
 
 def test_sliced_cone_lps_match_enumeration(monkeypatch):
-    """The LP shape of cones._extremal_ray: a TU cone, with some rows held
-    at equality, cut by the summed slice row sigma.x <= 1."""
+    """A TU cone, with some rows held at equality, cut by the summed slice
+    row sigma.x <= 1: the slice row is not TU, so these LPs reach tableau
+    denominators above one."""
     dens = _recording_pivot(monkeypatch)
     rng = random.Random(2029)
     for _ in range(200):
@@ -384,14 +385,13 @@ def test_checks_survive_optimized_mode():
         print("phase1", raises(lambda: lp.solve_lp([(1, 1)], [-1], [0, 0])))
         lp._simplex = simplex
 
+        # the ray (1, 2) leaves (1, 1) in the orthant only for steps up to 1/2
         orthant = IntMatrix(((-1, 0), (0, -1)))
-        extremal_ray = cones._extremal_ray
-        cones._extremal_ray = lambda eq_rows, lt_rows, n: (2, 2)
+        cones._vertex_of_optimal_face = lambda rows, rhs, x, q: ([1, 2], 1)
         print("step", raises(lambda: cones.decompose_pointed_tu_cone(orthant, (1, 1))))
-        cones._extremal_ray = extremal_ray
 
         cones._vertex_of_optimal_face = lambda rows, rhs, x, q: ([0] * len(x), 1)
-        print("ray", raises(lambda: cones._extremal_ray([], [(-1, 0), (0, -1)], 2)))
+        print("ray", raises(lambda: cones.decompose_pointed_tu_cone(orthant, (1, 1))))
         """
     )
     proc = subprocess.run(

@@ -40,6 +40,7 @@ def test_lp_infeasible():
 def test_integral_feasible_point_cases():
     assert integral_feasible_point(box_1d(0, 5)) is not None
     empty = Polyhedron(TUMatrix.certify(IntMatrix(())), ())
+    assert integral_feasible_point(empty) == ()
     # no constraints at all: the origin works
     assert integral_feasible_point(Polyhedron(TUMatrix.trusted(IntMatrix(((0,),))), (0,))) == (0,)
     P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (-1, 0))  # x<=-1, x>=0
