@@ -8,22 +8,19 @@ orthant-sign rows so the cone is pointed, flip rows to put the target in the
 cone, then peel off one elementary extremal ray per iteration with an exact
 min-ratio step length.
 
-No LP is solved.  Each ray comes from purifying the current point itself:
-it moves along null directions of its tight rows, on the slice of its face
-where a functional positive on the cone keeps its value, until n - 1
-independent cone rows are tight (Schrijver 1986, section 8).  The cone
-matrix is TU, so that vertex spans an elementary ray and the step along it
-is integral; each step makes one more row tight, so at most n rays are
-taken.
+No LP is solved.  Each ray comes from purifying the current point itself
+(Schrijver 1986, section 8): it moves along null directions of its tight
+rows, each not parallel to the point, until n - 1 independent cone rows are
+tight, and then spans an extremal ray of its face.  The cone matrix is TU,
+so that ray is elementary and the step along it is integral; each step
+makes one more row tight, so at most n rays are taken.
 
-All arithmetic is on integers.  Ranks and null directions use the
-fraction-free elimination of `lp`; points with fractional coordinates are
-carried as integer numerators over one positive denominator, and ratios are
-compared by cross-products.
+All arithmetic is on integers.  Ranks and null directions use the unit-pivot
+elimination of `lp`; a point is rescaled to a primitive integer vector after
+each move, and ratios are compared by cross-products.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import lp
 from .errors import CctuError, DimensionError
@@ -54,58 +51,42 @@ def _row_rank(rows):
     return len(lp.eliminate(rows, len(rows[0]))[1])
 
 
-def _vertex_of_optimal_face(rows, rhs, x, q):
-    """Purify a point x / q of {rows * x <= rhs} to a vertex of its face.
+def _extremal_ray(rows, x):
+    """The primitive extremal ray of the pointed cone {z : rows * z <= 0}
+    that purifying its point x != 0 reaches, in the smallest face holding x.
 
-    Repeatedly moves along a null direction of the tight rows until a new
-    constraint binds, so every row tight at x stays tight; requires the
-    feasible set to be bounded along every such direction, which holds for
-    the sliced cones used here.
-    Works on integer numerators over the positive denominator q and returns
-    the vertex in the same form, (numerators, denominator).
+    While the rows tight at x leave more than one free column, x steps
+    along the null vector of a free column f, taking f with x[f] == 0 when
+    there is one: that vector is not parallel to x.  The step stops where
+    the first new row binds, so every tight row stays tight and the rank of
+    the tight rows grows.  With one free column left, x spans the ray.
     """
-    x = list(x)
     n = len(x)
     while True:
-        # slack of each row, scaled by q
-        slacks = [bv * q - sum(a * v for a, v in zip(r, x)) for r, bv in zip(rows, rhs)]
-        tight = [r for r, sl in zip(rows, slacks) if sl == 0]
-        null = _null_direction(tight, n)
-        if null is None:
-            return x, q
-        step = None  # (slack, rd): the step length along d is slack / (q * rd)
+        prods = [sum([a * v for a, v in zip(r, x)]) for r in rows]
+        work, pivots = lp.eliminate([r for r, p in zip(rows, prods) if p == 0], n)
+        free = [j for j in range(n) if j not in pivots]
+        if len(free) == 1:
+            return lp._primitive(x)
+        f = next((j for j in free if x[j] == 0), free[0])
+        null = [0] * n
+        null[f] = 1
+        for j, i in pivots.items():
+            null[j] = -work[i][f]
+        step = None  # (slack, rd): the step length along d is slack / rd
         for sgn in (1, -1):
             d = [sgn * v for v in null]
-            # largest step keeping every constraint satisfied
-            for r, sl in zip(rows, slacks):
-                rd = sum(a * v for a, v in zip(r, d))
-                if rd > 0 and (step is None or sl * step[1] < step[0] * rd):
-                    step = (sl, rd)
+            for r, p in zip(rows, prods):
+                rd = sum([a * v for a, v in zip(r, d)])
+                if rd > 0 and (step is None or -p * step[1] < step[0] * rd):
+                    step = (-p, rd)
             if step is not None:
                 break
         if step is None:
-            raise CctuError("optimal face unbounded; cone is not pointed")
-        # x / q + (sl / (q * rd)) * d == (rd * x + sl * d) / (q * rd)
+            raise CctuError("face unbounded along a null direction; cone is not pointed")
+        # x + (sl / rd) * d, scaled by rd
         sl, rd = step
-        x = [rd * v + sl * dv for v, dv in zip(x, d)]
-        q *= rd
-        g = gcd(q, *x)
-        if g > 1:
-            x = [v // g for v in x]
-            q //= g
-
-
-def _null_direction(rows, n):
-    """A nonzero integer vector orthogonal to all rows, or None."""
-    work, pivots, den = lp.eliminate(rows, n)
-    if len(pivots) == n:
-        return None
-    free = next(j for j in range(n) if j not in pivots)
-    d = [0] * n
-    d[free] = den
-    for j, i in pivots.items():
-        d[j] = -work[i][free]
-    return d
+        x = lp._primitive([rd * v + sl * dv for v, dv in zip(x, d)])
 
 
 EXTRACTION_SLACK = 2  # ray extractions allowed beyond n before giving up
@@ -127,23 +108,15 @@ def decompose_pointed_tu_cone(T, y):
     if any(v > 0 for v in mat.mul_vec(y)):
         raise CctuError("point outside the cone")
 
-    # positive on the pointed cone minus the origin, so it slices every face
-    sigma = tuple([-sum(col) for col in zip(*mat.rows)])
-    zeros = (0,) * len(mat.rows)
     y_cur = list(y)
     rays = []
     coeffs = []
     for _ in range(n + EXTRACTION_SLACK):
         if not any(y_cur):
             break
-        # purify y_cur within its face, cut at sigma.x == sigma.y_cur: the
-        # vertex has n - 1 independent tight cone rows, so it spans an
-        # extremal ray of that face and hence of the cone
-        s = sum(a * v for a, v in zip(sigma, y_cur))
-        vertex, _ = _vertex_of_optimal_face(mat.rows + (sigma,), zeros + (s,), y_cur, 1)
-        if not any(vertex):
+        ray = _extremal_ray(mat.rows, y_cur)
+        if not any(ray):
             raise CctuError("extremal ray must be nonzero")
-        ray = lp._primitive(vertex)
         # step length: exact min ratio over rows the ray pushes toward tightness
         best = None  # (-p, a): the step length is -p / a
         for r, p in zip(mat.rows, mat.mul_vec(y_cur)):

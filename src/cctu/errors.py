@@ -32,4 +32,7 @@ class SolutionCheckError(CctuError):
 
 
 class UnsupportedInstanceError(CctuError):
-    """The (m, |R|) combination is outside what the structural solver covers."""
+    """The instance is outside what the solver covers: an (m, |R|)
+    combination the structural solver does not handle, or a constraint
+    matrix that is not totally unimodular (an exact pivot met an entry other
+    than +-1)."""

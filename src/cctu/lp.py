@@ -1,14 +1,14 @@
-"""Exact simplex and elimination over integer data, without fractions.
+"""Exact simplex and elimination over totally unimodular integer data.
 
-Two-phase primal simplex with bounded variables and Bland's rule on a
-fraction-free integer tableau.
+Two-phase primal simplex with bounded variables and Bland's rule on an
+integer tableau.
 
 A row with a single entry of +-1 is a bound l_j <= x_j <= u_j, not a tableau
 row: the tightest bound on each variable wins, crossed bounds and a zero row
 with negative right-hand side make the LP infeasible at once, and a zero row
-with b >= 0 is dropped.  A single entry of |a| >= 2 stays a general row, so
-non-TU data stays exact.  The tableau holds the general rows with one slack
-each; free variables are not split.
+with b >= 0 is dropped.  A single entry of |a| >= 2 stays a general row.  The
+tableau holds the general rows with one slack each; free variables are not
+split.
 
 Every variable starts at the point of [l_j, u_j] nearest 0, so x = 0 when it
 lies within the bounds.  A tableau column holds y_j with x_j = off_j +
@@ -19,21 +19,18 @@ variable strictly inside its bounds (only ever at its start point) may move
 either way; it is complemented before it enters downwards.  General rows
 that the start point violates get artificials in phase 1.
 
-The tableau keeps integer entries D * B^-1 [A | rhs] and integer reduced
-costs under one common denominator D > 0; a pivot on p rewrites every other
-row as (p * a - f * q) / D, which is exact by Sylvester's identity (Edmonds
-1967, Bareiss 1968), and then sets D = p.  [T; I; -I] is TU whenever T is
-(Schrijver 1986, Sec. 19), so over TU systems every pivot is +-1, D stays 1
-and points come back as plain ints; on other integer data the results are
-still exact, as numerators over one denominator.
+[T; I; -I] is TU whenever T is (Schrijver 1986, Sec. 19), so every basis is
+unimodular, every pivot is +-1 and the tableau B^-1 [A | rhs] stays integral:
+points, values and rays come back as plain ints.  `pivot` is therefore a
+unit pivot, a plain row subtraction that touches only the rows with a
+nonzero entry in the pivot column, and in them only the pivot row's nonzero
+columns, in place; tableau rows are mutable lists, owned by the tableau.
+Any other pivot means the data is not TU, and `pivot` raises
+UnsupportedInstanceError.  Every step is exact integer arithmetic, so a run
+that does not raise gives the exact answer.
 
-With D = 1 and a pivot of +-1 the update is a plain row subtraction, so
-`pivot` then touches only the rows with a nonzero entry in the pivot column,
-and in them only the pivot row's nonzero columns, in place.  Tableau rows
-are therefore mutable lists, owned by the tableau.
-
-`eliminate` runs the same pivot as fraction-free Gauss-Jordan elimination,
-for the rank and null-space computations of the cone decomposition.
+`eliminate` runs the same pivot as Gauss-Jordan elimination, for the rank
+and null-space computations of the cone decomposition.
 
 This deliberately replaces the strongly-polynomial LP framework the theory
 assumes: exactness is what keeps the downstream structural guarantees intact at
@@ -41,19 +38,17 @@ desk scale.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import CctuError
+from .errors import CctuError, UnsupportedInstanceError
 
 
 @dataclass(frozen=True)
 class LpResult:
     status: str  # "optimal" | "unbounded" | "infeasible"
-    x: tuple = None  # integer numerators, length n; the optimum is x / den
-    value: Fraction = None  # exact optimal value: an int when den == 1
+    x: tuple = None  # optimal integer point, length n
+    value: int = None  # exact optimal value
     ray: tuple = None  # primitive integer improving ray for "unbounded"
-    den: int = 1  # common denominator of x, in lowest terms
 
 
 def solve_lp(rows, b, c, sense="min"):
@@ -65,7 +60,7 @@ def solve_lp(rows, b, c, sense="min"):
     if sense == "max":
         res = solve_lp(rows, b, [-v for v in c], "min")
         if res.status == "optimal":
-            return LpResult("optimal", res.x, -res.value, den=res.den)
+            return LpResult("optimal", res.x, -res.value)
         return res
 
     # Fold the single-variable rows into bounds: lo <= x <= hi, None for an
@@ -143,17 +138,15 @@ def solve_lp(rows, b, c, sense="min"):
             basis.append(n + i)
         tab.append(row)
 
-    den = 1
     if nart:
         phase1 = [0] * ncols + [1] * nart + [0]
-        tab.append(_reduced_costs(tab, basis, phase1, den))
-        status, den = _simplex(tab, basis, den, ncols + nart, bounds)
-        if status != "optimal":
+        tab.append(_reduced_costs(tab, basis, phase1))
+        if _simplex(tab, basis, ncols + nart, bounds) != "optimal":
             raise CctuError("phase-1 simplex reported an unbounded sum of artificials")
         if any(tab[i][-1] for i in range(k) if basis[i] >= ncols):
             return LpResult("infeasible")
         tab.pop()
-        den = _pivot_out_artificials(tab, basis, ncols, den)
+        _pivot_out_artificials(tab, basis, ncols)
         # Artificials never re-enter, and a row that kept one is zero on every
         # structural column, so neither takes part in phase 2.
         if max(basis) >= ncols:
@@ -164,25 +157,19 @@ def solve_lp(rows, b, c, sense="min"):
             del row[ncols:-1]
 
     cost = [cj * s for cj, s in zip(c, sgn)] + [0] * (k + 1)
-    tab.append(_reduced_costs(tab, basis, cost, den))
-    status, den = _simplex(tab, basis, den, ncols, bounds)
+    tab.append(_reduced_costs(tab, basis, cost))
+    status = _simplex(tab, basis, ncols, bounds)
     if status == "optimal":
-        x = [den * o for o in off]
+        x = list(off)
         for i, j in enumerate(basis):
             if j < n:
                 x[j] += sgn[j] * tab[i][-1]
-        g = gcd(den, *x)
-        if g > 1:
-            x = [v // g for v in x]
-            den //= g
-        value = sum(cj * xj for cj, xj in zip(c, x))
-        value = value if den == 1 else Fraction(value, den)
-        return LpResult("optimal", tuple(x), value, den=den)
-    # Unbounded: y_enter grows by den, and each basic y by minus its entry.
+        return LpResult("optimal", tuple(x), sum([cj * xj for cj, xj in zip(c, x)]))
+    # Unbounded: y_enter grows by 1, and each basic y by minus its entry.
     enter = status
     ray = [0] * n
     if enter < n:
-        ray[enter] = sgn[enter] * den
+        ray[enter] = sgn[enter]
     for i, j in enumerate(basis):
         if j < n:
             ray[j] = -sgn[j] * tab[i][enter]
@@ -194,9 +181,9 @@ def _neg(v):
     return None if v is None else -v
 
 
-def _reduced_costs(tab, basis, cost, den):
-    """The objective row den * cost - sum_i cost[basis[i]] * tab[i]."""
-    red = [den * v for v in cost]
+def _reduced_costs(tab, basis, cost):
+    """The objective row cost - sum_i cost[basis[i]] * tab[i]."""
+    red = list(cost)
     for i, j in enumerate(basis):
         cb = cost[j]
         if cb:
@@ -204,9 +191,9 @@ def _reduced_costs(tab, basis, cost, den):
     return red
 
 
-def _simplex(tab, basis, den, allowed, bounds):
-    """Bounded-variable Bland-rule simplex on a fraction-free tableau whose
-    last row holds the reduced costs.
+def _simplex(tab, basis, allowed, bounds):
+    """Bounded-variable Bland-rule simplex on an integer tableau whose last
+    row holds the reduced costs.
 
     `bounds` is (lo, hi, off, sgn) per column, as in the module docstring;
     the simplex keeps them current as it complements and shifts columns.
@@ -216,8 +203,8 @@ def _simplex(tab, basis, den, allowed, bounds):
     the column is complemented first).  The step stops at the first bound
     it meets: a basic y leaves at its bound, ties going to the lowest
     column index, or, when its own bound comes no later, the entering y
-    flips to it without a pivot.  Returns (status, den): status is "optimal" or
-    the entering column index on unboundedness.
+    flips to it without a pivot.  Returns "optimal", or the entering column
+    index on unboundedness.
 
     Termination.  A nonbasic y strictly inside its bounds is at its start
     point.  When it enters it either becomes basic or flips to a bound, and
@@ -243,7 +230,7 @@ def _simplex(tab, basis, den, allowed, bounds):
                 enter = j
                 break
         if enter < 0:
-            return "optimal", den
+            return "optimal"
         if red[enter] > 0:  # y falls: complement it so that it rises
             for row in tab:
                 row[enter] = -row[enter]
@@ -259,12 +246,12 @@ def _simplex(tab, basis, den, allowed, bounds):
                 bnd = lo[basis[i]]
                 if bnd is None:
                     continue
-                num = tab[i][-1] - den * bnd
+                num = tab[i][-1] - bnd
             elif a < 0:
                 bnd = hi[basis[i]]
                 if bnd is None:
                     continue
-                num = den * bnd - tab[i][-1]
+                num = bnd - tab[i][-1]
                 a = -a
             else:
                 continue
@@ -276,7 +263,7 @@ def _simplex(tab, basis, den, allowed, bounds):
             if lhs < rhs or (lhs == rhs and leave >= 0 and basis[i] < basis[leave]):
                 leave, best_n, best_a = i, num, a
         if best_n is None:
-            return enter, den
+            return enter
         if leave < 0:  # y_enter reaches its own bound h: y = h - y'
             for row in tab:
                 a = row[enter]
@@ -292,91 +279,69 @@ def _simplex(tab, basis, den, allowed, bounds):
         if row[enter] > 0:  # y_j falls to lo_j: shift so that it sits at 0
             bnd = lo[j]
             if bnd:
-                row[-1] -= den * bnd
+                row[-1] -= bnd
                 off[j] += sgn[j] * bnd
                 hi[j] = None if hi[j] is None else hi[j] - bnd
                 lo[j] = 0
         else:  # y_j rises to hi_j: complement it, y_j = hi_j - y'
             bnd = hi[j]
             row = tab[leave] = [-v for v in row]
-            row[j] = den
-            row[-1] += den * bnd
+            row[j] = 1
+            row[-1] += bnd
             off[j] += sgn[j] * bnd
             sgn[j] = -sgn[j]
             lo[j], hi[j] = 0, None if lo[j] is None else bnd - lo[j]
-        den = pivot(tab, leave, enter, den)
+        pivot(tab, leave, enter)
         basis[leave] = enter
         red = tab[-1]
 
 
-def pivot(rows, r, s, den):
-    """Fraction-free pivot on rows[r][s]; returns the new common denominator.
+def pivot(rows, r, s):
+    """Unit pivot on rows[r][s], in place.
 
-    `rows` holds integer rows D * B^-1 A under the common denominator `den`.
-    Every other row becomes (p * a - f * q) // den, an exact division by
-    Sylvester's identity (so a row with f = 0 is still rescaled by p / den),
-    and the pivot row stays as it is.  A negative pivot
-    negates every row so that the new denominator |p| stays positive.
-
-    A unit pivot (den = 1, p = +-1) is a plain row subtraction.  A -1 pivot
-    row is negated first; then each row with f != 0 loses f times the pivot
-    row, in place and on the pivot row's nonzero columns only, and every
-    other row stays as it is.  Those are exactly the rows of the general
-    update.
+    A -1 pivot row is negated first; then each row with f != 0 in column s
+    loses f times the pivot row, on the pivot row's nonzero columns only,
+    and every other row stays as it is.  Raises UnsupportedInstanceError on
+    any other pivot entry: over TU data every pivot is +-1.
     """
     prow = rows[r]
     p = prow[s]
-    if den == 1 and (p == 1 or p == -1):
-        if p < 0:
-            prow = rows[r] = [-q for q in prow]
-        support = [j for j, q in enumerate(prow) if q]
-        for i, row in enumerate(rows):
-            f = row[s]
-            if f and i != r:
-                for j in support:
-                    row[j] -= f * prow[j]
-        return 1
+    if p == -1:
+        prow = rows[r] = [-q for q in prow]
+    elif p != 1:
+        raise UnsupportedInstanceError(f"pivot {p}: the constraint matrix is not totally unimodular")
+    support = [j for j, q in enumerate(prow) if q]
     for i, row in enumerate(rows):
-        if i == r:
-            continue
         f = row[s]
-        if f:
-            rows[i] = [(p * a - f * q) // den for a, q in zip(row, prow)]
-        elif p != den:
-            rows[i] = [p * a // den for a in row]
-    if p < 0:
-        for i, row in enumerate(rows):
-            rows[i] = [-a for a in row]
-        p = -p
-    return p
+        if f and i != r:
+            for j in support:
+                row[j] -= f * prow[j]
 
 
-def _pivot_out_artificials(tab, basis, ncols, den):
+def _pivot_out_artificials(tab, basis, ncols):
     """Swap remaining zero-level artificials for structural columns where
     possible; rows left with no structural pivot are redundant and harmless.
-    Returns the new common denominator.
     """
     for i in range(len(basis)):
         if basis[i] >= ncols:
             for j in range(ncols):
                 if tab[i][j]:
-                    den = pivot(tab, i, j, den)
+                    pivot(tab, i, j)
                     basis[i] = j
                     break
-    return den
 
 
 def eliminate(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of integer rows.
+    """Gauss-Jordan elimination of integer rows by unit pivots.
 
-    Returns (work, pivots, den): `work` is the reduced row list (length
+    Returns (work, pivots): `work` is the reduced row list (length
     len(rows)), `pivots` maps each pivot column to its row, and every pivot
-    row reads den at its pivot column and 0 at the other pivot columns.
-    len(pivots) is the rank.
+    row reads 1 at its pivot column and 0 at the other pivot columns.
+    len(pivots) is the rank.  Raises UnsupportedInstanceError when the rows
+    need a pivot other than +-1, which TU rows never do.
     """
     work = [list(r) for r in rows]
     pivots = {}
-    den = 1
     rank = 0
     for j in range(ncols):
         if rank == len(work):
@@ -385,10 +350,10 @@ def eliminate(rows, ncols):
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        den = pivot(work, rank, j, den)
+        pivot(work, rank, j)
         pivots[j] = rank
         rank += 1
-    return work, pivots, den
+    return work, pivots
 
 
 def _primitive(vec):
@@ -396,10 +361,3 @@ def _primitive(vec):
     g = gcd(*vec)
     return tuple([v // g for v in vec]) if g > 1 else tuple(vec)
 
-
-def as_integer_vector(res):
-    """The optimal point of an LpResult as ints; raises CctuError when it is
-    not integral (possible only on non-TU data)."""
-    if res.den != 1:
-        raise CctuError(f"non-integral vertex {res.x} / {res.den}")
-    return res.x

@@ -9,7 +9,6 @@ exactly at desk scale.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kernels, lp
 from .errors import CctuError, DimensionError, InfeasibleRelaxationError, ScaleError
@@ -92,7 +91,7 @@ class RCctufInstance:
 class LpOutcome:
     tag: str  # "optimal" | "unbounded" | "infeasible"
     vertex: tuple = None  # integral point
-    value: Fraction = None
+    value: int = None
     ray: tuple = None
 
 
@@ -102,7 +101,7 @@ def lp_optimize(P, c, sense="min"):
         raise DimensionError("objective length mismatch")
     res = lp.solve_lp(P.T.matrix.rows, P.b, list(c), sense)
     if res.status == "optimal":
-        return LpOutcome("optimal", lp.as_integer_vector(res), res.value)
+        return LpOutcome("optimal", res.x, res.value)
     if res.status == "unbounded":
         return LpOutcome("unbounded", ray=res.ray)
     return LpOutcome("infeasible")

@@ -33,6 +33,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
+from . import lp
 from .errors import DimensionError, ScaleError
 from .matrices import IntMatrix, TUMatrix, is_totally_unimodular, kept_indices, reduce_to_core
 from .polyhedra import Polyhedron, RCctufInstance
@@ -73,24 +74,18 @@ def pivot(mat, i, j):
 
     Permutes the entry to position (1,1), applies
     (eps, p^T; q, C) -> (-eps, eps p^T; eps q, C - eps q p^T), and permutes
-    back.  Pivoting preserves total unimodularity in both directions.
+    back.  `lp.pivot` computes every column but j, which is then set to
+    (-eps; eps q).
+    Pivoting preserves total unimodularity in both directions.
     """
     eps = mat[i, j]
     if eps not in (-1, 1):
         raise ValueError("pivot entry must be +1 or -1")
-    k, n = mat.nrows, mat.ncols
-    out = [[0] * n for _ in range(k)]
-    for r in range(k):
-        for c in range(n):
-            if r == i and c == j:
-                out[r][c] = -eps
-            elif r == i:
-                out[r][c] = eps * mat[i, c]
-            elif c == j:
-                out[r][c] = eps * mat[r, j]
-            else:
-                out[r][c] = mat[r, c] - eps * mat[r, j] * mat[i, c]
-    return IntMatrix(tuple([tuple(row) for row in out]))
+    rows = [list(r) for r in mat.rows]
+    lp.pivot(rows, i, j)
+    for r, row in enumerate(rows):
+        row[j] = -eps if r == i else eps * mat[r, j]
+    return IntMatrix(tuple([tuple(row) for row in rows]))
 
 
 @dataclass(frozen=True)

@@ -461,6 +461,20 @@ def test_cli_budget_overrun_exits_3(tmp_path, capsys, command):
     assert captured.err == "error: box of 5 points exceeds budget 1\n" and captured.out == ""
 
 
+# x0 + x1 <= 1, x0 - x1 <= 0, x0 >= 0 is not TU: maximizing x0 needs the pivot 2
+NON_TU = "rows 3\ncols 2\nT\n1 1\n1 -1\n-1 0\nb 1 0 0\ngamma 1 1\nm 3\nR 1\nc -1 0\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "width", "oracle"])
+def test_cli_rejects_a_non_tu_matrix_past_the_skipped_check(tmp_path, capsys, command):
+    path = tmp_path / "non_tu.txt"
+    path.write_text(NON_TU)
+    assert main([command, "--input", str(path), "--skip-tu-check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: pivot 2: the constraint matrix is not totally unimodular\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -106,8 +106,7 @@ def test_tests_have_no_unused_imports():
 
 def test_only_lp_optimize_solves_lps():
     """`lp.solve_lp` is referenced only where it is defined and in
-    `polyhedra`, so every LP the solver runs goes through `lp_optimize` and
-    its integrality check."""
+    `polyhedra`, so every LP the solver runs goes through `lp_optimize`."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name in ("lp.py", "polyhedra.py"):
@@ -117,3 +116,20 @@ def test_only_lp_optimize_solves_lps():
             if "solve_lp" in [getattr(node, key, None) for key in ("id", "attr", "name")]:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, "call polyhedra.lp_optimize instead of lp.solve_lp: " + ", ".join(offenders)
+
+
+def test_library_does_not_import_fractions():
+    """Over TU data every pivot is +-1, so the exact kernel needs no
+    rationals: points, values and rays are ints."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "the library computes on ints; drop the fractions import: " + ", ".join(offenders)

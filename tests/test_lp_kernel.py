@@ -1,4 +1,4 @@
-"""The fraction-free simplex against exhaustive enumeration, and the exact
+"""The unit-pivot simplex against exhaustive enumeration, and the exact
 checks that must hold under `python -O`."""
 
 import random
@@ -10,7 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from cctu import cones, lp
+import pytest
+
+from cctu import lp
+from cctu.errors import UnsupportedInstanceError
 from random_systems import random_tu_matrix
 
 
@@ -87,11 +90,11 @@ def _check_against_enumeration(rows, b, c, sense="min"):
     status, value = _enumerate_lp(rows, b, [sign * v for v in c])
     assert res.status == status, (rows, b, c, sense, res)
     if status == "optimal":
-        x = [Fraction(v, res.den) for v in res.x]
+        x = res.x
+        assert all(type(v) is int for v in x) and type(res.value) is int
         assert res.value == sign * value
         assert sum(cv * xv for cv, xv in zip(c, x)) == res.value
         assert all(sum(a * v for a, v in zip(row, x)) <= bv for row, bv in zip(rows, b))
-        assert res.den > 0 and gcd(res.den, *res.x) == 1
     elif status == "unbounded":
         ray = res.ray
         assert any(ray) and gcd(*ray) == 1, ray
@@ -101,20 +104,19 @@ def _check_against_enumeration(rows, b, c, sense="min"):
 
 
 def _recording_pivot(monkeypatch):
-    dens = []
+    entries = []
     pivot = lp.pivot
 
-    def recorded(rows, r, s, den):
-        new = pivot(rows, r, s, den)
-        dens.append(new)
-        return new
+    def recorded(rows, r, s):
+        entries.append(rows[r][s])
+        pivot(rows, r, s)
 
     monkeypatch.setattr(lp, "pivot", recorded)
-    return dens
+    return entries
 
 
 def test_tu_lps_match_enumeration_with_unit_denominator(monkeypatch):
-    dens = _recording_pivot(monkeypatch)
+    entries = _recording_pivot(monkeypatch)
     rng = random.Random(2027)
     seen = set()
     for _ in range(300):
@@ -125,138 +127,112 @@ def test_tu_lps_match_enumeration_with_unit_denominator(monkeypatch):
         c = [rng.randint(-3, 3) for _ in range(n)]
         res = _check_against_enumeration(rows, b, c)
         seen.add(res.status)
-        if res.status == "optimal":
-            assert res.den == 1 and all(type(v) is int for v in res.x)
-            assert type(res.value) is int
     assert seen == {"optimal", "unbounded", "infeasible"}
-    assert dens and set(dens) == {1}
+    assert entries and set(entries) == {1, -1}
 
 
-def test_general_integer_lps_match_enumeration():
+def test_non_unit_pivots_raise_unsupported():
+    """Rows that are not TU and reach a pivot other than +-1 raise
+    UnsupportedInstanceError, from `solve_lp` and from `eliminate`, and every
+    answer that does come back is exact."""
+    message = "pivot -2: the constraint matrix is not totally unimodular"
+    # x0 + x1 <= 1, x0 - x1 <= 0, x0 >= 0: the maximum of x0 is at (1/2, 1/2)
+    with pytest.raises(UnsupportedInstanceError, match="pivot 2: the constraint"):
+        lp.solve_lp([(1, 1), (1, -1), (-1, 0)], [1, 0, 0], [1, 0], "max")
+    with pytest.raises(UnsupportedInstanceError, match=message):
+        lp.eliminate([(1, 1), (1, -1)], 2)
     rng = random.Random(2028)
-    fractional = 0
+    outcomes = Counter()
     for _ in range(300):
         n = rng.randint(1, 3)
         k = rng.randint(0, 6)
         rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
         b = [rng.randint(-4, 4) for _ in range(k)]
         c = [rng.randint(-3, 3) for _ in range(n)]
-        res = _check_against_enumeration(rows, b, c)
-        fractional += res.status == "optimal" and res.den > 1
-    assert fractional > 0
-
-
-def test_sliced_cone_lps_match_enumeration(monkeypatch):
-    """A TU cone, with some rows held at equality, cut by the summed slice
-    row sigma.x <= 1: the slice row is not TU, so these LPs reach tableau
-    denominators above one."""
-    dens = _recording_pivot(monkeypatch)
-    rng = random.Random(2029)
-    for _ in range(200):
-        n = rng.randint(1, 3)
-        k = rng.randint(1, 6)
-        mat = random_tu_matrix(rng, k, n).rows
-        n_eq = rng.randint(0, k - 1)
-        eq_rows, lt_rows = mat[:n_eq], mat[n_eq:]
-        sigma = [-sum(r[j] for r in lt_rows) for j in range(n)]
-        rows = []
-        for r in eq_rows:
-            rows += [r, tuple(-v for v in r)]
-        rows += list(lt_rows) + [tuple(sigma)]
-        b = [0] * (len(rows) - 1) + [1]
-        _check_against_enumeration(rows, b, [-v for v in sigma])
-    assert max(dens) > 1
+        try:
+            res = _check_against_enumeration(rows, b, c)
+            outcomes[res.status] += 1
+        except UnsupportedInstanceError:
+            outcomes["solve_lp raised"] += 1
+        try:
+            work, pivots = lp.eliminate(rows, n)
+            assert len(pivots) == _rank(rows, n)
+            outcomes["eliminated"] += 1
+        except UnsupportedInstanceError:
+            outcomes["eliminate raised"] += 1
+    assert min(outcomes.values()) > 10 and len(outcomes) == 6, outcomes
 
 
 def test_eliminate_gives_rank_and_null_directions():
+    """On TU rows every pivot is +-1, the reduced rows stay in {-1, 0, 1},
+    and each free column gives a null direction."""
     rng = random.Random(2030)
     for _ in range(200):
         n = rng.randint(1, 4)
-        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 5))]
-        work, pivots, den = lp.eliminate(rows, n)
+        rows = random_tu_matrix(rng, rng.randint(0, 5), n).rows
+        work, pivots = lp.eliminate(rows, n)
         assert len(pivots) == _rank(rows, n)
-        assert den > 0
+        assert all(v in (-1, 0, 1) for row in work for v in row)
         for j, i in pivots.items():
-            assert work[i][j] == den
+            assert work[i][j] == 1
             assert all(work[i][jj] == 0 for jj in pivots if jj != j)
-        d = cones._null_direction(rows, n)
-        assert (d is None) == (len(pivots) == n)
-        if d is not None:
-            assert any(d) and all(sum(a * v for a, v in zip(r, d)) == 0 for r in rows)
+        for f in range(n):
+            if f in pivots:
+                continue
+            d = [0] * n
+            d[f] = 1
+            for j, i in pivots.items():
+                d[j] = -work[i][f]
+            assert all(sum(a * v for a, v in zip(r, d)) == 0 for r in rows)
 
 
-def reference_pivot(rows, r, s, den):
-    """The dense fraction-free pivot, kept as the reference for `lp.pivot`:
-    every other row with f != 0, and with a non-unit pivot every other row,
-    is rebuilt in full, and a negative pivot negates every row."""
+def reference_pivot(rows, r, s):
+    """The dense unit pivot, kept as the reference for `lp.pivot`: a -1
+    pivot row is negated, and every other row with f != 0 is rebuilt in
+    full."""
+    if rows[r][s] == -1:
+        rows[r] = [-q for q in rows[r]]
     prow = rows[r]
-    p = prow[s]
-    unit = p == den == 1
     for i, row in enumerate(rows):
-        if i == r:
-            continue
         f = row[s]
-        if unit:
-            if f:
-                rows[i] = [a - f * q for a, q in zip(row, prow)]
-        elif f:
-            rows[i] = [(p * a - f * q) // den for a, q in zip(row, prow)]
-        elif p != den:
-            rows[i] = [p * a // den for a in row]
-    if p < 0:
-        for i, row in enumerate(rows):
-            rows[i] = [-a for a in row]
-        p = -p
-    return p
-
-
-def pivot_case(p, den):
-    if den > 1:
-        return "den > 1"
-    return {1: "unit +1", -1: "unit -1"}.get(p, "den 1, |p| > 1")
+        if f and i != r:
+            rows[i] = [a - f * q for a, q in zip(row, prow)]
 
 
 def test_pivot_matches_the_dense_reference():
-    """Gauss-Jordan runs on seeded integer tableaus: before each pivot, a
-    copy takes the reference pivot, and both must leave the same rows and
-    the same denominator."""
+    """Gauss-Jordan runs on seeded TU tableaus: before each pivot, a copy
+    takes the reference pivot, and both must leave the same rows."""
     rng = random.Random(2031)
     cases = Counter()
-    for entries in ((-1, 0, 0, 1), (-2, -1, 0, 0, 1, 2, 3)):
-        for _ in range(300):
-            k = rng.randint(1, 6)
-            n = rng.randint(1, 8)
-            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(k)]
-            den = 1
-            for r in rng.sample(range(k), k):
-                support = [j for j in range(n) if rows[r][j]]
-                if not support:
-                    continue
-                s = rng.choice(support)
-                cases[pivot_case(rows[r][s], den)] += 1
-                expected = [list(row) for row in rows]
-                expected_den = reference_pivot(expected, r, s, den)
-                den = lp.pivot(rows, r, s, den)
-                assert (rows, den) == (expected, expected_den)
-    assert min(cases[case] for case in ("unit +1", "unit -1", "den 1, |p| > 1", "den > 1")) > 50
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        n = rng.randint(1, 8)
+        rows = [list(r) for r in random_tu_matrix(rng, k, n).rows]
+        for r in rng.sample(range(k), k):
+            support = [j for j in range(n) if rows[r][j]]
+            if not support:
+                continue
+            s = rng.choice(support)
+            cases[rows[r][s]] += 1
+            expected = [list(row) for row in rows]
+            reference_pivot(expected, r, s)
+            lp.pivot(rows, r, s)
+            assert rows == expected
+    assert set(cases) == {1, -1} and min(cases.values()) > 50
 
 
 def test_eliminate_and_solve_lp_match_the_dense_reference(monkeypatch):
-    """Seeded TU and general integer systems give the same elimination and
-    the same LpResult fields, for min and max, with the reference pivot."""
+    """Seeded TU systems give the same elimination and the same LpResult
+    fields, for min and max, with the reference pivot."""
     rng = random.Random(2032)
     systems = []
-    for tu in (True, False):
-        for _ in range(300):
-            n = rng.randint(1, 4)
-            k = rng.randint(1, 6)
-            if tu:
-                rows = random_tu_matrix(rng, k, n).rows
-            else:
-                rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
-            b = [rng.randint(-4, 4) for _ in range(k)]
-            c = [rng.randint(-3, 3) for _ in range(n)]
-            systems.append((rows, b, c, n))
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, 6)
+        rows = random_tu_matrix(rng, k, n).rows
+        b = [rng.randint(-4, 4) for _ in range(k)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        systems.append((rows, b, c, n))
 
     def outputs():
         out = []
@@ -329,19 +305,23 @@ def test_zero_rows_are_decided_at_once():
 
 
 def test_single_entries_beyond_one_stay_general_rows():
-    # 2 x0 <= 3 and x0 >= 0: the maximum 3/2 is not integral
-    lo, hi = _both_senses([(2,), (-1,)], [3, 0], [1])
-    assert (lo.value, hi.x, hi.den, hi.value) == (0, (3,), 2, Fraction(3, 2))
+    # 2 x0 <= 3 and x0 <= 2: folded into the bound x0 <= 3 the maximum would
+    # read 2; as a general row it binds at 3/2 and needs the pivot 2
+    with pytest.raises(UnsupportedInstanceError, match="pivot 2:"):
+        lp.solve_lp([(2,), (1,), (-1,)], [3, 2, 0], [1], "max")
     rng = random.Random(2034)
-    fractional = 0
+    outcomes = Counter()
     for _ in range(200):
         n = rng.randint(1, 3)
         rows = [_unit(n, rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(rng.randint(1, 4))]
         rows += [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 3))]
         b = [rng.randint(-4, 5) for _ in rows]
-        for res in _both_senses(rows, b, [rng.randint(-3, 3) for _ in range(n)]):
-            fractional += res.status == "optimal" and res.den > 1
-    assert fractional > 0
+        try:
+            for res in _both_senses(rows, b, [rng.randint(-3, 3) for _ in range(n)]):
+                outcomes[res.status] += 1
+        except UnsupportedInstanceError:
+            outcomes["raised"] += 1
+    assert min(outcomes.values()) > 10 and len(outcomes) == 4, outcomes
 
 
 def test_free_variables_are_unbounded_both_ways():
@@ -358,46 +338,49 @@ def test_free_variables_are_unbounded_both_ways():
 
 
 def test_checks_survive_optimized_mode():
-    """Exactness checks raise CctuError, not AssertionError, so `-O` keeps them."""
+    """Exactness checks raise CctuError, not AssertionError, so `-O` keeps
+    them; each probe prints its message, so it pins the check that fired."""
     script = textwrap.dedent(
         """
-        from fractions import Fraction
         from cctu import cones, lp
         from cctu.errors import CctuError
         from cctu.matrices import IntMatrix
 
         assert False, "asserts must be stripped in this run"
 
-        def raises(fn):
+        def probe(name, fn):
             try:
                 fn()
             except CctuError as exc:
-                return type(exc).__name__
-            return "no error"
+                print(f"{name}: {type(exc).__name__}: {exc}")
+                return
+            print(f"{name}: no error")
 
-        # a vertex 7/5 is not integral; int() would truncate it to 1
-        frac = lp.LpResult("optimal", (7,), Fraction(7, 5), den=5)
-        print("integral", raises(lambda: lp.as_integer_vector(frac)))
+        # the pivot 2 would scale the other rows by 1/2
+        probe("pivot", lambda: lp.pivot([[2, 1], [1, 1]], 0, 0))
 
         simplex = lp._simplex
-        lp._simplex = lambda tab, basis, den, allowed, bounds: (0, den)
+        lp._simplex = lambda tab, basis, allowed, bounds: 0
         # a general row: a single +-1 entry would fold into a bound
-        print("phase1", raises(lambda: lp.solve_lp([(1, 1)], [-1], [0, 0])))
+        probe("phase1", lambda: lp.solve_lp([(1, 1)], [-1], [0, 0]))
         lp._simplex = simplex
 
         # the ray (1, 2) leaves (1, 1) in the orthant only for steps up to 1/2
         orthant = IntMatrix(((-1, 0), (0, -1)))
-        cones._vertex_of_optimal_face = lambda rows, rhs, x, q: ([1, 2], 1)
-        print("step", raises(lambda: cones.decompose_pointed_tu_cone(orthant, (1, 1))))
+        cones._extremal_ray = lambda rows, x: (1, 2)
+        probe("step", lambda: cones.decompose_pointed_tu_cone(orthant, (1, 1)))
 
-        cones._vertex_of_optimal_face = lambda rows, rhs, x, q: ([0] * len(x), 1)
-        print("ray", raises(lambda: cones.decompose_pointed_tu_cone(orthant, (1, 1))))
+        cones._extremal_ray = lambda rows, x: (0, 0)
+        probe("ray", lambda: cones.decompose_pointed_tu_cone(orthant, (1, 1)))
         """
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
-        "integral", "CctuError", "phase1", "CctuError", "step", "CctuError", "ray", "CctuError",
+    assert proc.stdout.splitlines() == [
+        "pivot: UnsupportedInstanceError: pivot 2: the constraint matrix is not totally unimodular",
+        "phase1: CctuError: phase-1 simplex reported an unbounded sum of artificials",
+        "step: CctuError: non-integral or nonpositive step length 1/2",
+        "ray: CctuError: extremal ray must be nonzero",
     ]
