@@ -1,5 +1,5 @@
 """cctu: congruency-constrained feasibility and optimization over totally
-unimodular systems, with exact arithmetic throughout.
+unimodular systems, with exact integer arithmetic throughout.
 
 Solve systems T x <= b, gamma.x in R (mod m) over certified TU matrices:
 structurally (flatness, proximity, dimension reduction, sum decomposition,
@@ -10,7 +10,6 @@ cross-checking everything at desk scale.
 from .baseblocks import (
     CccInstance,
     CtcInstance,
-    LevelLabeling,
     cctu_to_ccc,
     cctu_to_ctc,
     normalize,
@@ -25,7 +24,6 @@ from .generators import generate
 from .matrices import IntMatrix, TUMatrix, is_totally_unimodular
 from .patterns import (
     Pattern,
-    SolveResult,
     SubPattern,
     compute_pattern,
     decomp_progress_step,
@@ -36,12 +34,12 @@ from .patterns import (
     split_instance,
 )
 from .polyhedra import (
-    LpOutcome,
-    OracleOutcome,
     Polyhedron,
     RCctufInstance,
+    SolveResult,
     integral_feasible_point,
     lp_optimize,
+    lp_range,
     oracle_solve,
     width,
 )
@@ -59,13 +57,12 @@ from .seymour import (
 from .shortening import ResidueGroups, max_removable_interval, shorten_residue_sum, transform_solution
 from .structure import (
     FlatnessOutcome,
-    ScalarBounds,
     bound_scalar_products,
     eliminate_tight_variable,
     find_flat_or_solve,
     proximal_solution,
     solve_r_minus_1,
 )
-from .verify import SolveReport, verify_solution
+from .verify import verify_solution
 
 __version__ = "0.1.0"

@@ -28,8 +28,9 @@ subdividing each tree arc (transposed), so no matrix is recognized twice.
 Both terminal enumerations are phrased as integer box searches: circulations
 are parametrized by their values on non-forest edges of the flow graph
 (forest values follow from conservation), and level labelings are vectors in
-{0..m-1}^V with difference constraints.  That lets the shared kernel do the
-heavy scanning with row-interval pruning, with R as its residue mask.
+{0..m-1}^V with difference constraints, kept as the plain tuple the search
+returns.  That lets the shared kernel do the heavy scanning with
+row-interval pruning, with R as its residue mask.
 
 Circulation canonicalization: antiparallel arc pairs whose residue weights
 cancel mod m are merged into one signed edge, which is exactly the freedom
@@ -333,14 +334,6 @@ class CtcInstance:
     m: int
 
 
-@dataclass(frozen=True)
-class LevelLabeling:
-    """Encodes the chain S_i = {v : level(v) >= i}, i = 1..m-1."""
-
-    levels: tuple
-    m: int
-
-
 def cctu_to_ctc(norm, rep):
     """Build the tree-cut instance of a normalized transposed-network problem.
 
@@ -369,11 +362,12 @@ def cctu_to_ctc(norm, rep):
 
 
 def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
-    """A chain labeling (levels in {0..m-1}) whose residue lies in the target
-    set, or None.
+    """A chain labeling whose residue lies in the target set, or None.
 
-    The chain bound comes with the encoding: at most m-1 distinct nonempty
-    cuts.  Solved as a box search with difference-constraint rows.
+    The labeling is the tuple of vertex levels in {0..m-1}; it encodes the
+    chain of cuts S_i = {v : level(v) >= i}, i = 1..m-1.  The chain bound
+    comes with the encoding: at most m-1 distinct nonempty cuts.  Solved as
+    a box search with difference-constraint rows.
     """
     nv = ctc.nvertices
     m = ctc.m
@@ -405,12 +399,12 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
     )
     if not found:
         return None
-    return LevelLabeling(tuple(levels), m)
+    return tuple(levels)
 
 
-def labeling_to_solution(ctc, labeling):
+def labeling_to_solution(ctc, levels):
     """x(u) = level(tail) - level(head) per tree arc; the chain-cut sum."""
-    return tuple([labeling.levels[a] - labeling.levels[b] for (a, b) in ctc.tree_arcs])
+    return tuple([levels[a] - levels[b] for (a, b) in ctc.tree_arcs])
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +451,10 @@ def solve_network_cctu(inst, rep, budget=DEFAULT_ENUM_BUDGET):
 
 def _transposed_solve(norm, rep, budget):
     ctc = cctu_to_ctc(norm, rep)
-    labeling = solve_ctc_chain(ctc, budget)
-    if labeling is None:
+    levels = solve_ctc_chain(ctc, budget)
+    if levels is None:
         return None
-    xhat = labeling_to_solution(ctc, labeling)
+    xhat = labeling_to_solution(ctc, levels)
     if any(v < 0 for v in xhat):
         raise SolutionCheckError("level labeling gives a negative split variable")
     return norm.lift(xhat)

@@ -27,7 +27,7 @@ from .patterns import solve_rcctuf
 from .polyhedra import integral_feasible_point, oracle_solve, width
 from .seymour import classify
 from .structure import find_flat_or_solve, proximal_solution
-from .verify import SolveReport, verify_solution
+from .verify import verify_solution
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -41,6 +41,14 @@ def positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def nonnegative_int(text):
+    """argparse type for counts that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
     return value
 
 
@@ -69,7 +77,7 @@ def make_parser():
     command("solve", "run the structural solver", *solving)
     command("oracle", "run the proximity-box oracle", *solving)
     command("check-tu", "certify total unimodularity", "input", "json")
-    command("decompose", "print the classification tree", "input", "skip-tu-check")
+    command("decompose", "print the classification tree", "input")
     command("width", "row-direction widths of the polyhedron", "input", "skip-tu-check")
     command(
         "proximity",
@@ -81,8 +89,8 @@ def make_parser():
 
     g = command("generate", "write a random instance of a structural class", "seed", "output")
     g.add_argument("--kind", choices=KINDS, required=True)
-    g.add_argument("--size", type=int, default=4)
-    g.add_argument("--m", type=int, default=3)
+    g.add_argument("--size", type=positive_int, default=4)
+    g.add_argument("--m", type=positive_int, default=3)
     g.add_argument("--residues", type=int, default=1, help="number of target residues")
     g.add_argument("--objective", action="store_true", help="attach a random objective")
 
@@ -92,9 +100,9 @@ def make_parser():
     f = command(
         "fuzz", "cross-check solver against the oracle", "seed", "max-enum", "output", "json"
     )
-    f.add_argument("-n", type=int, default=100, help="number of instances")
-    f.add_argument("--m", type=int, default=0, help="fix the modulus (0 = mixed)")
-    f.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    f.add_argument("-n", type=nonnegative_int, default=100, help="number of instances")
+    f.add_argument("--m", type=nonnegative_int, default=0, help="fix the modulus (0 = mixed)")
+    f.add_argument("--jobs", type=positive_int, default=1, help="parallel worker processes")
     return p
 
 
@@ -114,8 +122,32 @@ def _load(args, verify_tu=None):
         raise SystemExit(EXIT_INPUT)
 
 
-def _emit(args, report):
-    text = report.to_json() if args.json else report.describe()
+def _emit(args, res, elapsed, solver):
+    """Print a SolveResult with the solve's wall time and the solver's name,
+    as JSON with --json, and copy it to --output when given."""
+    if args.json:
+        text = json.dumps(
+            {
+                "status": res.status,
+                "x": list(res.x) if res.x is not None else None,
+                "value": res.value,
+                "stats": res.stats,
+                "elapsed": round(elapsed, 6),
+                "solver": solver,
+            },
+            sort_keys=True,
+        )
+    else:
+        lines = [f"status: {res.status}"]
+        if res.x is not None:
+            lines.append("x: " + " ".join(str(v) for v in res.x))
+        if res.value is not None:
+            lines.append(f"value: {res.value}")
+        if res.stats:
+            pretty = ", ".join(f"{k}={v}" for k, v in sorted(res.stats.items()))
+            lines.append(f"stats: {pretty}")
+        lines.append(f"elapsed: {elapsed:.3f}s")
+        text = "\n".join(lines)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -131,16 +163,15 @@ def cmd_solve(args):
         check = verify_solution(inst, res.x)
         if not check.ok:
             raise SolutionCheckError(f"reported solution fails verification: {check.describe()}")
-    report = SolveReport(res.status, res.x, res.value, res.stats, elapsed)
     if res.status == "infeasible" and not args.json:
         try:
             out = find_flat_or_solve(inst.without_objective())
             if out.tag == "flat":
-                report.stats["flat_row"] = out.row_index
-                report.stats["flat_width"] = out.width
+                res.stats["flat_row"] = out.row_index
+                res.stats["flat_width"] = out.width
         except CctuError:
             pass
-    _emit(args, report)
+    _emit(args, res, elapsed, "structural")
     if res.status == "unsupported":
         return EXIT_INPUT
     return EXIT_OK if res.status in ("feasible", "unbounded") else EXIT_INFEASIBLE
@@ -150,8 +181,7 @@ def cmd_oracle(args):
     inst = _load(args)
     start = time.perf_counter()
     out = oracle_solve(inst, args.max_enum)
-    report = SolveReport(out.status, out.x, out.value, {}, time.perf_counter() - start, "oracle")
-    _emit(args, report)
+    _emit(args, out, time.perf_counter() - start, "oracle")
     return EXIT_OK if out.status in ("feasible", "unbounded") else EXIT_INFEASIBLE
 
 
@@ -175,7 +205,7 @@ def cmd_check_tu(args):
 
 
 def cmd_decompose(args):
-    inst = _load(args)
+    inst = _load(args, verify_tu=True)
 
     def tree(mat, depth, label):
         pad = "  " * depth
@@ -198,7 +228,7 @@ def cmd_decompose(args):
         else:
             print(f"{pad}{label}: {cls.tag.replace('_', ' ')}")
 
-    tree(inst.P.T, 0, "T")
+    tree(inst.P.T.matrix, 0, "T")
     return EXIT_OK
 
 
@@ -212,12 +242,12 @@ def cmd_width(args):
         if not any(row):
             print(f"row {i}: zero row")
             continue
-        res = width(inst.P, row)
-        if res.finite:
-            mark = "  <- flat" if res.width <= bound else ""
-            print(f"row {i}: width {res.width}{mark}")
-        else:
+        w = width(inst.P, row)
+        if w is None:
             print(f"row {i}: infinite")
+        else:
+            mark = "  <- flat" if w <= bound else ""
+            print(f"row {i}: width {w}{mark}")
     return EXIT_OK
 
 
@@ -246,16 +276,8 @@ def _input_error(problem):
 
 
 def cmd_generate(args):
-    if args.m < 1:
-        problem = f"--m must be at least 1, not {args.m}"
-    elif args.size < 1:
-        problem = f"--size must be at least 1, not {args.size}"
-    elif not 1 <= args.residues <= args.m:
-        problem = f"--residues must lie in 1..{args.m}, not {args.residues}"
-    else:
-        problem = None
-    if problem is not None:
-        return _input_error(problem)
+    if not 1 <= args.residues <= args.m:
+        return _input_error(f"--residues must lie in 1..{args.m}, not {args.residues}")
     gen = generate(args.kind, args.size, args.m, args.residues, args.seed, args.objective)
     text = serialize_instance(gen.instance)
     if args.output:
@@ -281,16 +303,6 @@ def cmd_verify(args):
 
 
 def cmd_fuzz(args):
-    if args.m < 0:
-        problem = f"--m must be at least 0, not {args.m}"
-    elif args.n < 0:
-        problem = f"-n must be at least 0, not {args.n}"
-    elif args.jobs < 1:
-        problem = f"--jobs must be at least 1, not {args.jobs}"
-    else:
-        problem = None
-    if problem is not None:
-        return _input_error(problem)
     summary = run_fuzz(
         args.n, args.seed, args.m or None, args.max_enum, args.output, jobs=args.jobs
     )

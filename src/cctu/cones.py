@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import lp
 from .errors import CctuError, DimensionError
-from .matrices import IntMatrix, TUMatrix
+from .matrices import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,14 @@ def _extremal_ray(rows, x):
 EXTRACTION_SLACK = 2  # ray extractions allowed beyond n before giving up
 
 
-def decompose_pointed_tu_cone(T, y):
-    """Write y (with Ty <= 0, cone pointed) as an integral nonnegative
-    combination of elementary extremal rays of {x : Tx <= 0}.
+def decompose_pointed_tu_cone(mat, y):
+    """Write y (with mat y <= 0, cone pointed) as an integral nonnegative
+    combination of elementary extremal rays of {x : mat x <= 0}, for a TU
+    `IntMatrix` mat.
 
     Returns (rays, coeffs), padded with zero-coefficient entries to exactly n
     terms.  Raises CctuError when the cone is not pointed or y is outside.
     """
-    mat = T.matrix if isinstance(T, TUMatrix) else T
     n = mat.ncols
     if len(y) != n:
         raise DimensionError("point length mismatch")

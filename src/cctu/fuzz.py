@@ -20,17 +20,33 @@ from .polyhedra import Polyhedron, oracle_solve
 def _statuses(inst, budget):
     res = solve_rcctuf(inst, budget)
     ora = oracle_solve(inst, budget)
-    solver_status = res.status
-    value = res.value
-    ora_value = ora.value
-    agree = solver_status == ora.status and (
-        solver_status != "feasible" or inst.c is None or value == ora_value
+    agree = res.status == ora.status and (
+        res.status != "feasible" or inst.c is None or res.value == ora.value
     )
     return agree, res, ora
 
 
+def _shrinks(inst):
+    """One-step shrinks of `inst` in the order the minimizer tries them:
+    drop a row, move a right-hand side one step toward 0, zero a residue
+    weight."""
+    rows = inst.P.T.matrix.rows
+    b = inst.P.b
+    for i in range(len(rows)):
+        mat = IntMatrix(rows[:i] + rows[i + 1:], inst.nvars)
+        yield inst.replaced(P=Polyhedron(TUMatrix.trusted(mat), b[:i] + b[i + 1:]))
+    for i, bv in enumerate(b):
+        if bv != 0:
+            smaller = bv - 1 if bv > 0 else bv + 1
+            yield inst.replaced(P=Polyhedron(inst.P.T, b[:i] + (smaller,) + b[i + 1:]))
+    for i, gv in enumerate(inst.gamma):
+        if gv != 0:
+            yield inst.replaced(gamma=inst.gamma[:i] + (0,) + inst.gamma[i + 1:])
+
+
 def minimize_reproducer(inst, budget):
-    """Greedy shrink preserving the solver/oracle disagreement."""
+    """Greedy shrink preserving the solver/oracle disagreement: take the
+    first shrink that keeps it, and start over, until none does."""
 
     def still_bad(candidate):
         try:
@@ -39,47 +55,11 @@ def minimize_reproducer(inst, budget):
         except ScaleError:
             return False
 
-    current = inst
-    changed = True
-    while changed:
-        changed = False
-        rows = current.P.T.matrix.rows
-        for i in range(len(rows)):
-            cand_rows = rows[:i] + rows[i + 1:]
-            cand = current.replaced(
-                P=Polyhedron(
-                    TUMatrix.trusted(IntMatrix(cand_rows, current.nvars)),
-                    current.P.b[:i] + current.P.b[i + 1:],
-                )
-            )
-            if still_bad(cand):
-                current = cand
-                changed = True
-                break
-        if changed:
-            continue
-        for i, bv in enumerate(current.P.b):
-            if bv == 0:
-                continue
-            smaller = bv - 1 if bv > 0 else bv + 1
-            cand = current.replaced(
-                P=Polyhedron(current.P.T, current.P.b[:i] + (smaller,) + current.P.b[i + 1:])
-            )
-            if still_bad(cand):
-                current = cand
-                changed = True
-                break
-        if changed:
-            continue
-        for i, gv in enumerate(current.gamma):
-            if gv == 0:
-                continue
-            cand = current.replaced(gamma=current.gamma[:i] + (0,) + current.gamma[i + 1:])
-            if still_bad(cand):
-                current = cand
-                changed = True
-                break
-    return current
+    while True:
+        smaller = next((cand for cand in _shrinks(inst) if still_bad(cand)), None)
+        if smaller is None:
+            return inst
+        inst = smaller
 
 
 def _draw_instance(task_seed, fixed_m):

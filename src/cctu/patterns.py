@@ -21,7 +21,7 @@ always exist, so a small greedy cover handles every singleton cell that is
 not already protected by a neighbouring multi-residue cell.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .baseblocks import solve_base_block
@@ -31,8 +31,10 @@ from .polyhedra import (
     DEFAULT_ENUM_BUDGET,
     Polyhedron,
     RCctufInstance,
+    SolveResult,
     integral_feasible_point,
     lp_optimize,
+    lp_range,
     oracle_solve,
     search_box,
 )
@@ -173,11 +175,10 @@ def narrowed_domain(inst, split):
     _, P = bound_scalar_products(inst, [d_alpha, d_beta, d_sum])
     out = []
     for d in (d_sum, d_alpha, d_beta):
-        lo = lp_optimize(P, d, "min")
-        hi = lp_optimize(P, d, "max")
-        if lo.tag != "optimal" or hi.tag != "optimal":
-            raise CctuError(f"bounded scalar product has LP outcomes {lo.tag}, {hi.tag}")
-        out.extend((int(lo.value), int(hi.value)))
+        span = lp_range(P, d)
+        if span is None or None in span:
+            raise CctuError(f"bounded scalar product has the LP range {span}")
+        out.extend(span)
     return tuple(out)
 
 
@@ -398,21 +399,15 @@ def integrate_subpattern(inst, split, pattern, sp):
 # one decomposition step
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    instance: RCctufInstance
-    lift: object  # solution of `instance` -> solution of the parent
-    note: str
-
-
 def decomp_progress_step(inst, split, solver):
     """Either a solution, or a family of strictly simpler instances whose
     feasibility is equivalent to the original's.
 
     ("solution", x) covers the direct-combination and pigeonhole cases;
-    ("family", members) contains per multi-residue cell one A-problem with a
-    grown target set and, for unprotected singleton cells, integrated
-    sub-pattern instances with one variable fewer.
+    ("family", members, pattern) lists (instance, lift) pairs, where lift
+    maps a solution of the instance to one of `inst`: per multi-residue cell
+    one A-problem with a grown target set and, for unprotected singleton
+    cells, integrated sub-pattern instances with one variable fewer.
     """
     m = inst.m
     ell = len(inst.R)
@@ -447,7 +442,7 @@ def decomp_progress_step(inst, split, solver):
                     return _checked(inst, x, "grown-target lift")
             raise SolutionCheckError(f"A-side point {sol} has residue {ga} off the grown targets")
 
-        members.append(FamilyMember(sub, lift_multi, f"cell {cell} residues {sorted(pi)}"))
+        members.append((sub, lift_multi))
     singleton = [c for c in sorted(pattern.cells) if len(pattern.cells[c]) == 1]
     protected = set()
     dirs = ((1, 0), (0, 1), (1, -1), (-1, 0), (0, -1), (-1, 1))
@@ -460,8 +455,7 @@ def decomp_progress_step(inst, split, solver):
                 break
     danger = [c for c in singleton if c not in protected]
     for sp in find_linear_subpattern(pattern, m, danger):
-        reduced, lift = integrate_subpattern(inst, split, pattern, sp)
-        members.append(FamilyMember(reduced, lift, f"sub-pattern {sp.bounds}"))
+        members.append(integrate_subpattern(inst, split, pattern, sp))
     return ("family", members, pattern)
 
 
@@ -470,14 +464,6 @@ def decomp_progress_step(inst, split, solver):
 
 
 MAX_DEPTH = 64  # recursion depth at which the solver hands over to the oracle
-
-
-@dataclass
-class SolveResult:
-    status: str  # "feasible" | "infeasible" | "unbounded" | "unsupported"
-    x: tuple = None
-    value: int = None
-    stats: dict = field(default_factory=dict)
 
 
 def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
@@ -500,10 +486,10 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
     if not supported:
         return SolveResult("unsupported", stats=stats)
     out = lp_optimize(inst.P, inst.c, "min") if inst.c is not None else None
-    if out is not None and out.tag == "infeasible":
+    if out is not None and out.status == "infeasible":
         return SolveResult("infeasible", stats=stats)
-    if out is not None and out.tag == "optimal" and inst.residue(out.vertex) in inst.R:
-        x = _checked(inst, out.vertex, "optimal vertex")
+    if out is not None and out.status == "optimal" and inst.residue(out.x) in inst.R:
+        x = _checked(inst, out.x, "optimal vertex")
         return SolveResult("feasible", x, inst.objective(x), stats)
 
     def feasible_point(inst, depth):
@@ -535,7 +521,7 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
         try:
             if depth >= MAX_DEPTH:
                 raise ScaleError(f"recursion depth {depth} reached MAX_DEPTH")
-            cls = classify(inst.P.T)
+            cls = classify(inst.P.T.matrix)
             if cls.tag in ("network", "transposed_network", "constant_core"):
                 return solve_base_block(inst, cls, budget, vertex=x0)
             if cls.tag == "sum":
@@ -545,15 +531,15 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
             out = oracle_solve(inst, budget, vertex=x0)
             return out.x if out.status == "feasible" else None
         if cls.tag == "pivot_then_sum":
-            transformed, maps = pivot_transform_instance(inst, *cls.pivot_at)
+            transformed, Q = pivot_transform_instance(inst, *cls.pivot_at)
             sol = feasible_point(transformed, depth + 1)
-            return None if sol is None else _checked(inst, maps.to_original(sol), "pivot map-back")
+            return None if sol is None else _checked(inst, Q.mul_vec(sol), "pivot map-back")
         if step[0] == "solution":
             return step[1]
-        for member in step[1]:
-            sol = feasible_point(member.instance, depth + 1)
+        for sub, lift in step[1]:
+            sol = feasible_point(sub, depth + 1)
             if sol is not None:
-                return member.lift(sol)
+                return lift(sol)
         return None
 
     x = feasible_point(inst.without_objective(), 0)
@@ -563,9 +549,9 @@ def solve_rcctuf(inst, budget=DEFAULT_ENUM_BUDGET):
     _checked(inst, x, "feasibility")
     if out is None:
         return SolveResult("feasible", x, stats=stats)
-    if out.tag == "unbounded":
+    if out.status == "unbounded":
         return SolveResult("unbounded", x, stats=stats)
-    found, best, value = search_box(inst, out.vertex, inst.m - len(inst.R), budget)
+    found, best, value = search_box(inst, out.x, inst.m - len(inst.R), budget)
     if not found:
         raise CctuError("feasible instance has no solution in the proximity box")
     return SolveResult("feasible", best, value, stats)

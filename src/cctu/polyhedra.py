@@ -1,5 +1,12 @@
-"""Polyhedra {x : Tx <= b} over TU matrices, the central problem type, and
-the proximity-box oracle used to cross-check every structural solver.
+"""Polyhedra {x : Tx <= b} over TU matrices, the central problem type, the
+LP queries over them, the answer type `SolveResult`, and the proximity-box
+oracle used to cross-check every structural solver.
+
+Every LP runs through `lp_optimize`, which hands back the `lp.LpResult`
+(status, integral point x, int value).  The structural tools ask one more
+question of it, the range of d.x over P, and `lp_range` answers it: the
+flat-row widths, the bounded scalar-product windows and the narrowed
+pattern domain all read both ends of that range.
 
 The oracle's completeness rests on the proximity bound: a feasible instance
 has a solution within l_inf distance m-|R| of any point satisfying the
@@ -8,7 +15,7 @@ of an optimal relaxation vertex.  So scanning that box decides the instance
 exactly at desk scale.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernels, lp
 from .errors import CctuError, DimensionError, InfeasibleRelaxationError, ScaleError
@@ -87,30 +94,18 @@ class RCctufInstance:
         return RCctufInstance(**data)
 
 
-@dataclass(frozen=True)
-class LpOutcome:
-    tag: str  # "optimal" | "unbounded" | "infeasible"
-    vertex: tuple = None  # integral point
-    value: int = None
-    ray: tuple = None
-
-
 def lp_optimize(P, c, sense="min"):
-    """Exact optimum of c.x over P; vertices come back integral (TU)."""
+    """Exact optimum of c.x over P as an `lp.LpResult`; over a TU system its
+    point comes back integral."""
     if len(c) != P.nvars:
         raise DimensionError("objective length mismatch")
-    res = lp.solve_lp(P.T.matrix.rows, P.b, list(c), sense)
-    if res.status == "optimal":
-        return LpOutcome("optimal", res.x, res.value)
-    if res.status == "unbounded":
-        return LpOutcome("unbounded", ray=res.ray)
-    return LpOutcome("infeasible")
+    return lp.solve_lp(P.T.matrix.rows, P.b, list(c), sense)
 
 
 def integral_feasible_point(P):
     """Some integral point of P, or None."""
-    out = lp_optimize(P, (0,) * P.nvars, "min")
-    return out.vertex if out.tag == "optimal" else None
+    res = lp_optimize(P, (0,) * P.nvars, "min")
+    return res.x if res.status == "optimal" else None
 
 
 def vertex_of(P, vertex=None):
@@ -127,35 +122,37 @@ def vertex_of(P, vertex=None):
     return tuple(vertex)
 
 
-@dataclass(frozen=True)
-class WidthResult:
-    finite: bool
-    width: int = None
+def lp_range(P, d):
+    """The range of d.x over P: None when P is empty, which one LP tells;
+    otherwise (min, max), with None for an unbounded side."""
+    lo = lp_optimize(P, d, "min")
+    if lo.status == "infeasible":
+        return None
+    return lo.value, lp_optimize(P, d, "max").value
 
 
 def width(P, d):
-    """Exact integer width of P along d.
+    """Exact integer width of P along d, or None when it is infinite.
 
     Over a TU system the LP optima are attained at integral points, so the
     integer width equals the LP width whenever both optima are finite.
     """
-    lo = lp_optimize(P, d, "min")
-    if lo.tag == "infeasible":
+    span = lp_range(P, d)
+    if span is None:
         raise InfeasibleRelaxationError("width of an empty polyhedron")
-    if lo.tag == "unbounded":
-        return WidthResult(False)
-    hi = lp_optimize(P, d, "max")
-    if hi.tag == "unbounded":
-        return WidthResult(False)
-    w = int(hi.value - lo.value)
-    return WidthResult(True, w)
+    lo, hi = span
+    return None if lo is None or hi is None else hi - lo
 
 
-@dataclass(frozen=True)
-class OracleOutcome:
-    status: str  # "feasible" | "infeasible" | "unbounded"
+@dataclass
+class SolveResult:
+    """The answer to an instance: status, a solution x, its objective value
+    (with an objective), and the solver's statistics."""
+
+    status: str  # "feasible" | "infeasible" | "unbounded" | "unsupported"
     x: tuple = None
     value: int = None
+    stats: dict = field(default_factory=dict)
 
 
 def oracle_solve(inst, budget=DEFAULT_ENUM_BUDGET, *, vertex=None):
@@ -172,25 +169,25 @@ def oracle_solve(inst, budget=DEFAULT_ENUM_BUDGET, *, vertex=None):
         if vertex is not None:
             raise ValueError("an objective needs the optimal vertex, not a handed-down point")
         out = lp_optimize(inst.P, inst.c, "min")
-        if out.tag == "infeasible":
-            return OracleOutcome("infeasible")
-        if out.tag == "unbounded":
+        if out.status == "infeasible":
+            return SolveResult("infeasible")
+        if out.status == "unbounded":
             probe = oracle_solve(inst.without_objective(), budget)
             if probe.status == "feasible":
-                return OracleOutcome("unbounded", x=probe.x)
-            return OracleOutcome("infeasible")
-        x0 = out.vertex
+                return SolveResult("unbounded", x=probe.x)
+            return SolveResult("infeasible")
+        x0 = out.x
     else:
         x0 = vertex_of(inst.P, vertex)
         if x0 is None:
-            return OracleOutcome("infeasible")
+            return SolveResult("infeasible")
     if len(inst.R) == inst.m:
         val = inst.objective(x0) if inst.c is not None else None
-        return OracleOutcome("feasible", x0, val)
+        return SolveResult("feasible", x0, val)
     found, x, value = search_box(inst, x0, inst.m - len(inst.R), budget)
     if not found:
-        return OracleOutcome("infeasible")
-    return OracleOutcome("feasible", tuple(x), value if inst.c is not None else None)
+        return SolveResult("infeasible")
+    return SolveResult("feasible", tuple(x), value if inst.c is not None else None)
 
 
 def search_box(inst, center, radius, budget=DEFAULT_ENUM_BUDGET):

@@ -574,13 +574,12 @@ class Classification:
     pivot_at: tuple = None
 
 
-def classify(tu):
-    """Structural classification of a TU matrix with a verifiable witness.
+def classify(mat):
+    """Structural classification of a TU `IntMatrix` with a verifiable witness.
 
     Raises ScaleError when the instance defeats every desk-scale search; the
     top-level solver routes those to the brute-force oracle.
     """
-    mat = tu.matrix if isinstance(tu, TUMatrix) else tu
     try:
         rep = recognize_network_matrix(mat)
     except ScaleError:
@@ -612,26 +611,17 @@ def classify(tu):
 # pivot transformation of instances
 
 
-@dataclass(frozen=True)
-class PivotMaps:
-    """x = Q y for the unimodular column-operation matrix Q; Qinv, its
-    integer inverse, certifies that the map is a bijection on integer points."""
-
-    Q: IntMatrix
-    Qinv: IntMatrix
-
-    def to_original(self, y):
-        return self.Q.mul_vec(y)
-
-
 def pivot_transform_instance(inst, i, j):
     """Rewrite the instance over the pivoted matrix with one extra variable
     bound, preserving solutions bijectively.
 
     Substitutes x = Q y where Q clears the pivot row to a unit row; the extra
     bound on y_j comes from the bounded-scalar-product window for the unit
-    direction e_j, which keeps feasibility unchanged.  Raises ValueError when
-    `inst` has an objective: the caller owns it.
+    direction e_j, which keeps feasibility unchanged.  Returns (transformed
+    instance, Q); a solution y of the transformed instance maps back to the
+    solution Q.mul_vec(y) of `inst`.  Q is unimodular: its integer inverse is
+    the identity with row j replaced by the pivot row.  Raises ValueError
+    when `inst` has an objective: the caller owns it.
     """
     if inst.c is not None:
         raise ValueError("pivoting takes feasibility instances; the caller owns the objective")
@@ -643,11 +633,9 @@ def pivot_transform_instance(inst, i, j):
     pivoted = pivot(IntMatrix(mat.rows + (inst.gamma,), n), i, j).rows
     q_row = tuple([-v for v in pivoted[i]])
     eye = IntMatrix.identity(n).rows
-    bounds, _ = bound_scalar_products(inst, [eye[j]])
-    (_, u), = bounds.bounds
+    ((_, u),), _ = bound_scalar_products(inst, [eye[j]])
     Q = IntMatrix(eye[:j] + (q_row,) + eye[j + 1:], n)
-    Qinv = IntMatrix(eye[:j] + (mat.rows[i],) + eye[j + 1:], n)
     new_rows = pivoted[:i] + (eye[j],) + pivoted[i + 1:-1] + (q_row,)
     new_P = Polyhedron(TUMatrix.trusted(IntMatrix(new_rows, n)), inst.P.b + (u,))
     transformed = RCctufInstance(new_P, pivoted[-1], inst.m, inst.R)
-    return transformed, PivotMaps(Q, Qinv)
+    return transformed, Q

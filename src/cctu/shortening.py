@@ -44,17 +44,16 @@ class Interval:
 
     first: int
     last: int
-    removed_residue: int
 
 
-def max_removable_interval(g, S, allow_singleton=False):
-    """Largest interval (at least two positions) whose removal leaves the sum
-    in S mod m; ties broken by smallest chunk pair, then smallest start.
+def max_removable_interval(g, S):
+    """Largest interval whose removal leaves the sum in S mod m; ties broken
+    by smallest chunk pair, then smallest start.
 
-    Returns an Interval or None.  `allow_singleton` admits one-position
-    intervals; the shortening procedure needs them in corner cases where no
-    two-position interval lands in the target set (the interval IPs behind
-    this search bound the offsets by x <= y, not x < y).
+    Returns an Interval or None.  One-position intervals count: the
+    shortening procedure needs them in corner cases where no two-position
+    interval lands in the target set (the interval IPs behind this search
+    bound the offsets by x <= y, not x < y).
     """
     m = g.m
     S = {int(s) % m for s in S}
@@ -78,13 +77,13 @@ def max_removable_interval(g, S, allow_singleton=False):
             if kpos == jpos:
                 # both endpoints inside one chunk: removed sum is a run of rj,
                 # and a run of length y starts earliest at offset 1
-                for y in range(max(1 if allow_singleton else 2, lj - m + 1), lj + 1):
+                for y in range(max(1, lj - m + 1), lj + 1):
                     removed = y * rj
                     if (total - removed) % m in S:
                         cand = (-y, j, k, prefix[j] + 1)
                         if best is None or cand < best:
                             best = cand
-                            best_iv = Interval(prefix[j] + 1, prefix[j] + y, removed % m)
+                            best_iv = Interval(prefix[j] + 1, prefix[j] + y)
             else:
                 mid = sum(mult for t, _, mult in live[jpos + 1:kpos])
                 mid_res = sum(r * mult for t, r, mult in live[jpos + 1:kpos])
@@ -96,7 +95,7 @@ def max_removable_interval(g, S, allow_singleton=False):
                             cand = (-size, j, k, prefix[j] + x)
                             if best is None or cand < best:
                                 best = cand
-                                best_iv = Interval(prefix[j] + x, prefix[k] + y, removed % m)
+                                best_iv = Interval(prefix[j] + x, prefix[k] + y)
     return best_iv
 
 
@@ -112,13 +111,7 @@ def _delete_interval(groups, iv):
     return tuple(out)
 
 
-@dataclass
-class ShorteningStats:
-    phase1_steps: int = 0
-    phase2_steps: int = 0
-
-
-def shorten_residue_sum(g, stats=None):
+def shorten_residue_sum(g):
     """Multiplicities mu <= lambda with at most m-|R| terms and sum in R mod m.
 
     Phase one deletes zero-sum runs (single-residue target) while more than
@@ -127,8 +120,6 @@ def shorten_residue_sum(g, stats=None):
     """
     if g.total_residue not in g.R:
         raise CctuError("initial residue sum is not in the target set")
-    if stats is None:
-        stats = ShorteningStats()
     if len(g.R) == g.m:
         # full target set: the empty sum qualifies, and a one-term sum could
         # otherwise never shrink (intervals need two positions)
@@ -141,18 +132,16 @@ def shorten_residue_sum(g, stats=None):
 
     while count(cur) > g.m - 1:
         state = ResidueGroups(cur, g.m, g.R)
-        iv = max_removable_interval(state, {state.total_residue}, allow_singleton=True)
+        iv = max_removable_interval(state, {state.total_residue})
         if iv is None:
             raise CctuError("no zero-sum interval despite more than m-1 terms")
         cur = _delete_interval(cur, iv)
-        stats.phase1_steps += 1
     while count(cur) > budget:
         state = ResidueGroups(cur, g.m, g.R)
-        iv = max_removable_interval(state, g.R, allow_singleton=True)
+        iv = max_removable_interval(state, g.R)
         if iv is None:
             raise CctuError("no interval into the target set despite excess terms")
         cur = _delete_interval(cur, iv)
-        stats.phase2_steps += 1
     return tuple([mult for _, mult in cur])
 
 

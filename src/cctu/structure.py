@@ -41,6 +41,7 @@ from .polyhedra import (
     RCctufInstance,
     integral_feasible_point,
     lp_optimize,
+    lp_range,
     vertex_of,
     width,
 )
@@ -136,9 +137,9 @@ def find_flat_or_solve(inst, *, vertex=None, equality=_UNSCANNED):
             if not any(rows[idx]):
                 continue  # vacuous zero row, not a direction
             current = _sub_polyhedron(mat, rhs, range(idx, k))
-            res = width(current, rows[idx])
-            if res.finite and res.width <= bound:
-                return FlatnessOutcome("flat", row_index=idx, width=res.width)
+            w = width(current, rows[idx])
+            if w is not None and w <= bound:
+                return FlatnessOutcome("flat", row_index=idx, width=w)
     x = solve_unconstrained_congruence(inst.gamma, inst.m, inst.R)
     if x is None:
         return FlatnessOutcome("infeasible")
@@ -181,8 +182,7 @@ def _first_implicit_equality(P, x0, start=0):
         if not any(row) or row in tested or sum(map(mul, row, x0)) != bv:
             continue
         tested.add(row)
-        lo = lp_optimize(P, row, "min")
-        if lo.tag == "optimal" and lo.value == bv:
+        if lp_optimize(P, row, "min").value == bv:
             return i
     return None
 
@@ -209,32 +209,24 @@ def _sub_polyhedron(mat, rhs, idx):
     return Polyhedron(TUMatrix.trusted(sub), tuple([rhs[i] for i in idx]))
 
 
-@dataclass(frozen=True)
-class ScalarBounds:
-    """Per-direction integer windows (lo_i, hi_i) with hi_i - lo_i <= m-|R|."""
-
-    bounds: tuple
-
-
 def bound_scalar_products(inst, directions):
     """Windows for the products d.x that preserve feasibility.
 
     `directions` must be simultaneously TU-appendable to the constraint
     matrix (caller-certified).  Processes them in order, adding each window
-    to the system before bounding the next; returns the bounds and the
-    augmented polyhedron.  Window placement: anchored at the LP minimum,
-    clipped by the LP maximum.
+    to the system before bounding the next; returns the tuple of integer
+    windows (lo_i, hi_i), each with hi_i - lo_i <= m-|R|, and the augmented
+    polyhedron.  Window placement: anchored at the LP minimum, clipped by
+    the LP maximum.
     """
     P = inst.P
     slack = inst.m - len(inst.R)
     out = []
     for d in directions:
-        lo = lp_optimize(P, d, "min")
-        if lo.tag == "infeasible":
+        span = lp_range(P, d)
+        if span is None:
             raise InfeasibleRelaxationError("relaxation is infeasible")
-        hi = lp_optimize(P, d, "max")
-        lo_v = None if lo.tag == "unbounded" else int(lo.value)
-        hi_v = None if hi.tag == "unbounded" else int(hi.value)
+        lo_v, hi_v = span
         if lo_v is not None and hi_v is not None and hi_v - lo_v <= slack:
             l, u = lo_v, hi_v
         elif lo_v is not None:
@@ -247,7 +239,7 @@ def bound_scalar_products(inst, directions):
             l, u = 0, slack
         P = P.with_rows([tuple(d), tuple([-v for v in d])], [u, -l])
         out.append((l, u))
-    return ScalarBounds(tuple(out)), P
+    return tuple(out), P
 
 
 def proximal_solution(inst, x0, y):
@@ -339,12 +331,10 @@ def eliminate_tight_variable(inst, *, vertex=None, equality=_UNSCANNED):
 
 def _solve_univariate(inst):
     """Direct solve for one-variable instances (used at the recursion floor)."""
-    lo = lp_optimize(inst.P, (1,), "min")
-    if lo.tag == "infeasible":
+    span = lp_range(inst.P, (1,))
+    if span is None:
         return None
-    hi = lp_optimize(inst.P, (1,), "max")
-    lo_v = None if lo.tag == "unbounded" else int(lo.value)
-    hi_v = None if hi.tag == "unbounded" else int(hi.value)
+    lo_v, hi_v = span
     if lo_v is not None:
         start = lo_v
     elif hi_v is not None:

@@ -1,7 +1,8 @@
-"""Solution verification and the machine-readable solve report."""
+"""Exact verification of a candidate solution: each row of T x <= b and
+the congruency gamma.x in R (mod m), with a readable account of what
+fails.  The CLI prints solve answers itself (`cli._emit`)."""
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -45,40 +46,3 @@ def verify_solution(inst, x):
     return VerificationReport(
         not violations and residue_ok, violations, residue, residue_ok, tuple(sorted(inst.R))
     )
-
-
-@dataclass
-class SolveReport:
-    """CLI-facing result: status, solution, statistics, wall time."""
-
-    status: str  # feasible | infeasible | unbounded | unsupported
-    x: tuple = None
-    value: int = None
-    stats: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    solver: str = "structural"
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "status": self.status,
-                "x": list(self.x) if self.x is not None else None,
-                "value": self.value,
-                "stats": self.stats,
-                "elapsed": round(self.elapsed, 6),
-                "solver": self.solver,
-            },
-            sort_keys=True,
-        )
-
-    def describe(self):
-        lines = [f"status: {self.status}"]
-        if self.x is not None:
-            lines.append("x: " + " ".join(str(v) for v in self.x))
-        if self.value is not None:
-            lines.append(f"value: {self.value}")
-        if self.stats:
-            pretty = ", ".join(f"{k}={v}" for k, v in sorted(self.stats.items()))
-            lines.append(f"stats: {pretty}")
-        lines.append(f"elapsed: {self.elapsed:.3f}s")
-        return "\n".join(lines)

@@ -181,8 +181,8 @@ def test_criterion_2_flatness():
         bound = inst.m - len(inst.R) - 1
         assert out.width <= bound
         row = inst.P.T.matrix.rows[out.row_index]
-        res = width(inst.P, row)
-        assert res.finite and res.width <= bound
+        w = width(inst.P, row)
+        assert w is not None and w <= bound
     assert flats > 0
     for m in range(2, 8):
         for ell in range(1, m):
@@ -202,7 +202,7 @@ def test_criterion_3_proximity():
         ora = oracle_solve(inst)
         if ora.status != "feasible":
             continue
-        x0 = lp_optimize(inst.P, (0,) * inst.nvars, "min").vertex
+        x0 = lp_optimize(inst.P, (0,) * inst.nvars, "min").x
         x = proximal_solution(inst, x0, ora.x)
         bound = inst.m - len(inst.R)
         assert max(abs(a - b) for a, b in zip(x, x0)) <= bound
@@ -231,7 +231,7 @@ def test_criterion_4_elementary_decomposition():
             continue
         c = tuple(rng.randint(-2, 2) for _ in range(n))
         out = lp_optimize(P, c, "max")
-        y = out.vertex if out.tag == "optimal" else x0
+        y = out.x if out.status == "optimal" else x0
         dec = decompose_solutions(P, x0, y)
         assert dec.point_for(dec.coeffs) == dec.y
         for lam, ray in zip(dec.coeffs, dec.rays):
@@ -335,7 +335,7 @@ def test_criterion_6_reduction_roundtrips():
         if inst.nvars > 5:
             continue
         try:
-            cls = classify(inst.P.T)
+            cls = classify(inst.P.T.matrix)
         except ScaleError:
             continue
         if cls.tag not in ("network", "transposed_network"):
@@ -459,7 +459,7 @@ def test_criterion_8_unboundedness():
         assert (solve_rcctuf(inst).status == "unbounded") == expected, inst
         assert (oracle_solve(inst).status == "unbounded") == expected, inst
         # cross-check against the definition
-        relax_unbounded = lp_optimize(inst.P, inst.c, "min").tag == "unbounded"
+        relax_unbounded = lp_optimize(inst.P, inst.c, "min").status == "unbounded"
         feasible = oracle_solve(inst.without_objective()).status == "feasible"
         assert expected == (relax_unbounded and feasible)
     report(8, "unboundedness or its absence on all 50 directed instances")

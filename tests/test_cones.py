@@ -84,7 +84,7 @@ def _two_points(rng, P):
         return None
     c = tuple(rng.randint(-2, 2) for _ in range(n))
     out = lp_optimize(P, c, "max")
-    y = out.vertex if out.tag == "optimal" else x0
+    y = out.x if out.status == "optimal" else x0
     return x0, y
 
 

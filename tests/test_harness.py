@@ -110,7 +110,7 @@ def test_generator_network_recognizable():
 
 def test_generator_sum3_classifies_as_sum():
     gen = generate("sum3", 4, 3, 1, seed=7)
-    cls = classify(gen.instance.P.T)
+    cls = classify(gen.instance.P.T.matrix)
     # a 3-sum matrix may still be a network matrix; any verified tag is fine,
     # but a separation must exist
     from cctu.seymour import find_sum_decomposition
@@ -127,7 +127,7 @@ def test_generator_deterministic():
 
 def test_generator_const_core():
     gen = generate("const_core", 7, 3, 1, seed=3)
-    cls = classify(gen.instance.P.T)
+    cls = classify(gen.instance.P.T.matrix)
     assert cls.tag == "constant_core"
 
 
@@ -259,6 +259,21 @@ def test_cli_generate_and_decompose(tmp_path, capsys):
     assert code == 0 and "network" in out
 
 
+def cli_exit(argv):
+    """The exit code of `cctu argv`, whether argparse exits or the command
+    returns it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def argparse_wording(message):
+    """"FLAG must ..." as argparse words a rejected value of FLAG."""
+    flag, rule = message.split(" ", 1)
+    return f"argument {flag}: {rule}"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -270,11 +285,16 @@ def test_cli_generate_and_decompose(tmp_path, capsys):
     ],
 )
 def test_cli_generate_rejects_out_of_range_arguments(tmp_path, capsys, flags, message):
+    """--m and --size are checked by their argparse types; the range of
+    --residues depends on --m, so the command checks it."""
     target = tmp_path / "gen.txt"
-    code = run_cli(tmp_path, "generate", "--kind", "network", "--output", str(target), *flags)
+    code = cli_exit(["generate", "--kind", "network", "--output", str(target), *flags])
     captured = capsys.readouterr()
-    assert code == 2 and not target.exists()
-    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert code == 2 and not target.exists() and captured.out == ""
+    if flags[0] == "--residues":
+        assert captured.err == f"error: {message}\n"
+    else:
+        assert captured.err.endswith(f"error: {argparse_wording(message)}\n")
 
 
 def test_cli_generate_keeps_the_range_ends(tmp_path, capsys):
@@ -437,9 +457,11 @@ def test_fuzz_parallel_matches_serial():
     ],
 )
 def test_cli_fuzz_rejects_out_of_range_arguments(capsys, flags, message):
-    assert main(["fuzz", *flags]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", *flags])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert captured.err.endswith(f"error: {argparse_wording(message)}\n") and captured.out == ""
 
 
 def test_cli_fuzz_keeps_the_range_ends(capsys):
@@ -473,6 +495,23 @@ def test_cli_rejects_a_non_tu_matrix_past_the_skipped_check(tmp_path, capsys, co
     captured = capsys.readouterr()
     assert captured.err == "error: pivot 2: the constraint matrix is not totally unimodular\n"
     assert captured.out == ""
+
+
+def test_cli_decompose_certifies_its_input(tmp_path, capsys):
+    """decompose always checks total unimodularity: a non-TU matrix exits 2
+    with the certification message, and there is no flag to skip it."""
+    path = tmp_path / "non_tu.txt"
+    path.write_text(NON_TU)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--input", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: constraint matrix is not totally unimodular")
+    assert captured.out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--input", str(path), "--skip-tu-check"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --skip-tu-check" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -133,3 +133,19 @@ def test_library_does_not_import_fractions():
             if any(name.split(".")[0] == "fractions" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, "the library computes on ints; drop the fractions import: " + ", ".join(offenders)
+
+
+def test_library_does_not_branch_on_tu_matrix():
+    """Each parameter takes one matrix type: code that holds a `TUMatrix`
+    passes its `.matrix`, so no function asks which of the two it got."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and "TUMatrix" in ast.unparse(node.args[1])
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "pass an IntMatrix instead of testing for a TUMatrix: " + ", ".join(offenders)

@@ -3,13 +3,16 @@ from itertools import product
 
 import pytest
 
+from cctu import lp
 from cctu.errors import InfeasibleRelaxationError, ScaleError
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import (
     Polyhedron,
     RCctufInstance,
+    SolveResult,
     integral_feasible_point,
     lp_optimize,
+    lp_range,
     oracle_solve,
     search_box,
     width,
@@ -23,18 +26,18 @@ def box_1d(lo, hi):
 
 def test_lp_min_over_interval():
     out = lp_optimize(box_1d(0, 5), (1,), "min")
-    assert out.tag == "optimal" and out.vertex == (0,) and out.value == 0
+    assert out.status == "optimal" and out.x == (0,) and out.value == 0
 
 
 def test_lp_unbounded_ray():
     P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))  # x >= 0
     out = lp_optimize(P, (1,), "max")
-    assert out.tag == "unbounded" and out.ray == (1,)
+    assert out.status == "unbounded" and out.ray == (1,)
 
 
 def test_lp_infeasible():
     P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (0, -1))  # x<=0, x>=1
-    assert lp_optimize(P, (1,), "min").tag == "infeasible"
+    assert lp_optimize(P, (1,), "min").status == "infeasible"
 
 
 def test_integral_feasible_point_cases():
@@ -73,9 +76,9 @@ def test_lp_vertices_integral_on_random_tu_systems():
         P = boxed(TUMatrix.trusted(T), b, 7)
         c = tuple(rng.randint(-3, 3) for _ in range(n))
         out = lp_optimize(P, c, "min")
-        if out.tag == "optimal":
-            assert P.contains(out.vertex)
-            assert sum(ci * vi for ci, vi in zip(c, out.vertex)) == out.value
+        if out.status == "optimal":
+            assert P.contains(out.x)
+            assert sum(ci * vi for ci, vi in zip(c, out.x)) == out.value
 
 
 def test_lp_optimum_matches_bruteforce_on_boxes():
@@ -90,27 +93,60 @@ def test_lp_optimum_matches_bruteforce_on_boxes():
         pts = [x for x in product(range(-4, 5), repeat=n) if P.contains(x)]
         out = lp_optimize(P, c, "min")
         if not pts:
-            assert out.tag == "infeasible"
+            assert out.status == "infeasible"
         else:
             best = min(sum(ci * vi for ci, vi in zip(c, x)) for x in pts)
-            assert out.tag == "optimal" and out.value == best
+            assert out.status == "optimal" and out.value == best
 
 
 def test_width_finite_with_witnesses():
-    res = width(box_1d(0, 3), (1,))
-    assert res.finite and res.width == 3
+    assert width(box_1d(0, 3), (1,)) == 3
 
 
 def test_width_infinite():
     P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))
-    assert not width(P, (1,)).finite
+    assert width(P, (1,)) is None
+    assert width(P, (-1,)) is None
 
 
 def test_width_diagonal_direction_on_unit_box():
     T = IntMatrix(((1, 0), (0, 1), (-1, 0), (0, -1)))
     P = Polyhedron(TUMatrix.certify(T), (1, 1, 0, 0))
-    res = width(P, (1, 1))
-    assert res.finite and res.width == 2
+    assert width(P, (1, 1)) == 2
+
+
+def count_lps(monkeypatch):
+    calls = []
+    solve_lp = lp.solve_lp
+
+    def counting(rows, b, c, sense="min"):
+        calls.append(sense)
+        return solve_lp(rows, b, c, sense)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    return calls
+
+
+def test_lp_range_of_an_empty_polyhedron_takes_one_lp(monkeypatch):
+    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (-1, 0))  # x<=-1, x>=0
+    calls = count_lps(monkeypatch)
+    assert lp_range(P, (1,)) is None
+    assert calls == ["min"]
+
+
+def test_lp_range_marks_each_unbounded_side_with_none():
+    half_line = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (-2,))  # x >= 2
+    assert lp_range(half_line, (1,)) == (2, None)
+    assert lp_range(half_line, (-1,)) == (None, -2)
+    free = Polyhedron(TUMatrix.trusted(IntMatrix(((0,),))), (0,))
+    assert lp_range(free, (1,)) == (None, None)
+
+
+def test_lp_range_is_the_exact_range_on_a_box():
+    T = IntMatrix(((1, 0), (0, 1), (-1, 0), (0, -1)))
+    P = Polyhedron(TUMatrix.certify(T), (3, 1, 2, 4))  # -2 <= x0 <= 3, -4 <= x1 <= 1
+    assert lp_range(P, (1, -1)) == (-3, 7)
+    assert lp_range(P, (0, 0)) == (0, 0)
 
 
 def test_width_requires_feasible_polyhedron():
@@ -139,6 +175,21 @@ def test_oracle_full_residue_set_returns_relaxation_point():
     assert out.status == "feasible" and inst.P.contains(out.x)
 
 
+def test_oracle_answers_with_the_solver_result_type():
+    """The oracle and the structural solver give the same answer type, so
+    the CLI and the fuzzer read both alike."""
+    half_line = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))  # x >= 0
+    unbounded = RCctufInstance(half_line, (1,), 3, frozenset({2}), (-1,))
+    answers = {
+        "feasible": oracle_solve(make_inst(0, 10, (1,), 3, {2}, c=(1,))),
+        "infeasible": oracle_solve(make_inst(0, 1, (1,), 3, {2})),
+        "unbounded": oracle_solve(unbounded),
+    }
+    for status, out in answers.items():
+        assert type(out) is SolveResult and out.status == status and out.stats == {}
+    assert (answers["feasible"].x, answers["feasible"].value) == ((2,), 2)
+
+
 def test_oracle_optimization_matches_exhaustive():
     rng = random.Random(31)
     for _ in range(60):
@@ -152,10 +203,10 @@ def test_oracle_optimization_matches_exhaustive():
         lpout = lp_optimize(inst.P, inst.c, "min")
         if out.status == "infeasible":
             # no feasible point in a wide window either
-            assert not pts or lpout.tag == "unbounded"
+            assert not pts or lpout.status == "unbounded"
         elif out.status == "feasible":
             assert inst.is_feasible_point(out.x)
-            if pts and lpout.tag == "optimal":
+            if pts and lpout.status == "optimal":
                 best = min(inst.objective(x) for x in pts)
                 # exhaustive window can only see [-12,12]; the oracle is exact
                 assert out.value <= best

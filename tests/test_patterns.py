@@ -92,7 +92,7 @@ def test_split_combines_to_feasible_points(rng):
     done = 0
     while done < 20:
         inst = sum_instance(rng)
-        if lp_optimize(inst.P, (0,) * inst.nvars, "min").tag != "optimal":
+        if lp_optimize(inst.P, (0,) * inst.nvars, "min").status != "optimal":
             continue
         split = oriented_split(inst)
         assert len(split.b_cols) <= split.n_a
@@ -108,7 +108,7 @@ def test_narrowed_domain_bounds_and_no_holes(rng):
     done = 0
     while done < 15:
         inst = sum_instance(rng, m=rng.choice((3, 5)), rsize=rng.choice((1, 2)))
-        if lp_optimize(inst.P, (0,) * inst.nvars, "min").tag != "optimal":
+        if lp_optimize(inst.P, (0,) * inst.nvars, "min").status != "optimal":
             continue
         split = oriented_split(inst)
         from cctu.errors import InfeasibleRelaxationError
@@ -138,7 +138,7 @@ def test_pattern_matches_bruteforce_residue_scan(rng):
     done = 0
     while done < 12:
         inst = sum_instance(rng, m=3, rsize=1)
-        if lp_optimize(inst.P, (0,) * inst.nvars, "min").tag != "optimal":
+        if lp_optimize(inst.P, (0,) * inst.nvars, "min").status != "optimal":
             continue
         split = oriented_split(inst)
         from cctu.errors import InfeasibleRelaxationError
@@ -168,7 +168,7 @@ def test_pushing_twos_on_computed_patterns(rng):
     done = 0
     while done < 12:
         inst = sum_instance(rng, m=rng.choice((3, 5)), rsize=1)
-        if lp_optimize(inst.P, (0,) * inst.nvars, "min").tag != "optimal":
+        if lp_optimize(inst.P, (0,) * inst.nvars, "min").status != "optimal":
             continue
         split = oriented_split(inst)
         from cctu.errors import InfeasibleRelaxationError
@@ -192,7 +192,7 @@ def test_linear_fit_exists_for_all_singleton_patterns(rng):
     done = 0
     while done < 12:
         inst = sum_instance(rng, m=3, rsize=1)
-        if lp_optimize(inst.P, (0,) * inst.nvars, "min").tag != "optimal":
+        if lp_optimize(inst.P, (0,) * inst.nvars, "min").status != "optimal":
             continue
         split = oriented_split(inst)
         from cctu.errors import InfeasibleRelaxationError
@@ -262,7 +262,7 @@ def test_integrated_instance_matrix_is_tu_and_lifts(rng):
     done = 0
     while done < 8:
         inst = sum_instance(rng, m=3, rsize=1)
-        if lp_optimize(inst.P, (0,) * inst.nvars, "min").tag != "optimal":
+        if lp_optimize(inst.P, (0,) * inst.nvars, "min").status != "optimal":
             continue
         split = oriented_split(inst)
         from cctu.errors import InfeasibleRelaxationError
@@ -347,7 +347,7 @@ def test_solver_optimization_matches_oracle(rng):
     "entry, R",
     [
         (bb.normalize, {1}),
-        (lambda inst: bb.solve_base_block(inst, classify(inst.P.T)), {1}),
+        (lambda inst: bb.solve_base_block(inst, classify(inst.P.T.matrix)), {1}),
         (lambda inst: bb.solve_network_cctu(inst, recognize_network_matrix(inst.P.T.matrix)), {1}),
         (lambda inst: bb.solve_const_core(bb.normalize(inst)), {1}),
         (eliminate_tight_variable, {1}),
@@ -467,14 +467,16 @@ def test_family_branches_end_to_end(seed):
     assert step[0] == "family"
     members = step[1]
     assert members
-    kinds = {"cell" if mem.note.startswith("cell") else "sub" for mem in members}
+    # a grown-target A-problem keeps the n_a A-side variables; an integrated
+    # sub-pattern instance adds one
+    kinds = {"cell" if sub.nvars == split.n_a else "sub" for sub, _ in members}
     if seed in FAMILY_SEEDS_MULTI:
         assert "cell" in kinds
     lifted = None
-    for mem in members:
-        res = solve_rcctuf(mem.instance)
+    for sub, lift in members:
+        res = solve_rcctuf(sub)
         if res.status == "feasible":
-            lifted = mem.lift(res.x)
+            lifted = lift(res.x)
             break
     ora = oracle_solve(inst, budget=8_000_000)
     if lifted is None:
@@ -516,19 +518,19 @@ from cctu.errors import SolutionCheckError
 from cctu.fileio import parse_instance
 
 inst = parse_instance(%r)
-split = patterns.split_instance(inst, patterns.classify(inst.P.T).sum)
+split = patterns.split_instance(inst, patterns.classify(inst.P.T.matrix).sum)
 
 def solver(sub):
     res = patterns.solve_rcctuf(sub)
     return res.x if res.status == "feasible" else None
 
 tag, members, _ = patterns.decomp_progress_step(inst, split, solver)
-(member,) = members
-sol = patterns.solve_rcctuf(member.instance).x
+((sub, lift),) = members
+sol = patterns.solve_rcctuf(sub).x
 # every lifted point now lands far outside the polyhedron
 patterns.Split.combine = lambda self, x_a, x_b: (10**6,) * self.inst.nvars
 try:
-    print(tag, "returned", member.lift(sol))
+    print(tag, "returned", lift(sol))
 except SolutionCheckError as exc:
     print(tag, "raised", type(exc).__name__)
 """ % SUM3_LIFT_INSTANCE
@@ -639,14 +641,14 @@ def test_relaxation_vertex_in_R_is_optimal_on_every_supported_shape(rng, monkeyp
             assert (res.status, res.value) == (ora.status, ora.value), (inst, res, ora)
             if res.status == "feasible":
                 assert verify_solution(inst, res.x).ok
-            if out.tag == "optimal" and inst.residue(out.vertex) in inst.R:
+            if out.status == "optimal" and inst.residue(out.x) in inst.R:
                 qualifying += 1
-                assert (res.x, res.stats["subproblems"], scans) == (out.vertex, 0, [])
+                assert (res.x, res.stats["subproblems"], scans) == (out.x, 0, [])
             elif res.status == "feasible":
                 # the vertex misses R: the proximity box around it decides
                 scanned += 1
                 assert res.stats["subproblems"] >= 1 and len(scans) == 1
-                assert scans[0][1] == out.vertex
+                assert scans[0][1] == out.x
     assert qualifying > 0 and scanned > 0
 
 
@@ -694,7 +696,7 @@ def base_block_instances(rng, count):
         m = rng.choice((3, 5, 7))
         kind = rng.choice(("network", "transposed"))
         inst = generate(kind, rng.randint(2, 4), m, m - 2, rng.randrange(1 << 30)).instance
-        if classify(inst.P.T).tag in ("network", "transposed_network", "constant_core"):
+        if classify(inst.P.T.matrix).tag in ("network", "transposed_network", "constant_core"):
             out.append(inst)
     return out
 
@@ -733,11 +735,11 @@ OPTIMIZED_VERTEX_CHECK = """
 import cctu.patterns as patterns
 from cctu.errors import SolutionCheckError
 from cctu.fileio import parse_instance
-from cctu.polyhedra import LpOutcome
+from cctu.lp import LpResult
 
 inst = parse_instance("rows 2\\ncols 1\\nT\\n1\\n-1\\nb 2 0\\ngamma 1\\nm 3\\nR 1\\nc 1\\n")
 # a "vertex" of residue 1, far outside 0 <= x <= 2
-patterns.lp_optimize = lambda P, c, sense="min": LpOutcome("optimal", (10**6,), 10**6)
+patterns.lp_optimize = lambda P, c, sense="min": LpResult("optimal", (10**6,), 10**6)
 try:
     print("returned", patterns.solve_rcctuf(inst).x)
 except SolutionCheckError as exc:

@@ -3,12 +3,12 @@ from itertools import product
 
 import pytest
 
+from cctu import shortening
 from cctu.errors import CctuError
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import Polyhedron, RCctufInstance, lp_optimize, oracle_solve
 from cctu.shortening import (
     ResidueGroups,
-    ShorteningStats,
     max_removable_interval,
     shorten_residue_sum,
     transform_solution,
@@ -39,7 +39,7 @@ def exhaustive_best_interval(groups, m, S):
     total = sum(seq) % m
     best = None
     for first in range(1, len(seq) + 1):
-        for last in range(first + 1, len(seq) + 1):
+        for last in range(first, len(seq) + 1):
             removed = sum(seq[first - 1:last])
             if (total - removed) % m in S:
                 size = last - first + 1
@@ -94,7 +94,20 @@ def subset_check(groups, m, R, budget):
     return ok
 
 
-def test_shorten_output_bound_and_membership_random():
+def test_shorten_output_bound_and_membership_random(monkeypatch):
+    # phase one searches against the one-residue target {total}; phase two
+    # against R, and with |R| = 1 phase two never runs, so a one-residue
+    # target that equals the current total marks a zero-sum deletion
+    zero_sum_deletions = []
+    search = shortening.max_removable_interval
+
+    def counted(g, S):
+        iv = search(g, S)
+        if set(S) == {g.total_residue} and iv is not None:
+            zero_sum_deletions.append(iv)
+        return iv
+
+    monkeypatch.setattr(shortening, "max_removable_interval", counted)
     rng = random.Random(43)
     done = 0
     while done < 150:
@@ -105,12 +118,12 @@ def test_shorten_output_bound_and_membership_random():
         total = sum(r * mult for r, mult in groups) % m
         if total not in R:
             continue
-        stats = ShorteningStats()
-        mu = shorten_residue_sum(ResidueGroups(groups, m, R), stats)
+        del zero_sum_deletions[:]
+        mu = shorten_residue_sum(ResidueGroups(groups, m, R))
         assert sum(mu) <= m - len(R)
         assert sum(m_i * r for m_i, (r, _) in zip(mu, groups)) % m in R
         assert all(0 <= m_i <= mult for m_i, (_, mult) in zip(mu, groups))
-        assert stats.phase1_steps <= ngroups
+        assert len(zero_sum_deletions) <= ngroups
         done += 1
 
 
@@ -157,7 +170,7 @@ def test_transform_properties_random(rng):
             continue
         y = ora.x
         out0 = lp_optimize(inst.P, (0,) * inst.nvars, "min")
-        x0 = out0.vertex
+        x0 = out0.x
         tilde = transform_solution(inst, y, x0)
         assert inst.is_feasible_point(tilde)
         bound = inst.m - len(inst.R)
@@ -174,21 +187,20 @@ def test_transform_cost_monotone_when_x0_optimal(rng):
     while done < 40:
         inst = random_instance(rng, n_max=3, with_c=True)
         out = lp_optimize(inst.P, inst.c, "min")
-        if out.tag != "optimal":
+        if out.status != "optimal":
             continue
         ora = oracle_solve(inst)
         if ora.status != "feasible":
             continue
         y = ora.x
-        tilde = transform_solution(inst, y, out.vertex)
+        tilde = transform_solution(inst, y, out.x)
         assert inst.objective(tilde) <= inst.objective(y)
         done += 1
 
 
-def reference_max_removable_interval(g, S, allow_singleton=False):
+def reference_max_removable_interval(g, S):
     """The interval search by full enumeration of both in-chunk offsets,
-    O(multiplicity^2) per chunk pair; returns (first, last, removed_residue)
-    or None."""
+    O(multiplicity^2) per chunk pair; returns (first, last) or None."""
     m = g.m
     total = g.total_residue
     live = [(idx, r, mult) for idx, (r, mult) in enumerate(g.groups) if mult > 0]
@@ -201,7 +213,7 @@ def reference_max_removable_interval(g, S, allow_singleton=False):
             for x in range(1, lj + 1):
                 for y in range(1, (lj if k == j else lk) + 1):
                     if k == j:
-                        if y < x or (y == x and not allow_singleton):
+                        if y < x:
                             continue
                         size, removed, last = y - x + 1, (y - x + 1) * rj, prefix[j] + y
                     else:
@@ -209,7 +221,7 @@ def reference_max_removable_interval(g, S, allow_singleton=False):
                         removed = (lj - x + 1) * rj + sum(r * mult for _, r, mult in between) + y * rk
                         last = prefix[k] + y
                     if (total - removed) % m in S:
-                        cand = (-size, j, k, prefix[j] + x, last, removed % m)
+                        cand = (-size, j, k, prefix[j] + x, last)
                         if best is None or cand < best:
                             best = cand
     return None if best is None else best[3:]
@@ -224,10 +236,9 @@ def test_interval_scan_of_the_top_offsets_matches_full_enumeration():
             for _ in range(rng.randint(1, 4))
         )
         S = frozenset(rng.sample(range(m), rng.randint(1, m)))
-        singleton = rng.random() < 0.5
-        iv = max_removable_interval(ResidueGroups(groups, m, S), S, singleton)
-        got = None if iv is None else (iv.first, iv.last, iv.removed_residue)
-        assert got == reference_max_removable_interval(ResidueGroups(groups, m, S), S, singleton)
+        iv = max_removable_interval(ResidueGroups(groups, m, S), S)
+        got = None if iv is None else (iv.first, iv.last)
+        assert got == reference_max_removable_interval(ResidueGroups(groups, m, S), S)
 
 
 def test_multiplicity_of_a_million_shortens_at_once():
@@ -237,6 +248,6 @@ def test_multiplicity_of_a_million_shortens_at_once():
     big = 10**6
     g = ResidueGroups(((1, big), (2, big)), 3, frozenset({0}))
     iv = max_removable_interval(g, {0})
-    assert (iv.first, iv.last, iv.removed_residue) == (1, 2 * big, 0)
+    assert (iv.first, iv.last) == (1, 2 * big)
     mu = shorten_residue_sum(ResidueGroups(((1, big), (2, big - 1)), 3, frozenset({1, 2})))
     assert sum(mu) <= 1 and (mu[0] + 2 * mu[1]) % 3 in (1, 2)

@@ -122,7 +122,7 @@ def test_flat_rows_on_infeasible_instances_have_small_width(rng):
 def test_bound_scalar_products_window():
     inst = interval(0, 10, (1,), 3, {0})
     bounds, P = bound_scalar_products(inst, [(1,)])
-    (l, u), = bounds.bounds
+    (l, u), = bounds
     assert (l, u) == (0, 2)
     assert P.nvars == 1
 
@@ -130,7 +130,7 @@ def test_bound_scalar_products_window():
 def test_bound_scalar_products_trivial_window():
     inst = interval(0, 2, (1,), 3, {0})
     bounds, _ = bound_scalar_products(inst, [(1,)])
-    assert bounds.bounds == ((0, 2),)
+    assert bounds == ((0, 2),)
 
 
 def test_bound_scalar_products_preserves_feasibility(rng):
@@ -143,7 +143,7 @@ def test_bound_scalar_products_preserves_feasibility(rng):
         except InfeasibleRelaxationError:
             continue
         slack = inst.m - len(inst.R)
-        assert all(u - l <= slack for l, u in bounds.bounds)
+        assert all(u - l <= slack for l, u in bounds)
         narrowed = inst.replaced(P=P)
         assert oracle_solve(inst).status == oracle_solve(narrowed).status
         done += 1
@@ -156,7 +156,7 @@ def test_proximal_solution_bound(rng):
         ora = oracle_solve(inst)
         if ora.status != "feasible":
             continue
-        x0 = lp_optimize(inst.P, (0,) * inst.nvars, "min").vertex
+        x0 = lp_optimize(inst.P, (0,) * inst.nvars, "min").x
         x = proximal_solution(inst, x0, ora.x)
         assert inst.is_feasible_point(x)
         bound = inst.m - len(inst.R)
@@ -171,7 +171,7 @@ def test_proximal_products_bounded_for_enumerated_appendable_rows(rng):
         ora = oracle_solve(inst)
         if ora.status != "feasible":
             continue
-        x0 = lp_optimize(inst.P, (0,) * inst.nvars, "min").vertex
+        x0 = lp_optimize(inst.P, (0,) * inst.nvars, "min").x
         x = proximal_solution(inst, x0, ora.x)
         bound = inst.m - len(inst.R)
         for d in tu_appendable_rows(inst.P.T):
@@ -339,10 +339,10 @@ def reference_tight_pick(inst):
         if not any(row):
             continue
         hi = lp_optimize(inst.P, row, "max")
-        if hi.tag == "unbounded":
+        if hi.status == "unbounded":
             continue
         lo = lp_optimize(inst.P, row, "min")
-        if lo.tag == "unbounded" or lo.value != hi.value:
+        if lo.status == "unbounded" or lo.value != hi.value:
             continue
         if hi.value == bv:
             return i, bv
@@ -366,7 +366,7 @@ def reference_flat_row(inst):
         sub = Polyhedron(TUMatrix.trusted(IntMatrix(mat.rows[idx:], mat.ncols)), inst.P.b[idx:])
         lo = lp_optimize(sub, mat.rows[idx], "min")
         hi = lp_optimize(sub, mat.rows[idx], "max")
-        if lo.tag == "optimal" and hi.tag == "optimal":
+        if lo.status == "optimal" and hi.status == "optimal":
             w = int(hi.value - lo.value)
             if w <= inst.m - len(inst.R) - 1:
                 return idx, w
