@@ -515,10 +515,10 @@ def solve_const_core(norm, budget=DEFAULT_ENUM_BUDGET):
     for t in stem_rows:
         rows.append(tuple([0 if col_stems[j] is not None else norm.T[t, j] for j in range(nhat)]))
     for t in other_rows:
-        rows.append(norm.T.row(t))
+        rows.append(norm.T.rows[t])
     rows.extend(_nonneg_rows(nhat))
     guessed_T = TUMatrix.trusted(IntMatrix(tuple(rows), nhat))
-    rep = recognize_network_matrix(guessed_T.matrix)
+    rep = recognize_network_matrix(guessed_T.matrix, *reduce_to_core(guessed_T.matrix))
     if rep is None:
         raise ScaleError("guessed constant-core system is not a network matrix")
     fixed_rhs = tuple([norm.b[t] for t in other_rows]) + (0,) * nhat

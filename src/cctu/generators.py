@@ -1,10 +1,8 @@
 """Seeded random instance generators, one per structural class.
 
-Each generator records ground truth about the construction so classifier
-tests can check against it.  Instances keep right-hand sides and residue
-weights small (desk scale) and always admit some integer hitting the target
-residues (no gcd obstruction), so the flatness argument's terminal case stays
-constructive.
+Instances keep right-hand sides and residue weights small (desk scale) and
+always admit some integer hitting the target residues (no gcd obstruction),
+so the flatness argument's terminal case stays constructive.
 """
 
 import random
@@ -34,9 +32,6 @@ def random_network_matrix(rng, k, n):
 @dataclass(frozen=True)
 class GeneratedInstance:
     instance: RCctufInstance
-    kind: str
-    seed: int
-    detail: dict
 
 
 def _random_sum_matrix(rng, kind, size):
@@ -81,7 +76,7 @@ def _random_sum_matrix(rng, kind, size):
             continue
         mat = k_sum(dec)
         if is_totally_unimodular(mat):
-            return mat, dec
+            return mat
     raise ScaleError(f"could not draw a TU {kind}-sum of size {size}")
 
 
@@ -126,22 +121,18 @@ def generate(kind, size, m, r_size, seed, with_c=False):
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
     rng = random.Random(seed)
-    detail = {}
     if kind == "network":
         mat = random_network_matrix(rng, max(1, size), max(1, size))
     elif kind == "transposed":
         mat = random_network_matrix(rng, max(1, size), max(1, size)).transpose()
     elif kind in ("sum1", "sum2", "sum3"):
-        mat, dec = _random_sum_matrix(rng, int(kind[-1]), max(4, size))
-        detail["sum_kind"] = dec.kind
+        mat = _random_sum_matrix(rng, int(kind[-1]), max(4, size))
     elif kind == "pivoted":
-        mat, dec = _random_sum_matrix(rng, 3, max(4, size))
+        mat = _random_sum_matrix(rng, 3, max(4, size))
         spots = [
             (i, j) for i in range(mat.nrows) for j in range(mat.ncols) if mat[i, j] in (-1, 1)
         ]
-        i, j = rng.choice(spots)
-        mat = pivot(mat, i, j)
-        detail["pivot_at"] = (i, j)
+        mat = pivot(mat, *rng.choice(spots))
     else:
         mat = _const_core_matrix(rng, max(0, size - 5))
     n = mat.ncols
@@ -156,4 +147,4 @@ def generate(kind, size, m, r_size, seed, with_c=False):
     b = tuple([rng.randint(-5, 5) for _ in range(mat.nrows)])
     c = tuple([rng.randint(-3, 3) for _ in range(n)]) if with_c else None
     inst = RCctufInstance(Polyhedron(TUMatrix.trusted(mat), b), gamma, m, R, c)
-    return GeneratedInstance(inst, kind, seed, detail)
+    return GeneratedInstance(inst)

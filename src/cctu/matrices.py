@@ -34,8 +34,10 @@ EXHAUSTIVE_CAP = 8  # exhaustive subdeterminant scan up to this order
 class IntMatrix:
     """Dense exact integer matrix of shape nrows x ncols.
 
-    `ncols` defaults to the length of the first row; pass it whenever the
-    row list can be empty, so that a 0 x n matrix keeps its width.
+    `rows` is kept as given, a tuple of tuples of Python ints (`fileio`
+    turns text into ints); other rows raise TypeError.  `ncols` defaults to
+    the length of the first row; pass it whenever the row list can be empty,
+    so that a 0 x n matrix keeps its width.
     """
 
     rows: tuple
@@ -43,12 +45,8 @@ class IntMatrix:
 
     def __post_init__(self):
         rows = self.rows
-        # Rows that already are tuples of ints are kept, not copied.
-        if type(rows) is not tuple or not all(
-            type(r) is tuple and all(type(v) is int for v in r) for r in rows
-        ):
-            rows = tuple([tuple([int(v) for v in r]) for r in rows])
-            object.__setattr__(self, "rows", rows)
+        if type(rows) is not tuple or not all(type(r) is tuple for r in rows):
+            raise TypeError("matrix rows must be a tuple of tuples")
         n = self.ncols
         if n is None:
             n = len(rows[0]) if rows else 0
@@ -63,9 +61,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def row(self, i):
-        return self.rows[i]
 
     def col(self, j):
         return tuple([r[j] for r in self.rows])
@@ -228,15 +223,8 @@ class TUMatrix:
     matrix: IntMatrix
 
     @staticmethod
-    def certify(mat):
-        """Verify TU-ness and wrap; raises ValueError on non-TU input."""
-        if not is_totally_unimodular(mat):
-            raise ValueError("matrix is not totally unimodular")
-        return TUMatrix(mat)
-
-    @staticmethod
     def trusted(mat):
-        """Wrap without verification (generator-constructed matrices)."""
+        """Wrap without verification; the caller certified `mat` or built it TU."""
         return TUMatrix(mat)
 
     @property

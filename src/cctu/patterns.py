@@ -166,15 +166,19 @@ def narrowed_domain(inst, split):
     (alpha, beta) that preserves feasibility.
 
     First bounds the three simultaneously appendable products into windows of
-    width at most m-|R|, then tightens each bound to the exact optimum over
-    the augmented system, which eliminates holes.
+    width at most m-|R|, then tightens the alpha and beta bounds to the exact
+    optimum over the augmented system, which eliminates holes.
     """
     d_alpha = split.alpha_direction()
     d_beta = split.beta_direction()
     d_sum = tuple([a + b for a, b in zip(d_alpha, d_beta)])
-    _, P = bound_scalar_products(inst, [d_alpha, d_beta, d_sum])
-    out = []
-    for d in (d_sum, d_alpha, d_beta):
+    windows, P = bound_scalar_products(inst, [d_alpha, d_beta, d_sum])
+    # The alpha+beta window, added last, lies inside d_sum's range over the
+    # polyhedron it is added to (from the LP minimum, cut off at the LP
+    # maximum), so it is d_sum's exact range over P.  Later windows can
+    # narrow alpha and beta, so those two are re-solved.
+    out = list(windows[2])
+    for d in (d_alpha, d_beta):
         span = lp_range(P, d)
         if span is None or None in span:
             raise CctuError(f"bounded scalar product has the LP range {span}")

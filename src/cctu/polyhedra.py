@@ -26,13 +26,12 @@ DEFAULT_ENUM_BUDGET = 4_000_000
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Inequality system T x <= b with T certified TU."""
+    """Inequality system T x <= b with T certified TU and b a tuple of ints."""
 
     T: TUMatrix
     b: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple([int(v) for v in self.b]))
         if self.T.nrows != len(self.b):
             raise DimensionError("rhs length differs from row count")
 
@@ -50,7 +49,8 @@ class Polyhedron:
 
 @dataclass(frozen=True)
 class RCctufInstance:
-    """Find x with Tx <= b and gamma.x in R (mod m); minimize c.x if c given."""
+    """Find x with Tx <= b and gamma.x in R (mod m); minimize c.x if c given.
+    Fields are kept as given: gamma and c tuples of ints, R a frozenset of ints."""
 
     P: Polyhedron
     gamma: tuple
@@ -59,12 +59,8 @@ class RCctufInstance:
     c: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple([int(v) for v in self.gamma]))
-        object.__setattr__(self, "R", frozenset(int(r) for r in self.R))
-        if self.c is not None:
-            object.__setattr__(self, "c", tuple([int(v) for v in self.c]))
-            if len(self.c) != self.P.nvars:
-                raise DimensionError("objective length mismatch")
+        if self.c is not None and len(self.c) != self.P.nvars:
+            raise DimensionError("objective length mismatch")
         if len(self.gamma) != self.P.nvars:
             raise DimensionError("gamma length mismatch")
         if not self.R:

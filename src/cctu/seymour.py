@@ -13,20 +13,22 @@ column of the input and the input line it stems from, so re-adding the
 entries newest first assigns that line's arc by index.  Every positive
 answer is certified by an exact rebuild.
 
-Per tree, each column's support is a bitmask of tree edges.  `_path_ends`
-tests it against per-vertex incidence masks: the edges form one path iff no
-vertex meets more than two of them and exactly two vertices meet one, and
-those two are the path's ends.  A tree on which some support is not a path
-is skipped.  Otherwise each column is walked from end to end by `tree_path`,
-the same walk that rebuilds a matrix from its representation (and that the
-generators use to draw network matrices), and its steps give the parity
-constraints.
+Each column's support is a bitmask of core rows (tree edges), computed once
+per core.  Per tree, `_path_ends` tests it against per-vertex incidence
+masks: the edges form one path iff no vertex meets more than two of them
+and exactly two vertices meet one, and those two are the path's ends.  A
+tree on which some support is not a path is skipped.  Otherwise each column
+is walked between its ends by `tree_path`, the same walk that rebuilds a
+matrix from its representation (and that the generators use to draw network
+matrices), and its steps give the parity constraints.
 
 Classification runs from most to least structured: network matrix or
 transpose, constant core, 1-/2-/3-sum separation (exhaustive bipartition
-search within a budget), then one pivot followed by a sum separation.  The
-separation search judges each bipartition on sign-normalised column keys and
-runs TU checks only on candidates that could be returned.
+search within a budget), then one pivot followed by a sum separation.
+`classify` reduces the matrix once and recognizes both orientations, and the
+special cores, from that reduction.  The separation search judges each
+bipartition on sign-normalised column keys and runs TU checks only on
+candidates that could be returned.
 """
 
 import heapq
@@ -396,17 +398,20 @@ def _core_network_representation(mat):
     if k > TREE_ROWS:
         raise ScaleError(f"tree search over {k}-row core exceeds the cap")
     nv = k + 1
-    cols = [mat.col(j) for j in range(n)]
-    # row bitmasks of the supports that need a path of two or more tree edges
-    supports = {sum([1 << i for i in range(k) if col[i]]) for col in cols}
-    supports = [s for s in supports if s & (s - 1)]
+    # column supports as row bitmasks; those of two or more rows need a path
+    supports = [sum([1 << i for i, v in enumerate(mat.col(j)) if v]) for j in range(n)]
+    paths = [s for s in set(supports) if s & (s - 1)]
     for edges in _pruefer_trees(nv):
         incident = _incidence_masks(nv, edges)
-        if not all(_path_ends(s, incident) for s in supports):
-            continue
-        rep = _orient_tree_for(mat, cols, edges, nv)
-        if rep is not None:
-            return rep
+        ends = {}
+        for s in paths:
+            ends[s] = _path_ends(s, incident)
+            if ends[s] is None:
+                break
+        else:
+            rep = _orient_tree_for(mat, supports, ends, edges, nv)
+            if rep is not None:
+                return rep
     return None
 
 
@@ -425,16 +430,17 @@ def _path_ends(support, incident):
     return tuple(ends) if len(ends) == 2 else None
 
 
-def _orient_tree_for(mat, cols, edges, nv):
+def _orient_tree_for(mat, supports, ends, edges, nv):
     """Try to realize `mat` on the given undirected tree.
 
-    Each column's support must induce a path; arc orientations and column
-    traversal directions must then satisfy parity constraints, solved by
-    union-find with parity.  Verified by a final rebuild.
+    `supports[j]` is column j's support as a row bitmask, and `ends` maps
+    each support of two or more rows to the ends of the tree path it forms.
+    Arc orientations and column traversal directions must then satisfy
+    parity constraints, solved by union-find with parity.  Verified by a
+    final rebuild.
     """
     k = len(edges)
-    n = len(cols)
-    incident = _incidence_masks(nv, edges)
+    n = len(supports)
     adj = tree_adjacency(nv, edges)
     # union-find with parity over k edge-orientation variables + n column flips
     parent = list(range(k + n))
@@ -467,19 +473,16 @@ def _orient_tree_for(mat, cols, edges, nv):
         return True
 
     col_ends = []
-    for j, col in enumerate(cols):
-        support = sum([1 << i for i in range(k) if col[i]])
+    for j, support in enumerate(supports):
         if not support:
             col_ends.append(None)
             continue
         if support & (support - 1):
-            ends = _path_ends(support, incident)  # walked from its lower end
+            path = ends[support]  # walked from its lower end
         else:
-            ends = edges[support.bit_length() - 1]  # one edge, walked as stored
-        if ends is None:
-            return None
-        col_ends.append(ends)
-        for (edge_idx, sgn) in tree_path(adj, *ends):
+            path = edges[support.bit_length() - 1]  # one edge, walked as stored
+        col_ends.append(path)
+        for (edge_idx, sgn) in tree_path(adj, *path):
             # orientation variable o[edge]: 0 means the arc is (a, b) as stored.
             # entry +1 wants traversal direction == arc direction
             desired = 0 if mat[edge_idx, j] == 1 else 1
@@ -490,11 +493,11 @@ def _orient_tree_for(mat, cols, edges, nv):
     for idx, (a, b) in enumerate(edges):
         tree_arcs.append((a, b) if parity(idx) == 0 else (b, a))
     col_arcs = []
-    for j, ends in enumerate(col_ends):
-        if ends is None:
+    for j, path in enumerate(col_ends):
+        if path is None:
             col_arcs.append((0, 0))
         else:
-            u, w = ends
+            u, w = path
             col_arcs.append((u, w) if parity(k + j) == 0 else (w, u))
     rep = NetworkRepresentation(nv, tuple(tree_arcs), tuple(col_arcs))
     if rep.rebuild().rows != mat.rows:
@@ -541,17 +544,17 @@ def _extend_representation(rep, mat, log):
     )
 
 
-def recognize_network_matrix(mat):
+def recognize_network_matrix(mat, core, log):
     """A NetworkRepresentation whose rebuild equals `mat`, or None.
 
-    Entries must lie in {-1, 0, 1}.  Reduces to the core, solves the core by
-    tree enumeration, re-adds the logged deletions as graph extensions, and
-    certifies the result by rebuilding.  Raises ScaleError when the core has
-    more than TREE_ROWS rows.
+    Takes the reduction `(core, log)` of `mat` (`reduce_to_core(mat)`, or
+    the transpose's log with every axis swapped).  Entries must lie in
+    {-1, 0, 1}.  Solves the core by tree enumeration, re-adds the logged
+    deletions as graph extensions, and certifies the result by rebuilding.
+    Raises ScaleError when the core has more than TREE_ROWS rows.
     """
     if any(v not in (-1, 0, 1) for v in mat.flat()):
         return None
-    core, log = reduce_to_core(mat)
     rep = _core_network_representation(core)
     if rep is None:
         return None
@@ -577,22 +580,26 @@ class Classification:
 def classify(mat):
     """Structural classification of a TU `IntMatrix` with a verifiable witness.
 
+    Reduces `mat` once; the log with every axis swapped deletes the same
+    lines of the transpose and leaves the transposed core.
+
     Raises ScaleError when the instance defeats every desk-scale search; the
     top-level solver routes those to the brute-force oracle.
     """
+    core, log = reduce_to_core(mat)
     try:
-        rep = recognize_network_matrix(mat)
+        rep = recognize_network_matrix(mat, core, log)
     except ScaleError:
         rep = None
     if rep is not None:
         return Classification("network", network=rep)
+    flipped = tuple([op._replace(axis="col" if op.axis == "row" else "row") for op in log])
     try:
-        rep_t = recognize_network_matrix(mat.transpose())
+        rep_t = recognize_network_matrix(mat.transpose(), core.transpose(), flipped)
     except ScaleError:
         rep_t = None
     if rep_t is not None:
         return Classification("transposed_network", network=rep_t)
-    core, _ = reduce_to_core(mat)
     if matches_special_core(core):
         return Classification("constant_core", core=core)
     dec = find_sum_decomposition(mat)

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the solver against.
 
-Brute-force definitions of TU-appendable rows and elementary vectors, and
-the circulation reduction's forward map.  The library never calls them; they
-are oracles, kept next to the tests that use them.
+Brute-force definitions of TU-appendable rows and elementary vectors, the
+circulation reduction's forward map, and `certified`, which wraps a matrix
+the tests build by hand once it is checked TU.  The library never calls
+them; they are oracles, kept next to the tests that use them.
 """
 
 from itertools import product
@@ -12,6 +13,14 @@ from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular
 from cctu.seymour import tree_adjacency, tree_path
 
 ELEMENTARY_ENUM_CAP = 14  # hard cap on 3^n candidate-row enumeration
+
+
+def certified(mat):
+    """`TUMatrix.trusted(mat)` once `mat` is checked TU; raises ValueError
+    on a matrix that is not."""
+    if not is_totally_unimodular(mat):
+        raise ValueError("matrix is not totally unimodular")
+    return TUMatrix.trusted(mat)
 
 
 def is_tu_appendable(tu, d):

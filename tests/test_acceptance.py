@@ -26,7 +26,7 @@ from cctu.seymour import classify, find_sum_decomposition, k_sum, pivot
 from cctu.shortening import ResidueGroups, shorten_residue_sum
 from cctu.structure import find_flat_or_solve, proximal_solution
 from random_systems import boxed
-from reference import is_elementary, tu_appendable_rows
+from reference import certified, is_elementary, tu_appendable_rows
 
 PASS = "ACCEPTANCE {num}: PASS - {what}"
 
@@ -186,7 +186,7 @@ def test_criterion_2_flatness():
     assert flats > 0
     for m in range(2, 8):
         for ell in range(1, m):
-            P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, m - ell - 1))
+            P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (0, m - ell - 1))
             inst = RCctufInstance(P, (1,), m, frozenset(range(m - ell, m)))
             out = find_flat_or_solve(inst)
             assert out.tag == "flat" and out.width == m - ell - 1
@@ -427,25 +427,25 @@ def unbounded_test_set():
     # family A: min -x over x >= 0 with gamma = g, target {0}: unbounded iff
     # the congruence admits a solution on the ray lattice (always, g free)
     for g in range(1, 11):
-        P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))
+        P = Polyhedron(certified(IntMatrix(((-1,),))), (0,))
         cases.append((RCctufInstance(P, (g % 3,), 3, frozenset({0}), (-1,)), True))
     # family B: bounded boxes are never unbounded
     for hi in range(10):
-        P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, hi))
+        P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (0, hi))
         cases.append((RCctufInstance(P, (1,), 2, frozenset({0}), (-1,)), False))
     # family C: unbounded relaxation, unattainable congruence
     for r in (1, 2):
         for pad in range(5):
-            P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (pad,))
+            P = Polyhedron(certified(IntMatrix(((-1,),))), (pad,))
             cases.append((RCctufInstance(P, (0,), 3, frozenset({r}), (-1,)), False))
     # family D: two variables, objective unbounded along a congruent ray
     for t in range(10):
         T = IntMatrix(((-1, 0), (0, -1), (1, -1)))
-        P = Polyhedron(TUMatrix.certify(T), (0, 0, t))
+        P = Polyhedron(certified(T), (0, 0, t))
         cases.append((RCctufInstance(P, (1, 1), 2, frozenset({0}), (0, -1)), True))
     # family E: objective bounded despite an unbounded polyhedron
     for t in range(10):
-        P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (t,))
+        P = Polyhedron(certified(IntMatrix(((-1,),))), (t,))
         cases.append((RCctufInstance(P, (1,), 2, frozenset({0}), (1,)), False))
     assert len(cases) == 50
     return cases

@@ -24,11 +24,11 @@ from cctu.patterns import solve_rcctuf
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
 from cctu.seymour import SPECIAL_CORES, classify, recognize_network_matrix, reduce_to_core
 from random_systems import boxed, random_tu_matrix
-from reference import is_tu_appendable, solution_to_circulation
+from reference import certified, is_tu_appendable, solution_to_circulation
 
 
 def test_normalize_shifts_and_splits():
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, 5))
+    P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (0, 5))
     inst = RCctufInstance(P, (1,), 3, frozenset({2}))
     norm = normalize(inst)
     assert norm.x0 == (0,)
@@ -45,14 +45,14 @@ def test_normalized_matrix_stays_network():
         P = Polyhedron(TUMatrix.trusted(T), (2,) * 3)
         inst = RCctufInstance(P, (1, 1), 3, frozenset({1}))
         norm = normalize(inst)
-        rep = recognize_network_matrix(norm.T)
+        rep = recognize_network_matrix(norm.T, *reduce_to_core(norm.T))
         assert rep is not None and rep.rebuild().rows == norm.T.rows
         # and with the nonnegativity unit rows appended explicitly
         n = norm.T.ncols
         with_units = IntMatrix(
             norm.T.rows + tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
         )
-        rep2 = recognize_network_matrix(with_units)
+        rep2 = recognize_network_matrix(with_units, *reduce_to_core(with_units))
         assert rep2 is not None and rep2.rebuild().rows == with_units.rows
 
 
@@ -66,7 +66,7 @@ def test_split_representations_rebuild_the_split_matrix():
     rng = random.Random(5)
     for _ in range(40):
         N = random_network_matrix(rng, rng.randint(0, 6), rng.randint(0, 5))
-        rep = recognize_network_matrix(N)
+        rep = recognize_network_matrix(N, *reduce_to_core(N))
         assert _split_network(rep).rebuild() == split(N)
         # rep realizes T^T for T = N^T
         assert _split_transposed(rep).rebuild().transpose() == split(N.transpose())
@@ -231,7 +231,7 @@ def test_infeasible_network_instance_runs_one_terminal_search(monkeypatch):
 
     monkeypatch.setattr(bb.kernels, "box_search", counting)
     # x in {0, 1} reaches residues 0 and 1 only
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (1, 0))
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (1, 0))
     inst = RCctufInstance(P, (1,), 5, frozenset({2, 3}))
     cls = classify(inst.P.T.matrix)
     assert cls.tag == "network"
@@ -261,9 +261,9 @@ def test_const_core_instance_matches_oracle():
 def test_const_core_recognizes_the_guessed_matrix_once(monkeypatch):
     calls = []
 
-    def counting(mat):
+    def counting(mat, core, log):
         calls.append(mat)
-        return recognize_network_matrix(mat)
+        return recognize_network_matrix(mat, core, log)
 
     monkeypatch.setattr(bb, "recognize_network_matrix", counting)
     P = boxed(TUMatrix.trusted(SPECIAL_CORES[0]), (1, 2, 0, 1, 2), 2)
@@ -321,7 +321,7 @@ from cctu.polyhedra import Polyhedron, RCctufInstance
 from cctu.seymour import classify
 
 bb.check_circulation = lambda ccc, flows: False
-P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (2, 0))
+P = Polyhedron(TUMatrix.trusted(IntMatrix(((1,), (-1,)))), (2, 0))
 inst = RCctufInstance(P, (1,), 3, frozenset({1}))
 cls = classify(inst.P.T.matrix)
 try:
@@ -344,7 +344,7 @@ def test_base_block_checks_survive_python_O():
 
 
 def test_infeasible_relaxation_returns_none(rng):
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (-1, 0))
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (-1, 0))
     inst = RCctufInstance(P, (1,), 3, frozenset({0}))
     cls = classify(inst.P.T.matrix)
     assert solve_base_block(inst, cls) is None
@@ -362,7 +362,7 @@ def test_circulation_solution_roundtrip(rng):
             norm = normalize(inst)
         except Exception:
             continue
-        rep = recognize_network_matrix(norm.T)
+        rep = recognize_network_matrix(norm.T, *reduce_to_core(norm.T))
         if rep is None:
             continue
         ccc = cctu_to_ccc(norm, rep)

@@ -6,7 +6,7 @@ from cctu.errors import CctuError
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import Polyhedron, integral_feasible_point, lp_optimize
 from random_systems import boxed, random_tu_matrix
-from reference import is_elementary
+from reference import certified, is_elementary
 
 
 def test_zero_point_gives_zero_coefficients():
@@ -38,7 +38,7 @@ def test_wedge_cone_decomposition_properties():
         sum(l * r[1] for l, r in zip(coeffs, rays)),
     )
     assert rebuilt == y
-    tu = TUMatrix.certify(T)
+    tu = certified(T)
     for lam, ray in zip(coeffs, rays):
         if lam:
             assert all(v <= 0 for v in T.mul_vec(ray))
@@ -57,7 +57,7 @@ def test_rejects_point_outside_cone():
 
 def test_identity_shift_decomposition():
     # 0 <= x <= 5, x0=1, y=4: single ray (1) with coefficient 3
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, 5))
+    P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (0, 5))
     dec = decompose_solutions(P, (1,), (4,))
     assert dec.point_for(dec.coeffs) == dec.y
     used = [(r, l) for r, l in zip(dec.rays, dec.coeffs) if l]
@@ -65,7 +65,7 @@ def test_identity_shift_decomposition():
 
 
 def test_equal_points_decompose_trivially():
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, 5))
+    P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (0, 5))
     dec = decompose_solutions(P, (2,), (2,))
     assert dec.point_for(dec.coeffs) == dec.y and all(l == 0 for l in dec.coeffs)
 

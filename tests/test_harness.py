@@ -10,11 +10,12 @@ from cctu.cli import main
 from cctu.errors import InputFormatError
 from cctu.fileio import parse_instance, serialize_instance
 from cctu.generators import KINDS, generate, random_network_matrix
-from cctu.matrices import IntMatrix, TUMatrix
+from cctu.matrices import IntMatrix
 from cctu.patterns import is_prime, solve_rcctuf
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
-from cctu.seymour import classify, recognize_network_matrix
+from cctu.seymour import classify, recognize_network_matrix, reduce_to_core
 from cctu.verify import verify_solution
+from reference import certified
 
 MINIMAL = """\
 rows 2
@@ -44,7 +45,7 @@ def test_roundtrip_with_objective():
 
 def zero_column_instance(b, m=3, R=frozenset({0}), c=None):
     """A k x 0 system: the only point is x = (), feasible iff b >= 0."""
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((),) * len(b), 0)), b)
+    P = Polyhedron(certified(IntMatrix(((),) * len(b), 0)), b)
     return RCctufInstance(P, (), m, R, c)
 
 
@@ -105,7 +106,8 @@ def test_parse_reports_line_numbers():
 def test_generator_network_recognizable():
     for seed in range(5):
         gen = generate("network", 4, 3, 1, seed)
-        assert recognize_network_matrix(gen.instance.P.T.matrix) is not None
+        mat = gen.instance.P.T.matrix
+        assert recognize_network_matrix(mat, *reduce_to_core(mat)) is not None
 
 
 def test_generator_sum3_classifies_as_sum():

@@ -149,3 +149,29 @@ def test_library_does_not_branch_on_tu_matrix():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, "pass an IntMatrix instead of testing for a TUMatrix: " + ", ".join(offenders)
+
+
+def test_data_types_convert_no_field():
+    """`IntMatrix`, `Polyhedron` and `RCctufInstance` keep what they are
+    given.  Text becomes ints once, in `fileio.parse_instance`, and the
+    library builds its data from ints, so their `__post_init__` checks
+    fields and converts none."""
+    types = {"IntMatrix", "Polyhedron", "RCctufInstance"}
+    checked = set()
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(cls, ast.ClassDef) and cls.name in types):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    checked.add(cls.name)
+                    offenders += [
+                        f"{path.name}:{node.lineno} {node.func.id}"
+                        for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("int", "tuple", "list", "frozenset")
+                    ]
+    assert checked == types
+    assert not offenders, "convert at the boundary, not in __post_init__: " + ", ".join(offenders)

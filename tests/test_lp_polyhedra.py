@@ -18,10 +18,11 @@ from cctu.polyhedra import (
     width,
 )
 from random_systems import boxed, random_instance, random_tu_matrix
+from reference import certified
 
 
 def box_1d(lo, hi):
-    return Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (-lo, hi))
+    return Polyhedron(certified(IntMatrix(((-1,), (1,)))), (-lo, hi))
 
 
 def test_lp_min_over_interval():
@@ -30,23 +31,23 @@ def test_lp_min_over_interval():
 
 
 def test_lp_unbounded_ray():
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))  # x >= 0
+    P = Polyhedron(certified(IntMatrix(((-1,),))), (0,))  # x >= 0
     out = lp_optimize(P, (1,), "max")
     assert out.status == "unbounded" and out.ray == (1,)
 
 
 def test_lp_infeasible():
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (0, -1))  # x<=0, x>=1
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (0, -1))  # x<=0, x>=1
     assert lp_optimize(P, (1,), "min").status == "infeasible"
 
 
 def test_integral_feasible_point_cases():
     assert integral_feasible_point(box_1d(0, 5)) is not None
-    empty = Polyhedron(TUMatrix.certify(IntMatrix(())), ())
+    empty = Polyhedron(certified(IntMatrix(())), ())
     assert integral_feasible_point(empty) == ()
     # no constraints at all: the origin works
     assert integral_feasible_point(Polyhedron(TUMatrix.trusted(IntMatrix(((0,),))), (0,))) == (0,)
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (-1, 0))  # x<=-1, x>=0
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (-1, 0))  # x<=-1, x>=0
     assert integral_feasible_point(P) is None
 
 
@@ -58,10 +59,10 @@ def test_integral_feasible_point_starts_nearest_the_origin():
     for _ in range(50):
         n = rng.randint(1, 4)
         T = random_tu_matrix(rng, rng.randint(1, 6), n)
-        P = Polyhedron(TUMatrix.trusted(T), [rng.randint(0, 3) for _ in range(T.nrows)])
+        P = Polyhedron(TUMatrix.trusted(T), tuple([rng.randint(0, 3) for _ in range(T.nrows)]))
         assert integral_feasible_point(P) == (0,) * n
     # 1 <= x0 <= 3, -3 <= x1 <= -1
-    box = Polyhedron(TUMatrix.certify(IntMatrix(((-1, 0), (1, 0), (0, -1), (0, 1)))), (-1, 3, 3, -1))
+    box = Polyhedron(certified(IntMatrix(((-1, 0), (1, 0), (0, -1), (0, 1)))), (-1, 3, 3, -1))
     assert integral_feasible_point(box) == (1, -1)
 
 
@@ -104,14 +105,14 @@ def test_width_finite_with_witnesses():
 
 
 def test_width_infinite():
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))
+    P = Polyhedron(certified(IntMatrix(((-1,),))), (0,))
     assert width(P, (1,)) is None
     assert width(P, (-1,)) is None
 
 
 def test_width_diagonal_direction_on_unit_box():
     T = IntMatrix(((1, 0), (0, 1), (-1, 0), (0, -1)))
-    P = Polyhedron(TUMatrix.certify(T), (1, 1, 0, 0))
+    P = Polyhedron(certified(T), (1, 1, 0, 0))
     assert width(P, (1, 1)) == 2
 
 
@@ -128,14 +129,14 @@ def count_lps(monkeypatch):
 
 
 def test_lp_range_of_an_empty_polyhedron_takes_one_lp(monkeypatch):
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (-1, 0))  # x<=-1, x>=0
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (-1, 0))  # x<=-1, x>=0
     calls = count_lps(monkeypatch)
     assert lp_range(P, (1,)) is None
     assert calls == ["min"]
 
 
 def test_lp_range_marks_each_unbounded_side_with_none():
-    half_line = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (-2,))  # x >= 2
+    half_line = Polyhedron(certified(IntMatrix(((-1,),))), (-2,))  # x >= 2
     assert lp_range(half_line, (1,)) == (2, None)
     assert lp_range(half_line, (-1,)) == (None, -2)
     free = Polyhedron(TUMatrix.trusted(IntMatrix(((0,),))), (0,))
@@ -144,13 +145,13 @@ def test_lp_range_marks_each_unbounded_side_with_none():
 
 def test_lp_range_is_the_exact_range_on_a_box():
     T = IntMatrix(((1, 0), (0, 1), (-1, 0), (0, -1)))
-    P = Polyhedron(TUMatrix.certify(T), (3, 1, 2, 4))  # -2 <= x0 <= 3, -4 <= x1 <= 1
+    P = Polyhedron(certified(T), (3, 1, 2, 4))  # -2 <= x0 <= 3, -4 <= x1 <= 1
     assert lp_range(P, (1, -1)) == (-3, 7)
     assert lp_range(P, (0, 0)) == (0, 0)
 
 
 def test_width_requires_feasible_polyhedron():
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (-1, 0))
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (-1, 0))
     with pytest.raises(InfeasibleRelaxationError):
         width(P, (1,))
 
@@ -178,7 +179,7 @@ def test_oracle_full_residue_set_returns_relaxation_point():
 def test_oracle_answers_with_the_solver_result_type():
     """The oracle and the structural solver give the same answer type, so
     the CLI and the fuzzer read both alike."""
-    half_line = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))  # x >= 0
+    half_line = Polyhedron(certified(IntMatrix(((-1,),))), (0,))  # x >= 0
     unbounded = RCctufInstance(half_line, (1,), 3, frozenset({2}), (-1,))
     answers = {
         "feasible": oracle_solve(make_inst(0, 10, (1,), 3, {2}, c=(1,))),

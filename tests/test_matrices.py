@@ -7,7 +7,7 @@ from cctu.errors import DimensionError, ScaleError
 from cctu.kernels import det_bareiss
 from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular, non_tu_witness, reduce_to_core
 from random_systems import random_tu_matrix
-from reference import is_elementary, is_tu_appendable, tu_appendable_rows
+from reference import certified, is_elementary, is_tu_appendable, tu_appendable_rows
 
 # the two special 5x5 matrices that close Seymour's base-block case
 SPECIAL_A = IntMatrix(
@@ -165,7 +165,7 @@ def test_tall_matrices_with_small_cores_skip_ghouila_houri(monkeypatch):
     ident = IntMatrix.identity(12)
     rows = ident.rows
     for i in range(12):
-        rows += (ident.row(i), tuple([-v for v in ident.row(11 - i)]))
+        rows += (ident.rows[i], tuple([-v for v in ident.rows[11 - i]]))
     tall = IntMatrix(rows, 12)
     assert (tall.nrows, tall.ncols) == (36, 12)
     assert is_totally_unimodular(tall)
@@ -304,7 +304,7 @@ def test_unit_rows_are_tu_appendable():
     rng = random.Random(3)
     for _ in range(10):
         mat = random_tu_matrix(rng, 3, 4)
-        tu = TUMatrix.certify(mat)
+        tu = certified(mat)
         for i in range(4):
             e = tuple(1 if j == i else 0 for j in range(4))
             assert is_tu_appendable(tu, e)
@@ -315,23 +315,23 @@ def test_rows_of_t_are_tu_appendable():
     rng = random.Random(5)
     for _ in range(10):
         mat = random_tu_matrix(rng, 4, 3)
-        tu = TUMatrix.certify(mat)
+        tu = certified(mat)
         for row in mat.rows:
             assert is_tu_appendable(tu, row)
 
 
 def test_entry_outside_unit_range_is_not_appendable():
-    tu = TUMatrix.certify(IntMatrix(((1,),)))
+    tu = certified(IntMatrix(((1,),)))
     assert not is_tu_appendable(tu, (2,))
 
 
 def test_zero_vector_is_elementary():
-    tu = TUMatrix.certify(IntMatrix.identity(3))
+    tu = certified(IntMatrix.identity(3))
     assert is_elementary(tu, (0, 0, 0))
 
 
 def test_ones_vector_not_elementary_for_identity():
-    tu = TUMatrix.certify(IntMatrix.identity(2))
+    tu = certified(IntMatrix.identity(2))
     # d = (1, 1) is TU-appendable and has scalar product 2
     assert not is_elementary(tu, (1, 1))
 
@@ -339,7 +339,7 @@ def test_ones_vector_not_elementary_for_identity():
 def test_unit_vectors_are_elementary():
     rng = random.Random(13)
     mat = random_tu_matrix(rng, 3, 3)
-    tu = TUMatrix.certify(mat)
+    tu = certified(mat)
     for i in range(3):
         e = tuple(1 if j == i else 0 for j in range(3))
         assert is_elementary(tu, e)
@@ -350,7 +350,7 @@ def test_elementary_matches_bruteforce_definition():
     for _ in range(12):
         n = rng.randint(1, 3)
         mat = random_tu_matrix(rng, rng.randint(1, 3), n)
-        tu = TUMatrix.certify(mat)
+        tu = certified(mat)
         appendable = tu_appendable_rows(tu)
         for _ in range(6):
             x = tuple(rng.randint(-2, 2) for _ in range(n))
@@ -367,6 +367,18 @@ def test_elementary_scale_cap():
 
 
 def test_tu_appendable_dimension_guard():
-    tu = TUMatrix.certify(IntMatrix.identity(2))
+    tu = certified(IntMatrix.identity(2))
     with pytest.raises(DimensionError):
         is_tu_appendable(tu, (1, 0, 0))
+
+
+def test_rows_that_are_not_a_tuple_of_tuples_raise_type_error():
+    """Rows are kept as given, so lists where tuples belong are refused, not
+    copied; rows of the wrong width still raise DimensionError."""
+    for rows in ([[1, 0]], ([1, 0],), [(1, 0)]):
+        with pytest.raises(TypeError):
+            IntMatrix(rows)
+    with pytest.raises(DimensionError):
+        IntMatrix(((1, 0), (1,)))
+    rows = ((1, 0), (0, 1))
+    assert IntMatrix(rows).rows is rows

@@ -35,10 +35,12 @@ from cctu.seymour import (
     find_sum_decomposition,
     pivot_transform_instance,
     recognize_network_matrix,
+    reduce_to_core,
 )
 from cctu.structure import eliminate_tight_variable, solve_r_minus_1
 from cctu.verify import verify_solution
 from random_systems import polyhedron_with_implicit_equalities, random_instance, random_tu_matrix
+from reference import certified
 
 
 def test_cauchy_davenport_exhaustive():
@@ -348,7 +350,12 @@ def test_solver_optimization_matches_oracle(rng):
     [
         (bb.normalize, {1}),
         (lambda inst: bb.solve_base_block(inst, classify(inst.P.T.matrix)), {1}),
-        (lambda inst: bb.solve_network_cctu(inst, recognize_network_matrix(inst.P.T.matrix)), {1}),
+        (
+            lambda inst: bb.solve_network_cctu(
+                inst, recognize_network_matrix(inst.P.T.matrix, *reduce_to_core(inst.P.T.matrix))
+            ),
+            {1},
+        ),
         (lambda inst: bb.solve_const_core(bb.normalize(inst)), {1}),
         (eliminate_tight_variable, {1}),
         (lambda inst: pivot_transform_instance(inst, 0, 0), {1}),
@@ -371,7 +378,7 @@ def test_feasibility_layers_reject_objectives(entry, R):
     feasibility only; given an objective they raise instead of dropping it.
     So the driver's objective tests above also show that solve_rcctuf never
     passes an objective down."""
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (2, 0))
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (2, 0))
     inst = RCctufInstance(P, (1,), 3, frozenset(R), (1,))
     with pytest.raises(ValueError, match="the caller owns the objective"):
         entry(inst)
@@ -380,7 +387,7 @@ def test_feasibility_layers_reject_objectives(entry, R):
 def test_solver_unsupported_combination():
     from cctu.matrices import IntMatrix, TUMatrix
 
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (5, 0))
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (5, 0))
     inst = RCctufInstance(P, (1,), 4, frozenset({0, 1}))  # m=4 non-prime, |R|=m-2
     assert solve_rcctuf(inst).status == "unsupported"
 
@@ -392,7 +399,7 @@ def test_paper_family_infeasible_for_all_sizes():
         for ell in range(1, m):
             if ell < m - 2 or (ell == m - 2 and not is_prime(m)):
                 continue
-            P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (0, m - ell - 1))
+            P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (0, m - ell - 1))
             inst = RCctufInstance(P, (1,), m, frozenset(range(m - ell, m)))
             assert solve_rcctuf(inst).status == "infeasible"
 
@@ -666,7 +673,7 @@ def counting_lps(monkeypatch):
 
 def box_instance(R):
     """Minimize x over 0 <= x <= 2 with x in R (mod 3)."""
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (2, 0))
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (2, 0))
     return RCctufInstance(P, (1,), 3, frozenset(R), (1,))
 
 
@@ -678,7 +685,7 @@ def test_a_vertex_in_R_costs_one_lp(monkeypatch):
     assert res.stats["subproblems"] == 0 and len(lps) == 1
     # the |R| = m-1 solver: a pinned point is the only vertex, of residue 2
     del lps[:]
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1, 0), (-1, 0), (0, 1), (0, -1)))), (1, -1, 1, -1))
+    P = Polyhedron(certified(IntMatrix(((1, 0), (-1, 0), (0, 1), (0, -1)))), (1, -1, 1, -1))
     assert solve_r_minus_1(RCctufInstance(P, (1, 1), 3, frozenset({1, 2}))) == (1, 1)
     assert len(lps) == 1
     # the optimal vertex x = 0 misses R = {1, 2}: the whole path runs

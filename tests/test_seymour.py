@@ -254,25 +254,27 @@ def test_special_core_detection_modulo_transforms():
 
 
 def test_identity_is_network():
-    rep = recognize_network_matrix(IntMatrix.identity(3))
+    mat = IntMatrix.identity(3)
+    rep = recognize_network_matrix(mat, *reduce_to_core(mat))
     assert rep is not None
-    assert rep.rebuild().rows == IntMatrix.identity(3).rows
+    assert rep.rebuild().rows == mat.rows
 
 
 def test_non_tu_matrix_is_not_network():
-    assert recognize_network_matrix(IntMatrix(((1, 1), (-1, 1)))) is None
+    mat = IntMatrix(((1, 1), (-1, 1)))
+    assert recognize_network_matrix(mat, *reduce_to_core(mat)) is None
 
 
 def test_interval_matrix_recognized():
     mat = IntMatrix(((1, 0), (1, 1), (0, 1)))
-    rep = recognize_network_matrix(mat)
+    rep = recognize_network_matrix(mat, *reduce_to_core(mat))
     assert rep is not None and rep.rebuild().rows == mat.rows
 
 
 def test_random_network_matrices_recognized(rng):
     for _ in range(25):
         mat = random_tu_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        rep = recognize_network_matrix(mat)
+        rep = recognize_network_matrix(mat, *reduce_to_core(mat))
         assert rep is not None
         assert rep.rebuild().rows == mat.rows
 
@@ -283,14 +285,62 @@ def test_tall_network_matrices_with_small_cores_recognized():
     rng = random.Random(12)
     tall = [IntMatrix.identity(11)] + [random_network_matrix(rng, 12, 2) for _ in range(5)]
     for mat in tall:
-        rep = recognize_network_matrix(mat)
+        rep = recognize_network_matrix(mat, *reduce_to_core(mat))
         assert rep is not None and rep.rebuild() == mat
 
 
 def test_special_cores_are_not_network():
     for mat in SPECIAL_CORES:
-        assert recognize_network_matrix(mat) is None
-        assert recognize_network_matrix(mat.transpose()) is None
+        for m in (mat, mat.transpose()):
+            assert recognize_network_matrix(m, *reduce_to_core(m)) is None
+
+
+def flipped(log):
+    """`log` with every axis swapped: the same deletions on the transpose."""
+    return tuple([op._replace(axis="col" if op.axis == "row" else "row") for op in log])
+
+
+def test_the_reduction_of_a_matrix_serves_its_transpose():
+    """The core of M^T is the transpose of the core of M, and M's log with
+    every axis swapped extends a representation of the transposed core to
+    one that rebuilds M^T, as classify uses it."""
+    rng = random.Random(31)
+    mats = [
+        random_network_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)).transpose()
+        for _ in range(40)
+    ]
+    for _ in range(60):
+        k, n = rng.randint(1, 5), rng.randint(1, 5)
+        mats.append(IntMatrix(tuple([tuple([rng.choice((-1, 0, 1)) for _ in range(n)]) for _ in range(k)])))
+    recognized = 0
+    for mat in mats:
+        core, log = reduce_to_core(mat)
+        t_core, t_log = reduce_to_core(mat.transpose())
+        assert t_core == core.transpose(), mat
+        rep = recognize_network_matrix(mat.transpose(), core.transpose(), flipped(log))
+        assert (rep is None) == (recognize_network_matrix(mat.transpose(), t_core, t_log) is None), mat
+        if rep is not None:
+            assert rep.rebuild() == mat.transpose()
+            recognized += 1
+    assert recognized >= 40
+
+
+def test_classify_reduces_each_matrix_once(monkeypatch):
+    """On a matrix that is neither a network matrix nor a transposed one,
+    classify recognizes both orientations and checks the special cores from
+    one reduction."""
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return reduce_to_core(mat)
+
+    monkeypatch.setattr(seymour, "reduce_to_core", counted)
+    padded = generate("const_core", 7, 3, 1, seed=3).instance.P.T.matrix
+    for mat in (SPECIAL_CORES[0], padded):
+        calls.clear()
+        assert classify(mat).tag == "constant_core"
+        assert calls == [mat]
 
 
 def test_classify_identity_network():
@@ -436,6 +486,28 @@ def _reference_separation(mat, rows1, rows2, cols1, cols2):
     return dec
 
 
+def walked_path_ends(edges, support):
+    """The two ends, ascending, of the path that the tree edges in the
+    bitmask `support` form, found by walking their component; None when
+    they form no path."""
+    chosen = [edges[i] for i in range(len(edges)) if support >> i & 1]
+    touched = {v for edge in chosen for v in edge}
+    # walk the component of the lowest touched vertex over the chosen edges
+    seen = set(sorted(touched)[:1])
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for a, b in chosen:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    degree = {v: sum([v in edge for edge in chosen]) for v in touched}
+    if chosen and seen == touched and max(degree.values()) <= 2:
+        return tuple(sorted([v for v in touched if degree[v] == 1]))
+    return None
+
+
 def reference_network_matrix(mat):
     if any(v not in (-1, 0, 1) for v in mat.flat()):
         return None
@@ -446,9 +518,12 @@ def reference_network_matrix(mat):
     rep = None
     if k == 0:
         rep = NetworkRepresentation(1, (), tuple([(0, 0) for _ in range(n)]))
-    cols = [core.col(j) for j in range(n)]
+    supports = [sum([1 << i for i in range(k) if core[i, j]]) for j in range(n)]
     for edges in _pruefer_trees(k + 1) if k else ():
-        rep = _orient_tree_for(core, cols, edges, k + 1)
+        ends = {s: walked_path_ends(edges, s) for s in supports if s & (s - 1)}
+        if None in ends.values():
+            continue
+        rep = _orient_tree_for(core, supports, ends, edges, k + 1)
         if rep is not None:
             break
     if rep is None:
@@ -487,7 +562,7 @@ def test_sum_search_matches_the_per_candidate_scan():
 def test_tree_search_matches_the_unfiltered_tree_loop():
     found = 0
     for mat in _equivalence_corpus():
-        rep = recognize_network_matrix(mat)
+        rep = recognize_network_matrix(mat, *reduce_to_core(mat))
         assert repr(rep) == repr(reference_network_matrix(mat)), mat
         found += rep is not None
     assert found >= 20
@@ -501,23 +576,8 @@ def test_path_ends_agree_with_a_component_walk_on_small_trees():
                 masks[a] |= 1 << idx
                 masks[b] |= 1 << idx
             for support in range(1 << len(edges)):
-                chosen = [edges[i] for i in range(len(edges)) if support >> i & 1]
-                touched = {v for edge in chosen for v in edge}
-                # walk the component of the lowest touched vertex over the chosen edges
-                seen = set(sorted(touched)[:1])
-                stack = list(seen)
-                while stack:
-                    u = stack.pop()
-                    for a, b in chosen:
-                        for x, y in ((a, b), (b, a)):
-                            if x == u and y not in seen:
-                                seen.add(y)
-                                stack.append(y)
-                degree = {v: sum([v in edge for edge in chosen]) for v in touched}
-                expected = None
-                if chosen and seen == touched and max(degree.values()) <= 2:
-                    expected = tuple(sorted([v for v in touched if degree[v] == 1]))
-                assert _path_ends(support, masks) == expected, (edges, chosen)
+                expected = walked_path_ends(edges, support)
+                assert _path_ends(support, masks) == expected, (edges, support)
 
 
 def test_tu_checks_run_only_on_candidates_that_could_be_returned(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from cctu import shortening
 from cctu.errors import CctuError
-from cctu.matrices import IntMatrix, TUMatrix
+from cctu.matrices import IntMatrix
 from cctu.polyhedra import Polyhedron, RCctufInstance, lp_optimize, oracle_solve
 from cctu.shortening import (
     ResidueGroups,
@@ -14,6 +14,7 @@ from cctu.shortening import (
     transform_solution,
 )
 from random_systems import random_instance
+from reference import certified
 
 
 def test_interval_removing_whole_triple():
@@ -146,7 +147,7 @@ def test_shorten_cross_checked_against_subset_enumeration():
 
 
 def box_instance(lo, hi, gamma, m, R, c=None):
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (-lo, hi))
+    P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (-lo, hi))
     return RCctufInstance(P, gamma, m, frozenset(R), c)
 
 

@@ -27,11 +27,11 @@ from cctu.structure import (
     solve_unconstrained_congruence,
 )
 from random_systems import polyhedron_with_implicit_equalities, random_instance
-from reference import tu_appendable_rows
+from reference import certified, tu_appendable_rows
 
 
 def interval(lo, hi, gamma, m, R, c=None):
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,), (1,)))), (-lo, hi))
+    P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (-lo, hi))
     return RCctufInstance(P, gamma, m, frozenset(R), c)
 
 
@@ -63,7 +63,7 @@ def test_full_residue_set_solves_immediately():
 
 
 def test_flat_requires_feasible_relaxation():
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (-1, 0))
+    P = Polyhedron(certified(IntMatrix(((1,), (-1,)))), (-1, 0))
     with pytest.raises(InfeasibleRelaxationError):
         find_flat_or_solve(RCctufInstance(P, (1,), 3, frozenset({0})))
 
@@ -182,7 +182,7 @@ def test_proximal_products_bounded_for_enumerated_appendable_rows(rng):
 def two_var_forced():
     # x1 + x2 <= 3 and -(x1 + x2) <= -3 force the diagonal
     T = IntMatrix(((1, 1), (-1, -1), (1, 0), (-1, 0)))
-    P = Polyhedron(TUMatrix.certify(T), (3, -3, 5, 5))
+    P = Polyhedron(certified(T), (3, -3, 5, 5))
     return RCctufInstance(P, (1, 2), 4, frozenset({1}))
 
 
@@ -202,7 +202,7 @@ def test_eliminate_tight_variable_round_trip():
 
 def test_eliminate_none_on_full_dimensional_box():
     T = IntMatrix(((1, 0), (0, 1), (-1, 0), (0, -1)))
-    P = Polyhedron(TUMatrix.certify(T), (2, 2, 0, 0))
+    P = Polyhedron(certified(T), (2, 2, 0, 0))
     inst = RCctufInstance(P, (1, 1), 3, frozenset({0}))
     assert eliminate_tight_variable(inst) is None
 
@@ -229,7 +229,7 @@ def test_solve_r_minus_1_matches_oracle(rng):
 
 def test_detect_unboundedness_cases():
     # min -x over x >= 0 with parity 0: feasible, relaxation unbounded
-    P = Polyhedron(TUMatrix.certify(IntMatrix(((-1,),))), (0,))
+    P = Polyhedron(certified(IntMatrix(((-1,),))), (0,))
     unbounded = RCctufInstance(P, (1,), 2, frozenset({0}), (-1,))
     bounded = interval(0, 5, (1,), 2, {0}, c=(-1,))
     # unbounded relaxation but congruence unattainable
@@ -249,7 +249,7 @@ from cctu.polyhedra import Polyhedron, RCctufInstance
 # 5 <= x <= 10 with |R| = m-1: no flat row, and the unconstrained congruence
 # point lies below the interval, so the dropped rows are re-added through the
 # shortening transform, here patched to return a point far outside
-P = Polyhedron(TUMatrix.certify(IntMatrix(((1,), (-1,)))), (10, -5))
+P = Polyhedron(TUMatrix.trusted(IntMatrix(((1,), (-1,)))), (10, -5))
 inst = RCctufInstance(P, (1,), 3, frozenset({1, 2}))
 st.transform_solution = lambda inst, y, x0: (10**6,)
 try:
@@ -290,7 +290,7 @@ from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
 
 # 0 <= x, y <= 2 with x = y; (5, 5) lies outside, (0, 0) is a vertex
 rows = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-P = Polyhedron(TUMatrix.certify(IntMatrix(rows)), (2, 0, 2, 0, 0, 0))
+P = Polyhedron(TUMatrix.trusted(IntMatrix(rows)), (2, 0, 2, 0, 0, 0))
 inst = RCctufInstance(P, (1, 1), 3, frozenset({1, 2}))
 calls = {
     "normalize": lambda: bb.normalize(inst, vertex=(5, 5)),
@@ -431,7 +431,7 @@ def counting(monkeypatch, name):
 def test_full_dimensional_box_costs_one_lp_per_row_tight_at_the_vertex(monkeypatch):
     n = 3
     units = [tuple([s if t == i else 0 for t in range(n)]) for i in range(n) for s in (1, -1)]
-    P = Polyhedron(TUMatrix.certify(IntMatrix(tuple(units))), (2, 0) * n)
+    P = Polyhedron(certified(IntMatrix(tuple(units))), (2, 0) * n)
     x0 = integral_feasible_point(P)
     tight = [row for row, bv in zip(units, P.b) if sum(a * v for a, v in zip(row, x0)) == bv]
     assert len(tight) == n
