@@ -130,29 +130,29 @@ def reduce_to_core(mat):
 
 
 def _scan(axis, lines, live, across, log):
-    """Log the unit lines among `live` and each line whose sign-normalised
-    entries on `across` match an earlier one's; returns the other lines."""
+    """Log the unit lines among `live` and each line whose entries on
+    `across` repeat or negate an earlier one's; returns the other lines."""
     kept = []
-    seen = {}
+    seen = {}  # both orientations of each kept line -> (index, reason)
     for i in live:
         line = lines[i]
         # `across` is ascending, so at full length it is every index
         vec = line if len(line) == len(across) else tuple([line[j] for j in across])
         if len(vec) - vec.count(0) <= 1:
-            t = next((t for t, v in enumerate(vec) if v), None)
-            if t is None:
-                log.append(CoreOp(axis, i, "unit"))
+            for t, v in enumerate(vec):
+                if v:
+                    log.append(CoreOp(axis, i, "unit", across[t], v))
+                    break
             else:
-                log.append(CoreOp(axis, i, "unit", across[t], vec[t]))
+                log.append(CoreOp(axis, i, "unit"))
             continue
-        sign = 1 if next(v for v in vec if v) > 0 else -1
-        key = vec if sign == 1 else tuple([-v for v in vec])
-        twin = seen.get(key)
+        twin = seen.get(vec)
         if twin is None:
-            seen[key] = (i, sign)
+            seen[vec] = (i, "dup")
+            seen[tuple([-v for v in vec])] = (i, "negdup")
             kept.append(i)
         else:
-            log.append(CoreOp(axis, i, "dup" if twin[1] == sign else "negdup", twin[0]))
+            log.append(CoreOp(axis, i, twin[1], twin[0]))
     return kept
 
 
@@ -172,7 +172,7 @@ def kept_indices(mat, log):
 
 @lru_cache(maxsize=200_000)
 def _tu_cached(rows):
-    if any(v not in (-1, 0, 1) for r in rows for v in r):
+    if not set().union(*rows) <= {-1, 0, 1}:
         return False
     core, _ = reduce_to_core(IntMatrix(rows, len(rows[0]) if rows else 0))
     k, n = core.nrows, core.ncols

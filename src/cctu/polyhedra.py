@@ -26,12 +26,15 @@ DEFAULT_ENUM_BUDGET = 4_000_000
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Inequality system T x <= b with T certified TU and b a tuple of ints."""
+    """Inequality system T x <= b with T certified TU and b a tuple of ints;
+    a `b` that is not a tuple raises TypeError."""
 
     T: TUMatrix
     b: tuple
 
     def __post_init__(self):
+        if type(self.b) is not tuple:
+            raise TypeError("rhs b must be a tuple")
         if self.T.nrows != len(self.b):
             raise DimensionError("rhs length differs from row count")
 
@@ -50,7 +53,8 @@ class Polyhedron:
 @dataclass(frozen=True)
 class RCctufInstance:
     """Find x with Tx <= b and gamma.x in R (mod m); minimize c.x if c given.
-    Fields are kept as given: gamma and c tuples of ints, R a frozenset of ints."""
+    Fields are kept as given: gamma and c tuples of ints, R a frozenset of
+    ints; fields of another type raise TypeError."""
 
     P: Polyhedron
     gamma: tuple
@@ -59,6 +63,10 @@ class RCctufInstance:
     c: tuple = None
 
     def __post_init__(self):
+        if type(self.gamma) is not tuple or not (self.c is None or type(self.c) is tuple):
+            raise TypeError("gamma and c must be tuples")
+        if type(self.R) is not frozenset:
+            raise TypeError("target residues R must be a frozenset")
         if self.c is not None and len(self.c) != self.P.nvars:
             raise DimensionError("objective length mismatch")
         if len(self.gamma) != self.P.nvars:

@@ -266,7 +266,12 @@ def _sum_at(mat, kind, rows1, rows2, cols1, cols2):
 
 def matches_special_core(core):
     """True iff `core` equals one of the two closing 5x5 matrices up to row
-    and column permutations and sign changes."""
+    and column permutations and sign changes.
+
+    Sign changes keep each row's support, so the 32 column signings are
+    tried only for the column permutations under which the core's rows, as
+    sorted 0/1 support tuples, equal the target's.
+    """
     if core.nrows != 5 or core.ncols != 5:
         return False
 
@@ -274,14 +279,19 @@ def matches_special_core(core):
         nz = next((v for v in vec if v != 0), 1)
         return tuple([x * (1 if nz > 0 else -1) for x in vec])
 
+    def supports(rows):
+        return sorted(tuple([1 if v else 0 for v in r]) for r in rows)
+
     for target in SPECIAL_CORES:
         target_rows = sorted(signnorm(r) for r in target.rows)
+        target_support = supports(target.rows)
         for perm in permutations(range(5)):
+            permuted = [tuple([r[p] for p in perm]) for r in core.rows]
+            if supports(permuted) != target_support:
+                continue
             for signs in product((1, -1), repeat=5):
-                variant_rows = []
-                for r in core.rows:
-                    variant_rows.append(signnorm(tuple([r[p] * s for p, s in zip(perm, signs)])))
-                if sorted(variant_rows) == target_rows:
+                variant_rows = sorted(signnorm(tuple([v * sg for v, sg in zip(r, signs)])) for r in permuted)
+                if variant_rows == target_rows:
                     return True
     return False
 

@@ -1,16 +1,19 @@
 """Reference implementations that the tests compare the solver against.
 
-Brute-force definitions of TU-appendable rows and elementary vectors, the
-circulation reduction's forward map, and `certified`, which wraps a matrix
-the tests build by hand once it is checked TU.  The library never calls
-them; they are oracles, kept next to the tests that use them.
+A Laplace-expansion determinant, brute-force definitions of TU-appendable
+rows and elementary vectors, the special-core match, the core-reduction
+scan as it first stood, the circulation reduction's forward map, and
+`certified`, which wraps a matrix the tests build by hand once it is
+checked TU.  The library never calls them; they are oracles, kept next to
+the tests that use them.
 """
 
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 
 from cctu.errors import DimensionError, ScaleError
-from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular
-from cctu.seymour import tree_adjacency, tree_path
+from cctu.matrices import CoreOp, IntMatrix, TUMatrix, is_totally_unimodular
+from cctu.seymour import SPECIAL_CORES, tree_adjacency, tree_path
 
 ELEMENTARY_ENUM_CAP = 14  # hard cap on 3^n candidate-row enumeration
 
@@ -21,6 +24,24 @@ def certified(mat):
     if not is_totally_unimodular(mat):
         raise ValueError("matrix is not totally unimodular")
     return TUMatrix.trusted(mat)
+
+
+@lru_cache(maxsize=100_000)
+def cofactor_det(mat):
+    """Independent determinant oracle: Laplace expansion along the first row,
+    memoized on the matrix so that the minors of one matrix are expanded
+    once."""
+    n = mat.nrows
+    if n == 0:
+        return 1
+    if n == 1:
+        return mat[0, 0]
+    total = 0
+    cols = list(range(n))
+    for j in range(n):
+        minor = mat.submatrix(range(1, n), [cc for cc in cols if cc != j])
+        total += (-1) ** j * mat[0, j] * cofactor_det(minor)
+    return total
 
 
 def is_tu_appendable(tu, d):
@@ -61,6 +82,65 @@ def is_elementary(tu, x):
         if is_tu_appendable(mat, d):
             return False
     return True
+
+
+def _signnorm(vec):
+    nz = next((v for v in vec if v != 0), 1)
+    return tuple([x * (1 if nz > 0 else -1) for x in vec])
+
+
+@lru_cache(maxsize=None)
+def _special_core_forms():
+    # every column permutation and column signing of each special core, as
+    # its sorted sign-normalised rows (which forget row order and row signs)
+    forms = set()
+    for target in SPECIAL_CORES:
+        for perm in permutations(range(5)):
+            for signs in product((1, -1), repeat=5):
+                forms.add(
+                    tuple(sorted(_signnorm(tuple([r[p] * s for p, s in zip(perm, signs)])) for r in target.rows))
+                )
+    return frozenset(forms)
+
+
+def matches_special_core(core):
+    """True iff `core` equals one of the two special 5x5 cores up to row and
+    column permutations and sign changes.
+
+    Brute force over all 2 x 120 x 32 signed column permutations with no
+    pruning.  They are applied to the special cores, once, rather than to
+    `core`; signed permutations form a group, so the answer is the same.
+    """
+    if core.nrows != 5 or core.ncols != 5:
+        return False
+    return tuple(sorted(_signnorm(r) for r in core.rows)) in _special_core_forms()
+
+
+def scan_lines(axis, lines, live, across, log):
+    """`matrices._scan` with each line's sign found from its first nonzero
+    and one sign-normalised key per kept line; the library's scan must log
+    the same deletions."""
+    kept = []
+    seen = {}
+    for i in live:
+        line = lines[i]
+        vec = line if len(line) == len(across) else tuple([line[j] for j in across])
+        if len(vec) - vec.count(0) <= 1:
+            t = next((t for t, v in enumerate(vec) if v), None)
+            if t is None:
+                log.append(CoreOp(axis, i, "unit"))
+            else:
+                log.append(CoreOp(axis, i, "unit", across[t], vec[t]))
+            continue
+        sign = 1 if next(v for v in vec if v) > 0 else -1
+        key = vec if sign == 1 else tuple([-v for v in vec])
+        twin = seen.get(key)
+        if twin is None:
+            seen[key] = (i, sign)
+            kept.append(i)
+        else:
+            log.append(CoreOp(axis, i, "dup" if twin[1] == sign else "negdup", twin[0]))
+    return kept
 
 
 def solution_to_circulation(ccc, rep, xhat):

@@ -246,3 +246,22 @@ def test_search_box_first_hit_is_lexicographic_minimum():
     inst = make_inst(-10, 10, (1,), 3, {2})
     found, x, _ = search_box(inst, (0,), 3)
     assert found and x == (-1,)  # -1 = 2 mod 3, scanned before 2
+
+
+def test_fields_of_the_wrong_type_raise_when_the_object_is_built():
+    """Fields are kept as given, so a list `b` or a set `R` is refused at
+    construction instead of failing later: before, `with_rows` on a list `b`
+    raised when concatenating, and a set `R` built an unhashable instance."""
+    T = certified(IntMatrix(((1,), (-1,))))
+    with pytest.raises(TypeError):
+        Polyhedron(T, [3, 0])
+    P = Polyhedron(T, (3, 0))
+    assert P.with_rows([(1,)], [1]).b == (3, 0, 1)
+    with pytest.raises(TypeError):
+        RCctufInstance(P, (1,), 3, {1})
+    with pytest.raises(TypeError):
+        RCctufInstance(P, [1], 3, frozenset({1}))
+    with pytest.raises(TypeError):
+        RCctufInstance(P, (1,), 3, frozenset({1}), [1])
+    inst = RCctufInstance(P, (1,), 3, frozenset({1}), (1,))
+    assert hash(inst) == hash(RCctufInstance(P, (1,), 3, frozenset({1}), (1,)))

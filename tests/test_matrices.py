@@ -7,7 +7,7 @@ from cctu.errors import DimensionError, ScaleError
 from cctu.kernels import det_bareiss
 from cctu.matrices import IntMatrix, TUMatrix, is_totally_unimodular, non_tu_witness, reduce_to_core
 from random_systems import random_tu_matrix
-from reference import certified, is_elementary, is_tu_appendable, tu_appendable_rows
+from reference import certified, cofactor_det, is_elementary, is_tu_appendable, tu_appendable_rows
 
 # the two special 5x5 matrices that close Seymour's base-block case
 SPECIAL_A = IntMatrix(
@@ -28,21 +28,6 @@ SPECIAL_B = IntMatrix(
         (1, 1, 0, 0, 1),
     )
 )
-
-
-def cofactor_det(mat):
-    """Independent determinant oracle: Laplace expansion along the first row."""
-    n = mat.nrows
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0, 0]
-    total = 0
-    cols = list(range(n))
-    for j in range(n):
-        minor = mat.submatrix(range(1, n), [cc for cc in cols if cc != j])
-        total += (-1) ** j * mat[0, j] * cofactor_det(minor)
-    return total
 
 
 def test_determinant_identity():

@@ -2,7 +2,7 @@ import random
 import sys
 from itertools import combinations
 
-from cctu import seymour
+from cctu import matrices, seymour
 from cctu.errors import ScaleError
 from cctu.generators import generate, random_network_matrix
 from cctu.matrices import IntMatrix, is_totally_unimodular, kept_indices
@@ -28,6 +28,8 @@ from cctu.seymour import (
     reduce_to_core,
 )
 from random_systems import random_instance, random_tu_matrix
+from reference import matches_special_core as matches_special_core_brute
+from reference import scan_lines
 
 
 def test_pivot_direct_formula():
@@ -198,6 +200,17 @@ def test_core_log_is_valid_on_seeded_matrices():
     assert shapes == {(False, False), (True, False), (False, True), (True, True)}
 
 
+def test_core_log_equals_the_sign_normalised_scan(monkeypatch):
+    """The scan keys each kept line under both orientations; its core and log
+    equal those of the scan that keys it once, sign-normalised by its first
+    nonzero, on matrices with repeated and negated rows and columns."""
+    rng = random.Random(2023)
+    mats = [_matrix_with_twins(rng) for _ in range(20_000)]
+    fast = [reduce_to_core(mat) for mat in mats]
+    monkeypatch.setattr(matrices, "_scan", scan_lines)
+    assert [reduce_to_core(mat) for mat in mats] == fast
+
+
 def test_core_keeps_the_same_lines_whatever_the_deletion_order():
     """Kept indices pinned on inputs where the order of deletions matters to
     the log; the values are those of the reduction that deleted one line at a
@@ -251,6 +264,33 @@ def test_special_core_detection_modulo_transforms():
     )
     assert matches_special_core(IntMatrix(rows))
     assert not matches_special_core(IntMatrix.identity(5))
+
+
+def test_special_core_match_agrees_with_the_brute_force():
+    """The support-pruned match answers as the unpruned brute force does on
+    permuted and signed variants of both special cores, the same with one
+    entry changed, and random 5x5 matrices."""
+    rng = random.Random(31)
+    answers = []
+    for trial in range(1500):
+        base = SPECIAL_CORES[trial % 2]
+        perm_r, perm_c = rng.sample(range(5), 5), rng.sample(range(5), 5)
+        signs_r = [rng.choice((1, -1)) for _ in range(5)]
+        signs_c = [rng.choice((1, -1)) for _ in range(5)]
+        rows = [
+            [base[perm_r[r], perm_c[c]] * signs_r[r] * signs_c[c] for c in range(5)]
+            for r in range(5)
+        ]
+        kind = trial % 3
+        if kind == 1:
+            rows[rng.randrange(5)][rng.randrange(5)] = rng.choice((-1, 0, 1))
+        elif kind == 2:
+            rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(5)] for _ in range(5)]
+        mat = IntMatrix(tuple([tuple(r) for r in rows]))
+        answer = matches_special_core(mat)
+        assert answer == matches_special_core_brute(mat), mat.rows
+        answers.append((kind, answer))
+    assert {(0, True), (1, True), (1, False), (2, False)} <= set(answers)
 
 
 def test_identity_is_network():
