@@ -25,6 +25,14 @@ the vertex and the scan's verdict are handed to `eliminate_tight_variable`
 and `find_flat_or_solve` through their keyword-only `vertex` and `equality`
 arguments.  They check what they are handed and solve neither again.
 
+The flatness re-add loop starts next to that vertex rather than at a
+solution of the bare congruence, which has nothing to do with P: x0 or one
+coordinate step from it, whose residue is in R.  Only when no such step
+exists does it start at the congruence's solution.  The shortening
+transform repairs each violated re-added row, keeping the point within
+m-|R| of a relaxation point (Cook, Gerards, Schrijver & Tardos 1986), so a
+start near P leaves fewer rows to repair.
+
 The same vertex can answer an |R| = m-1 instance outright: over a TU system
 it is integral, so when its residue is in R it is a solution.  Likewise an
 integral LP optimum whose residue is in R is optimal, since the LP value
@@ -107,6 +115,13 @@ def find_flat_or_solve(inst, *, vertex=None, equality=_UNSCANNED):
     transfers.  Otherwise the row is dropped.  Dropped rows are re-added in
     reverse order, repairing the solution with the shortening transform.
 
+    The re-add loop may start at any point whose residue is in R.  It
+    starts next to the vertex x0: at x0 itself when its residue is in R,
+    else at the first x0 + t*e_j (j in order, t = 1, -1, ..., m-1, -(m-1))
+    whose residue is, so few re-added rows are violated.  When no single
+    coordinate step reaches R (composite m, where only a combination of
+    coordinates does), it starts at `solve_unconstrained_congruence`.
+
     The width scan runs only when a flat row can exist.  A width is never
     negative, so a bound below zero (|R| = m) admits none.  A row of width 0
     over a polyhedron containing P is constant on P, so with bound 0
@@ -116,7 +131,8 @@ def find_flat_or_solve(inst, *, vertex=None, equality=_UNSCANNED):
 
     The "infeasible" tag covers the degenerate terminal case where even the
     unconstrained congruence is unsatisfiable (gcd obstruction); no flat row
-    exists there.
+    exists there.  A step from x0 reaches R only when the congruence is
+    satisfiable, so the fallback decides this tag.
 
     A caller that holds a point of P passes it as `vertex`, and one that has
     scanned P for implicit equalities passes the verdict as `equality` (see
@@ -140,7 +156,9 @@ def find_flat_or_solve(inst, *, vertex=None, equality=_UNSCANNED):
             w = width(current, rows[idx])
             if w is not None and w <= bound:
                 return FlatnessOutcome("flat", row_index=idx, width=w)
-    x = solve_unconstrained_congruence(inst.gamma, inst.m, inst.R)
+    x = _start_point(inst, x0)
+    if x is None:
+        x = solve_unconstrained_congruence(inst.gamma, inst.m, inst.R)
     if x is None:
         return FlatnessOutcome("infeasible")
     slack = inst.m - len(inst.R)
@@ -162,6 +180,24 @@ def find_flat_or_solve(inst, *, vertex=None, equality=_UNSCANNED):
     if not inst.is_feasible_point(x):
         raise SolutionCheckError("stripped-system solution is infeasible")
     return FlatnessOutcome("solution", x=x)
+
+
+def _start_point(inst, x0):
+    """x0 when its residue is in R, else the first x0 + t*e_j, for j in
+    order and t = 1, -1, 2, -2, ..., m-1, -(m-1), whose residue is in R, or
+    None when no single coordinate step reaches R."""
+    r0 = inst.residue(x0)
+    if r0 in inst.R:
+        return x0
+    m = inst.m
+    for j, g in enumerate(inst.gamma):
+        if g % m == 0:
+            continue  # a step in x_j leaves the residue where it is
+        for s in range(1, m):
+            for t in (s, -s):
+                if (r0 + t * g) % m in inst.R:
+                    return x0[:j] + (x0[j] + t,) + x0[j + 1:]
+    return None
 
 
 def _first_implicit_equality(P, x0, start=0):

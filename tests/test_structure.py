@@ -26,6 +26,7 @@ from cctu.structure import (
     solve_r_minus_1,
     solve_unconstrained_congruence,
 )
+from cctu.verify import verify_solution
 from random_systems import polyhedron_with_implicit_equalities, random_instance
 from reference import certified, tu_appendable_rows
 
@@ -33,6 +34,11 @@ from reference import certified, tu_appendable_rows
 def interval(lo, hi, gamma, m, R, c=None):
     P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (-lo, hi))
     return RCctufInstance(P, gamma, m, frozenset(R), c)
+
+
+def box(lo, hi, n):
+    units = [tuple([s if t == i else 0 for t in range(n)]) for i in range(n) for s in (1, -1)]
+    return Polyhedron(certified(IntMatrix(tuple(units))), (hi, -lo) * n)
 
 
 def test_flat_on_tight_paper_family():
@@ -69,9 +75,15 @@ def test_flat_requires_feasible_relaxation():
 
 
 def test_gcd_obstruction_reported_as_infeasible():
-    # gamma = 0 makes every residue 0; R = {1} can never be hit
+    # gamma = 0 (mod m) makes every residue 0; R = {1} or {1, 2} is never hit,
+    # and no step from the vertex reaches it either
     out = find_flat_or_solve(interval(0, 10, (0,), 3, {1}))
     assert out.tag == "infeasible"
+    for gamma in ((3,), (3, -6), (0, 9)):
+        inst = RCctufInstance(box(0, 10, len(gamma)), gamma, 3, frozenset({1, 2}))
+        assert structure._start_point(inst, (0,) * len(gamma)) is None
+        assert find_flat_or_solve(inst).tag == "infeasible"
+        assert solve_r_minus_1(inst) is None
     assert solve_unconstrained_congruence((0,), 3, frozenset({1})) is None
     assert solve_unconstrained_congruence((2, 4), 6, frozenset({1, 3})) is None
     x = solve_unconstrained_congruence((2, 4), 6, frozenset({0, 4}))
@@ -212,19 +224,21 @@ def test_solve_r_minus_1_trivial_cases():
     assert solve_r_minus_1(interval(0, 0, (1,), 3, {1, 2})) is None
 
 
-def test_solve_r_minus_1_matches_oracle(rng):
-    done = 0
-    while done < 300:
-        m = rng.choice((2, 3, 4, 5))
+def test_solve_r_minus_1_matches_oracle(rng, monkeypatch):
+    flats = counting(monkeypatch, "find_flat_or_solve")
+    transforms = counting(monkeypatch, "transform_solution")
+    for _ in range(400):
+        m = rng.choice((2, 3, 4, 5, 6))
         inst = random_instance(rng, n_max=5, m_choices=(m,), r_size=m - 1)
         sol = solve_r_minus_1(inst)
         ora = oracle_solve(inst)
         if sol is None:
             assert ora.status == "infeasible"
         else:
-            assert inst.is_feasible_point(sol)
+            assert verify_solution(inst, sol).ok
             assert ora.status == "feasible"
-        done += 1
+    # the re-add loop ran, and repaired some of its start points
+    assert len(flats) > 30 and len(transforms) > 5
 
 
 def test_detect_unboundedness_cases():
@@ -246,11 +260,11 @@ from cctu.errors import SolutionCheckError
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.polyhedra import Polyhedron, RCctufInstance
 
-# 5 <= x <= 10 with |R| = m-1: no flat row, and the unconstrained congruence
-# point lies below the interval, so the dropped rows are re-added through the
+# -6 <= x <= -5 with |R| = m-1: no flat row; the vertex -5 has residue 1, so
+# the re-add loop starts at -4, which violates x <= -5 and is repaired by the
 # shortening transform, here patched to return a point far outside
-P = Polyhedron(TUMatrix.trusted(IntMatrix(((1,), (-1,)))), (10, -5))
-inst = RCctufInstance(P, (1,), 3, frozenset({1, 2}))
+P = Polyhedron(TUMatrix.trusted(IntMatrix(((1,), (-1,)))), (-5, 6))
+inst = RCctufInstance(P, (1,), 3, frozenset({0, 2}))
 st.transform_solution = lambda inst, y, x0: (10**6,)
 try:
     print("returned", st.find_flat_or_solve(inst).x)
@@ -448,3 +462,48 @@ def test_full_dimensional_box_costs_one_lp_per_row_tight_at_the_vertex(monkeypat
     out = find_flat_or_solve(pinned)
     assert (out.tag, out.width) == ("flat", 0)
     assert widths
+
+
+def test_re_add_starts_at_the_vertex_or_one_step_from_it(monkeypatch):
+    transforms = counting(monkeypatch, "transform_solution")
+    P = box(0, 5, 2)
+    cases = (
+        # (gamma, m, R, vertex, start): x0 itself when its residue is in R
+        ((1, 1), 3, {1, 2}, (2, 2), (2, 2)),
+        # else x0 + t*e_j for the first j, t = 1, -1, 2, -2, ...
+        ((1, 1), 3, {1, 2}, (0, 0), (1, 0)),
+        ((1, 1), 3, {0}, (5, 5), (4, 5)),
+        ((1, 1), 5, {2}, (0, 0), (2, 0)),
+        # a coordinate with gamma_j = 0 (mod m) cannot move the residue
+        ((0, 1), 3, {1, 2}, (0, 0), (0, 1)),
+        ((3, 1), 3, {1, 2}, (0, 0), (0, 1)),
+    )
+    for gamma, m, R, vertex, start in cases:
+        inst = RCctufInstance(P, gamma, m, frozenset(R))
+        assert structure._start_point(inst, vertex) == start
+        out = find_flat_or_solve(inst, vertex=vertex)
+        assert (out.tag, out.x) == ("solution", start)
+    assert transforms == []
+
+
+def test_start_next_to_the_vertex_needs_no_transform(monkeypatch):
+    # 3 <= x_i <= 5 with |R| = m-1: the vertex (3, 3, 3) has residue 0 and
+    # (4, 3, 3) lies in P, where the congruence alone gives (1, 0, 0) outside
+    inst = RCctufInstance(box(3, 5, 3), (1, 1, 1), 3, frozenset({1, 2}))
+    assert integral_feasible_point(inst.P) == (3, 3, 3)
+    assert not inst.P.contains(solve_unconstrained_congruence(inst.gamma, inst.m, inst.R))
+    transforms = counting(monkeypatch, "transform_solution")
+    assert solve_r_minus_1(inst) == (4, 3, 3)
+    assert transforms == []
+
+
+def test_composite_modulus_starts_at_the_congruence_solution(monkeypatch):
+    # m = 6, gamma = (2, 3): a step in x_0 reaches residues 0, 2, 4 and one in
+    # x_1 residues 0, 3, so only a combination of both reaches R = {1}
+    inst = RCctufInstance(box(-20, 20, 2), (2, 3), 6, frozenset({1}))
+    assert structure._start_point(inst, (-20, -20)) is None
+    fallbacks = counting(monkeypatch, "solve_unconstrained_congruence")
+    out = find_flat_or_solve(inst, vertex=(-20, -20))
+    assert out.tag == "solution" and inst.is_feasible_point(out.x)
+    assert len(fallbacks) == 1
+
