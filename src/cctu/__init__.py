@@ -54,7 +54,7 @@ from .seymour import (
     recognize_network_matrix,
     reduce_to_core,
 )
-from .shortening import ResidueGroups, max_removable_interval, shorten_residue_sum, transform_solution
+from .shortening import ResidueGroups, shorten_residue_sum, transform_solution
 from .structure import (
     FlatnessOutcome,
     bound_scalar_products,

@@ -2,7 +2,8 @@
 
 A Laplace-expansion determinant, brute-force definitions of TU-appendable
 rows and elementary vectors, the special-core match, the core-reduction
-scan as it first stood, the circulation reduction's forward map, and
+scan as it first stood, the circulation reduction's forward map, a scan of
+a whole box and the optimum over the LP bounding box that it gives, and
 `certified`, which wraps a matrix the tests build by hand once it is
 checked TU.  The library never calls them; they are oracles, kept next to
 the tests that use them.
@@ -10,9 +11,11 @@ the tests that use them.
 
 from functools import lru_cache
 from itertools import permutations, product
+from operator import mul
 
 from cctu.errors import DimensionError, ScaleError
 from cctu.matrices import CoreOp, IntMatrix, TUMatrix, is_totally_unimodular
+from cctu.polyhedra import lp_range
 from cctu.seymour import SPECIAL_CORES, tree_adjacency, tree_path
 
 ELEMENTARY_ENUM_CAP = 14  # hard cap on 3^n candidate-row enumeration
@@ -167,3 +170,39 @@ def solution_to_circulation(ccc, rep, xhat):
         flows[idx] -= cancel
         flows[ntree + idx] -= cancel
     return tuple(flows)
+
+
+def full_box(rows, b, gamma, m, rmask, lo, hi, c):
+    """Every point of the box in lexicographic order: the first feasible one
+    without `c`, the first of the cheapest with it."""
+    best = (False, None, 0)
+    for x in product(*[range(lv, hv + 1) for lv, hv in zip(lo, hi)]):
+        if any(sum(map(mul, r, x)) > bv for r, bv in zip(rows, b)):
+            continue
+        if not (rmask >> (sum(map(mul, gamma, x)) % m)) & 1:
+            continue
+        if c is None:
+            return (True, list(x), 0)
+        value = sum(map(mul, c, x))
+        if not best[0] or value < best[2]:
+            best = (True, list(x), value)
+    return best
+
+
+def full_box_optimum(inst):
+    """The answer to an objective instance over a bounded relaxation, by
+    scanning its LP bounding box (`lp_range` of each coordinate) point by
+    point: ("feasible", value) or ("infeasible", None).  Rests on no
+    proximity bound."""
+    n = inst.nvars
+    spans = [lp_range(inst.P, tuple([int(i == j) for j in range(n)])) for i in range(n)]
+    if None in spans:
+        return ("infeasible", None)
+    if any(lo is None or hi is None for lo, hi in spans):
+        raise ValueError("the relaxation is unbounded")
+    rmask = sum(1 << r for r in inst.R)
+    found, _x, value = full_box(
+        inst.P.T.matrix.rows, inst.P.b, inst.gamma, inst.m, rmask,
+        [lo for lo, _ in spans], [hi for _, hi in spans], inst.c,
+    )
+    return ("feasible", value) if found else ("infeasible", None)

@@ -152,11 +152,11 @@ def test_library_does_not_branch_on_tu_matrix():
 
 
 def test_data_types_convert_no_field():
-    """`IntMatrix`, `Polyhedron` and `RCctufInstance` keep what they are
-    given.  Text becomes ints once, in `fileio.parse_instance`, and the
-    library builds its data from ints, so their `__post_init__` checks
-    fields and converts none."""
-    types = {"IntMatrix", "Polyhedron", "RCctufInstance"}
+    """`IntMatrix`, `Polyhedron`, `RCctufInstance` and `ResidueGroups` keep
+    what they are given.  Text becomes ints once, in `fileio.parse_instance`,
+    and the library builds its data from ints, so their `__post_init__`
+    checks fields and converts none."""
+    types = {"IntMatrix", "Polyhedron", "RCctufInstance", "ResidueGroups"}
     checked = set()
     offenders = []
     for path in sorted(SRC.glob("*.py")):

@@ -3,30 +3,13 @@ whole box, `find_non_unit_subdet` against every square submatrix taken by
 Laplace expansion, both in the kernels' own scan order."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 from operator import mul
 
 from cctu.kernels import box_search, find_non_unit_subdet
 from cctu.matrices import IntMatrix
 from random_systems import random_tu_matrix
-from reference import cofactor_det
-
-
-def full_box(rows, b, gamma, m, rmask, lo, hi, c):
-    """Every point of the box in lexicographic order: the first feasible one
-    without `c`, the first of the cheapest with it."""
-    best = (False, None, 0)
-    for x in product(*[range(lv, hv + 1) for lv, hv in zip(lo, hi)]):
-        if any(sum(map(mul, r, x)) > bv for r, bv in zip(rows, b)):
-            continue
-        if not (rmask >> (sum(map(mul, gamma, x)) % m)) & 1:
-            continue
-        if c is None:
-            return (True, list(x), 0)
-        value = sum(map(mul, c, x))
-        if not best[0] or value < best[2]:
-            best = (True, list(x), value)
-    return best
+from reference import cofactor_det, full_box
 
 
 def random_box_case(rng):

@@ -1,68 +1,14 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from cctu import shortening
 from cctu.errors import CctuError
 from cctu.matrices import IntMatrix
 from cctu.polyhedra import Polyhedron, RCctufInstance, lp_optimize, oracle_solve
-from cctu.shortening import (
-    ResidueGroups,
-    max_removable_interval,
-    shorten_residue_sum,
-    transform_solution,
-)
+from cctu.shortening import ResidueGroups, shorten_residue_sum, transform_solution
 from random_systems import random_instance
 from reference import certified
-
-
-def test_interval_removing_whole_triple():
-    g = ResidueGroups(((1, 3),), 3, frozenset({0}))
-    iv = max_removable_interval(g, {0})
-    assert (iv.first, iv.last) == (1, 3)
-
-
-def test_no_interval_on_single_term():
-    g = ResidueGroups(((1, 1),), 3, frozenset({1}))
-    assert max_removable_interval(g, {1}) is None
-
-
-def test_interval_spanning_two_chunks():
-    # chunks (2,2),(1,2): total 6 = 0 mod 3; the whole sum is the best removal
-    g = ResidueGroups(((2, 2), (1, 2)), 3, frozenset({0}))
-    iv = max_removable_interval(g, {0})
-    assert (iv.first, iv.last) == (1, 4) and iv.last - iv.first + 1 == 4
-
-
-def exhaustive_best_interval(groups, m, S):
-    seq = [r for r, mult in groups for _ in range(mult)]
-    total = sum(seq) % m
-    best = None
-    for first in range(1, len(seq) + 1):
-        for last in range(first, len(seq) + 1):
-            removed = sum(seq[first - 1:last])
-            if (total - removed) % m in S:
-                size = last - first + 1
-                if best is None or size > best:
-                    best = size
-    return best
-
-
-def test_interval_size_matches_exhaustive_scan():
-    rng = random.Random(41)
-    for _ in range(120):
-        m = rng.choice((2, 3, 5, 7))
-        ngroups = rng.randint(1, 4)
-        groups = tuple((rng.randrange(m), rng.randint(0, 4)) for _ in range(ngroups))
-        S = set(rng.sample(range(m), rng.randint(1, m)))
-        g = ResidueGroups(groups, m, frozenset(S))
-        iv = max_removable_interval(g, S)
-        best = exhaustive_best_interval(groups, m, S)
-        if best is None:
-            assert iv is None
-        else:
-            assert iv is not None and iv.last - iv.first + 1 == best
 
 
 def test_shorten_keeps_short_sums():
@@ -95,20 +41,7 @@ def subset_check(groups, m, R, budget):
     return ok
 
 
-def test_shorten_output_bound_and_membership_random(monkeypatch):
-    # phase one searches against the one-residue target {total}; phase two
-    # against R, and with |R| = 1 phase two never runs, so a one-residue
-    # target that equals the current total marks a zero-sum deletion
-    zero_sum_deletions = []
-    search = shortening.max_removable_interval
-
-    def counted(g, S):
-        iv = search(g, S)
-        if set(S) == {g.total_residue} and iv is not None:
-            zero_sum_deletions.append(iv)
-        return iv
-
-    monkeypatch.setattr(shortening, "max_removable_interval", counted)
+def test_shorten_output_bound_and_membership_random():
     rng = random.Random(43)
     done = 0
     while done < 150:
@@ -119,12 +52,10 @@ def test_shorten_output_bound_and_membership_random(monkeypatch):
         total = sum(r * mult for r, mult in groups) % m
         if total not in R:
             continue
-        del zero_sum_deletions[:]
         mu = shorten_residue_sum(ResidueGroups(groups, m, R))
         assert sum(mu) <= m - len(R)
         assert sum(m_i * r for m_i, (r, _) in zip(mu, groups)) % m in R
         assert all(0 <= m_i <= mult for m_i, (_, mult) in zip(mu, groups))
-        assert len(zero_sum_deletions) <= ngroups
         done += 1
 
 
@@ -144,6 +75,58 @@ def test_shorten_cross_checked_against_subset_enumeration():
         witnesses = subset_check(groups, m, R, m - len(R))
         assert tuple(mu) in set(witnesses)
         done += 1
+
+
+def fewest_terms(groups, m, R):
+    """Brute force: the least k such that some mu <= lambda with k terms
+    sums into R, trying every multiset of k chunk indices."""
+    for k in range(sum(mult for _, mult in groups) + 1):
+        for picks in combinations_with_replacement(range(len(groups)), k):
+            if all(picks.count(i) <= mult for i, (_, mult) in enumerate(groups)):
+                if sum(groups[i][0] for i in picks) % m in R:
+                    return k
+    return None
+
+
+def test_shorten_keeps_the_fewest_terms():
+    # residue 2 is one term of the fourth chunk; a shortening that deletes
+    # runs of consecutive terms keeps three
+    groups = ((4, 6), (4, 2), (0, 6), (2, 5), (4, 5))
+    assert shorten_residue_sum(ResidueGroups(groups, 5, frozenset({2}))) == (0, 0, 0, 1, 0)
+
+
+def test_shorten_matches_the_fewest_terms_by_brute_force():
+    rng = random.Random(59)
+    done = 0
+    while done < 500:
+        m = rng.choice((2, 3, 4, 5, 7, 11))
+        groups = tuple((rng.randrange(m), rng.randint(0, 6)) for _ in range(rng.randint(1, 5)))
+        R = frozenset(rng.sample(range(m), rng.randint(1, m)))
+        if sum(r * mult for r, mult in groups) % m not in R:
+            continue
+        lam = tuple(mult for _, mult in groups)
+        mu = shorten_residue_sum(ResidueGroups(groups, m, R))
+        if sum(lam) <= m - len(R):
+            assert mu == lam
+        else:
+            assert sum(mu) == fewest_terms(groups, m, R)
+            assert sum(mi * r for mi, (r, _) in zip(mu, groups)) % m in R
+            assert all(0 <= mi <= mult for mi, mult in zip(mu, lam))
+        done += 1
+
+
+def test_residue_groups_keep_what_they_are_given():
+    g = ResidueGroups(((4, 2), (0, 1)), 5, frozenset({3}))
+    assert g.groups == ((4, 2), (0, 1)) and g.R == frozenset({3})
+    with pytest.raises(TypeError):
+        ResidueGroups([(4, 2)], 5, frozenset({3}))
+    with pytest.raises(TypeError):
+        ResidueGroups(((4, 2),), 5, {3})
+    for groups, R in ((((5, 1),), {0}), (((-1, 1),), {0}), (((1, 1),), {5}), (((1, 1),), {-1})):
+        with pytest.raises(ValueError):
+            ResidueGroups(groups, 5, frozenset(R))
+    with pytest.raises(ValueError):
+        ResidueGroups(((1, -1),), 5, frozenset({0}))
 
 
 def box_instance(lo, hi, gamma, m, R, c=None):
@@ -199,56 +182,9 @@ def test_transform_cost_monotone_when_x0_optimal(rng):
         done += 1
 
 
-def reference_max_removable_interval(g, S):
-    """The interval search by full enumeration of both in-chunk offsets,
-    O(multiplicity^2) per chunk pair; returns (first, last) or None."""
-    m = g.m
-    total = g.total_residue
-    live = [(idx, r, mult) for idx, (r, mult) in enumerate(g.groups) if mult > 0]
-    prefix = [sum(mult for _, mult in g.groups[:idx]) for idx in range(len(g.groups))]
-    best = None
-    for jpos, (j, rj, lj) in enumerate(live):
-        for kpos in range(jpos, len(live)):
-            k, rk, lk = live[kpos]
-            between = live[jpos + 1:kpos]
-            for x in range(1, lj + 1):
-                for y in range(1, (lj if k == j else lk) + 1):
-                    if k == j:
-                        if y < x:
-                            continue
-                        size, removed, last = y - x + 1, (y - x + 1) * rj, prefix[j] + y
-                    else:
-                        size = (lj - x + 1) + sum(mult for _, _, mult in between) + y
-                        removed = (lj - x + 1) * rj + sum(r * mult for _, r, mult in between) + y * rk
-                        last = prefix[k] + y
-                    if (total - removed) % m in S:
-                        cand = (-size, j, k, prefix[j] + x, last)
-                        if best is None or cand < best:
-                            best = cand
-    return None if best is None else best[3:]
-
-
-def test_interval_scan_of_the_top_offsets_matches_full_enumeration():
-    rng = random.Random(53)
-    for _ in range(1500):
-        m = rng.choice((2, 3, 4, 5, 7))
-        groups = tuple(
-            (rng.randrange(m), rng.randint(0, rng.choice((3, 9, 16))))
-            for _ in range(rng.randint(1, 4))
-        )
-        S = frozenset(rng.sample(range(m), rng.randint(1, m)))
-        iv = max_removable_interval(ResidueGroups(groups, m, S), S)
-        got = None if iv is None else (iv.first, iv.last)
-        assert got == reference_max_removable_interval(ResidueGroups(groups, m, S), S)
-
-
 def test_multiplicity_of_a_million_shortens_at_once():
-    # 10^6 ones then 10^6 twos mod 3: the whole sum is 0, so removing it
-    # all leaves residue 0; with one two fewer the sum is 1, and a single
-    # term is left
+    # 10^6 ones then 10^6 - 1 twos mod 3 sum to 1; with R = {1, 2} a
+    # single term is left, and the scan never walks a multiplicity past it
     big = 10**6
-    g = ResidueGroups(((1, big), (2, big)), 3, frozenset({0}))
-    iv = max_removable_interval(g, {0})
-    assert (iv.first, iv.last) == (1, 2 * big)
     mu = shorten_residue_sum(ResidueGroups(((1, big), (2, big - 1)), 3, frozenset({1, 2})))
     assert sum(mu) <= 1 and (mu[0] + 2 * mu[1]) % 3 in (1, 2)

@@ -90,6 +90,15 @@ def test_gcd_obstruction_reported_as_infeasible():
     assert x is not None and (2 * x[0] + 4 * x[1]) % 6 in (0, 4)
 
 
+def test_unconstrained_congruence_with_gamma_zero_mod_m():
+    # gamma = 0 leaves only the residue 0: the zero vector when 0 is a
+    # target, None otherwise; a nonzero gamma that is 0 mod m does the same
+    assert solve_unconstrained_congruence((0, 0), 3, frozenset({0, 2})) == (0, 0)
+    assert solve_unconstrained_congruence((0, 0), 3, frozenset({1, 2})) is None
+    assert solve_unconstrained_congruence((3, -6), 3, frozenset({0})) == (0, 0)
+    assert solve_unconstrained_congruence((5, 0, 10), 5, frozenset({1, 4})) is None
+
+
 def test_flat_or_solve_matches_oracle_feasibility(rng):
     for _ in range(120):
         inst = random_instance(rng, n_max=3)
