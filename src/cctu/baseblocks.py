@@ -16,14 +16,16 @@ const-core pipeline's entry point is `solve_const_core(norm)`.
 
 One terminal search over R is exact because the proximity bound does not
 depend on the residue: every residue in R that has a solution has one inside
-the same box (split variables and levels in {0..m-1}, guesses in (-m, m)^l),
-so a search of that box for any residue in R finds a solution whenever one
-exists.
+the same box around the shifted origin (|y_j| and |(Ty)_i| at most m-1,
+levels in {0..m-1}, guesses in (-m, m)^l), so a search of that box for any
+residue in R finds a solution whenever one exists.
 
-The network and transposed pipelines start from the classifier's
-representation: the split x = x+ - x- turns T into [T | -T], whose
-representation follows from T's by reversing column arcs (network) or by
-subdividing each tree arc (transposed), so no matrix is recognized twice.
+Normalizing only shifts, so the classifier's representation of T serves the
+normalized problem and no matrix is recognized twice.  The circulation has
+one signed edge per tree arc and one per column arc, whose flow is the
+shifted variable y_j itself.  The tree-cut instance subdivides each tree arc
+of T's transposed representation, so that y_j is the difference of two level
+drops that are each nonnegative.
 
 Both terminal enumerations are phrased as integer box searches: circulations
 are parametrized by their values on non-forest edges of the flow graph
@@ -31,10 +33,6 @@ are parametrized by their values on non-forest edges of the flow graph
 {0..m-1}^V with difference constraints, kept as the plain tuple the search
 returns.  That lets the shared kernel do the heavy scanning with
 row-interval pruning, with R as its residue mask.
-
-Circulation canonicalization: antiparallel arc pairs whose residue weights
-cancel mod m are merged into one signed edge, which is exactly the freedom
-used by the flow-cancellation step in the reduction's forward mapping.
 """
 
 from dataclasses import dataclass
@@ -44,13 +42,7 @@ from . import kernels
 from .errors import CctuError, InfeasibleRelaxationError, ScaleError, SolutionCheckError
 from .matrices import IntMatrix, TUMatrix, kept_indices
 from .polyhedra import DEFAULT_ENUM_BUDGET, Polyhedron, RCctufInstance, vertex_of
-from .seymour import (
-    NetworkRepresentation,
-    recognize_network_matrix,
-    reduce_to_core,
-    tree_adjacency,
-    tree_path,
-)
+from .seymour import recognize_network_matrix, reduce_to_core, tree_adjacency, tree_path
 
 CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
 
@@ -60,10 +52,10 @@ CORE_COL_CAP = 5  # largest core, in columns, whose scalar products are guessed
 
 @dataclass(frozen=True)
 class NormalizedCctu:
-    """Tx <= b, x >= 0 (implicit), gamma.x mod m in R, with the origin
+    """Ty <= b, gamma.y mod m in R over free integers y, with the origin
     feasible for the relaxation.  Obtained from a general problem by shifting
     a relaxation vertex x0 to the origin, which shifts each target residue by
-    -gamma.x0, and splitting x = x+ - x-; `lift` undoes both."""
+    -gamma.x0; `lift` undoes the shift."""
 
     T: IntMatrix
     b: tuple
@@ -71,23 +63,20 @@ class NormalizedCctu:
     m: int
     R: frozenset
     x0: tuple
-    n_orig: int
 
-    def lift(self, xhat):
-        n = self.n_orig
-        return tuple([x0v + xhat[i] - xhat[n + i] for i, x0v in enumerate(self.x0)])
+    def lift(self, y):
+        return tuple([x0v + yv for x0v, yv in zip(self.x0, y)])
 
 
 def normalize(inst, *, vertex=None):
-    """Normalize `inst` for its whole target set: one LP, one shift, one split.
+    """Normalize `inst` for its whole target set: one LP and one shift.
 
     A caller that holds a point of the relaxation passes it as `vertex`,
     which is then checked and shifted to the origin instead of solving the
     LP.  Raises InfeasibleRelaxationError when the relaxation is empty, and
     ValueError when `inst` has an objective (base blocks decide feasibility
-    only).  The split doubles the variables; base-block structure survives
-    because column copies, column sign flips, and unit rows map to parallel
-    arcs, reversed arcs, and leaf arcs.
+    only).  The constraint matrix is kept as it is, so its base-block
+    structure and its representation carry over unchanged.
     """
     if inst.c is not None:
         raise ValueError("base blocks take feasibility instances; the caller owns the objective")
@@ -95,22 +84,15 @@ def normalize(inst, *, vertex=None):
     if x0 is None:
         raise InfeasibleRelaxationError("relaxation is infeasible")
     shift = sum(g * v for g, v in zip(inst.gamma, x0))
-    shifted_b = tuple([bv - tv for bv, tv in zip(inst.P.b, inst.P.T.matrix.mul_vec(x0))])
     mat = inst.P.T.matrix
-    split_rows = tuple([row + tuple([-v for v in row]) for row in mat.rows])
     return NormalizedCctu(
-        IntMatrix(split_rows, 2 * inst.nvars),
-        shifted_b,
-        inst.gamma + tuple([-v for v in inst.gamma]),
+        mat,
+        tuple([bv - tv for bv, tv in zip(inst.P.b, mat.mul_vec(x0))]),
+        inst.gamma,
         inst.m,
         frozenset([(r - shift) % inst.m for r in inst.R]),
         x0,
-        inst.nvars,
     )
-
-
-def _nonneg_rows(n):
-    return tuple([tuple([-1 if j == i else 0 for j in range(n)]) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +101,14 @@ def _nonneg_rows(n):
 
 @dataclass(frozen=True)
 class CccInstance:
-    """Find a circulation with sum(eta(a) f(a)) mod m in R."""
+    """Find a circulation f with lo <= f <= hi on every edge and
+    sum(eta(e) f(e)) mod m in R.  Flows are signed: a negative flow runs
+    from an edge's head to its tail."""
 
     nvertices: int
-    arcs: tuple  # (tail, head)
-    u: tuple  # capacities, nonnegative
+    edges: tuple  # (tail, head)
+    lo: tuple
+    hi: tuple
     eta: tuple  # residue weights, reduced mod m
     m: int
     R: frozenset  # target residues, reduced mod m
@@ -132,85 +117,38 @@ class CccInstance:
 def cctu_to_ccc(norm, rep):
     """The circulation instance of a normalized network-matrix problem.
 
-    Arcs: every tree arc and its reverse (weight zero, capacity min(b, m-1)
-    forward and m-1 backward), plus the reverse of every column arc
-    (weight = gamma mod m, capacity m-1).
+    Edges: every tree arc, of weight zero and flow in [-(m-1), min(b, m-1)],
+    which carries its row's value (Ty)_i; then every column arc reversed, of
+    weight gamma mod m and flow in [-(m-1), m-1], which carries y_j.
     """
     if rep.rebuild().rows != norm.T.rows:
         raise ValueError("representation does not rebuild the constraint matrix")
-    arcs = []
-    caps = []
-    eta = []
-    mm = norm.m
-    for i, (a, b) in enumerate(rep.tree_arcs):
-        arcs.append((a, b))
-        caps.append(min(norm.b[i], mm - 1))
-        eta.append(0)
-    for i, (a, b) in enumerate(rep.tree_arcs):
-        arcs.append((b, a))
-        caps.append(mm - 1)
-        eta.append(0)
-    for j, (v, w) in enumerate(rep.col_arcs):
-        arcs.append((w, v))
-        caps.append(mm - 1)
-        eta.append(norm.gamma[j] % mm)
-    return CccInstance(rep.nvertices, tuple(arcs), tuple(caps), tuple(eta), mm, norm.R)
+    top = norm.m - 1
+    ncols = len(rep.col_arcs)
+    return CccInstance(
+        rep.nvertices,
+        rep.tree_arcs + tuple([(w, v) for v, w in rep.col_arcs]),
+        (-top,) * (len(rep.tree_arcs) + ncols),
+        tuple([min(bv, top) for bv in norm.b]) + (top,) * ncols,
+        (0,) * len(rep.tree_arcs) + tuple([g % norm.m for g in norm.gamma]),
+        norm.m,
+        norm.R,
+    )
 
 
-@dataclass(frozen=True)
-class _FlowEdge:
-    tail: int
-    head: int
-    lo: int
-    hi: int
-    eta: int
-    fwd_arc: int  # arc index carrying positive net flow
-    rev_arc: int = None  # antiparallel partner carrying negative net, if merged
+def solve_ccc(ccc, budget=DEFAULT_ENUM_BUDGET):
+    """A circulation whose residue lies in the target set, or None.
 
-
-def _merge_arcs(ccc):
-    """Signed edges from arcs, merging cancellable antiparallel pairs.
-
-    A pair cancels when the residue weights sum to zero mod m.
-    """
-    n = len(ccc.arcs)
-    used = [False] * n
-    edges = []
-    for a in range(n):
-        if used[a]:
-            continue
-        partner = None
-        for b in range(a + 1, n):
-            if used[b]:
-                continue
-            if ccc.arcs[b] != (ccc.arcs[a][1], ccc.arcs[a][0]):
-                continue
-            if (ccc.eta[a] + ccc.eta[b]) % ccc.m != 0:
-                continue
-            partner = b
-            break
-        used[a] = True
-        tail, head = ccc.arcs[a]
-        if partner is None:
-            edges.append(_FlowEdge(tail, head, 0, ccc.u[a], ccc.eta[a], a))
-        else:
-            used[partner] = True
-            edges.append(_FlowEdge(tail, head, -ccc.u[partner], ccc.u[a], ccc.eta[a], a, partner))
-    return edges
-
-
-def _solve_flow_box(nvertices, edges, m, rmask, budget):
-    """Enumerate circulations through the kernel box search.
-
-    Free (non-forest) edge nets are the box variables; forest nets are linear
-    in them, so capacity windows become constraint rows.  The residue vector
+    Deterministic bounded enumeration behind the terminal-solver interface,
+    one kernel box search for all targets; returns the flow per edge.  Free
+    (non-forest) edge flows are the box variables; forest flows are linear
+    in them, so their bounds become constraint rows, and the residue vector
     folds the forest contributions into per-variable coefficients.
-    Returns the net flow per edge of a circulation, or None.
     """
+    edges = ccc.edges
     forest = []
     free = []
-    adj_order = sorted(range(len(edges)), key=lambda e: (edges[e].tail, edges[e].head))
-    comp = list(range(nvertices))
+    comp = list(range(ccc.nvertices))
 
     def root(v):
         while comp[v] != v:
@@ -218,85 +156,56 @@ def _solve_flow_box(nvertices, edges, m, rmask, budget):
             v = comp[v]
         return v
 
-    for e in adj_order:
-        a, b = root(edges[e].tail), root(edges[e].head)
-        if a != b and edges[e].tail != edges[e].head:
+    for e in sorted(range(len(edges)), key=edges.__getitem__):
+        a, b = root(edges[e][0]), root(edges[e][1])
+        if a != b:
             comp[a] = b
             forest.append(e)
         else:
             free.append(e)
     free.sort()
     # fundamental-cycle coefficients of each free edge on each forest edge
-    adj = tree_adjacency(nvertices, [(edges[t].tail, edges[t].head) for t in forest])
+    adj = tree_adjacency(ccc.nvertices, [edges[t] for t in forest])
     coeff = {t: [0] * len(free) for t in forest}
     for pos, e in enumerate(free):
-        for (f, sgn) in tree_path(adj, edges[e].head, edges[e].tail):
+        for (f, sgn) in tree_path(adj, edges[e][1], edges[e][0]):
             coeff[forest[f]][pos] = sgn
     size = 1
-    lo = []
-    hi = []
     for e in free:
-        lo.append(edges[e].lo)
-        hi.append(edges[e].hi)
-        size *= edges[e].hi - edges[e].lo + 1
+        size *= ccc.hi[e] - ccc.lo[e] + 1
         if size > budget:
             raise ScaleError(f"circulation enumeration of {size}+ points exceeds budget")
     rows = []
     rhs = []
     for t in forest:
         rows.append(tuple(coeff[t]))
-        rhs.append(edges[t].hi)
+        rhs.append(ccc.hi[t])
         rows.append(tuple([-v for v in coeff[t]]))
-        rhs.append(-edges[t].lo)
+        rhs.append(-ccc.lo[t])
     rho = []
     for pos, e in enumerate(free):
-        s = edges[e].eta
+        s = ccc.eta[e]
         for t in forest:
             if coeff[t][pos]:
-                s += coeff[t][pos] * edges[t].eta
-        rho.append(s % m)
+                s += coeff[t][pos] * ccc.eta[t]
+        rho.append(s % ccc.m)
     found, z, _ = kernels.box_search(
         rows,
         rhs,
         rho,
-        m,
-        rmask,
-        lo,
-        hi,
+        ccc.m,
+        sum(1 << r for r in ccc.R),
+        [ccc.lo[e] for e in free],
+        [ccc.hi[e] for e in free],
         None,
     )
     if not found:
         return None
-    nets = [0] * len(edges)
+    flows = [0] * len(edges)
     for pos, e in enumerate(free):
-        nets[e] = z[pos]
+        flows[e] = z[pos]
     for t in forest:
-        nets[t] = sum(cv * zv for cv, zv in zip(coeff[t], z))
-    return nets
-
-
-def solve_ccc(ccc, budget=DEFAULT_ENUM_BUDGET):
-    """A circulation whose residue lies in the target set, or None.
-
-    Deterministic bounded enumeration behind the terminal-solver interface,
-    one box search for all targets; returns flows per arc.
-    """
-    edges = _merge_arcs(ccc)
-    nets = _solve_flow_box(ccc.nvertices, edges, ccc.m, sum(1 << r for r in ccc.R), budget)
-    if nets is None:
-        return None
-    return _nets_to_flows(ccc, edges, nets)
-
-
-def _nets_to_flows(ccc, edges, nets):
-    flows = [0] * len(ccc.arcs)
-    for e, edge in enumerate(edges):
-        net = nets[e]
-        if edge.rev_arc is None:
-            flows[edge.fwd_arc] = net
-        else:
-            flows[edge.fwd_arc] = max(net, 0)
-            flows[edge.rev_arc] = max(-net, 0)
+        flows[t] = sum(cv * zv for cv, zv in zip(coeff[t], z))
     return tuple(flows)
 
 
@@ -305,11 +214,11 @@ def circulation_residue(ccc, flows):
 
 
 def check_circulation(ccc, flows):
-    """Conservation and capacity check; reduction invariants lean on this."""
-    if any(f < 0 or f > u for f, u in zip(flows, ccc.u)):
+    """Conservation and bound check; reduction invariants lean on this."""
+    if any(not lo <= f <= hi for f, lo, hi in zip(flows, ccc.lo, ccc.hi)):
         return False
     balance = [0] * ccc.nvertices
-    for (a, b), f in zip(ccc.arcs, flows):
+    for (a, b), f in zip(ccc.edges, flows):
         balance[a] -= f
         balance[b] += f
     return not any(balance)
@@ -321,12 +230,13 @@ def check_circulation(ccc, flows):
 
 @dataclass(frozen=True)
 class CtcInstance:
-    """Directed tree cut problem: pick a family of in-arc-free sets S_1..S_l
+    """Directed tree cut problem: pick a chain of in-arc-free sets S_1..S_l
     with per-arc coverage differences bounded by b and the alpha-weighted
-    residue in the target set R."""
+    residue in the target set R.  A labeling's value on a tree arc is the
+    level drop from its tail to its head, which must be nonnegative."""
 
     nvertices: int
-    tree_arcs: tuple  # one per variable of the originating problem
+    tree_arcs: tuple  # two per variable: (a, z_j) for all j, then (b, z_j)
     extra_arcs: tuple  # one per constraint row
     b: tuple
     alpha: tuple  # per vertex; sums to zero
@@ -338,21 +248,27 @@ def cctu_to_ctc(norm, rep):
     """Build the tree-cut instance of a normalized transposed-network problem.
 
     `rep` realizes the transpose: its tree arcs are indexed by the problem's
-    variables, its column arcs by the constraint rows.  The
-    vertex weight alpha(v) is the gamma-weighted out-minus-in degree, which
-    sums to zero over the tree.
+    variables, its column arcs by the constraint rows.  Each tree arc
+    j = (a, b) is subdivided by a fresh vertex z_j into the arcs (a, z_j)
+    and (b, z_j), whose level drops, each nonnegative, differ by
+    y_j = level(a) - level(b).  The vertex weight alpha(v) is the
+    gamma-weighted out-minus-in degree of v in rep's tree, zero on the fresh
+    vertices, so it sums to zero.
     """
     if rep.rebuild().transpose().rows != norm.T.rows:
         raise ValueError("representation does not rebuild the transposed matrix")
-    alpha = [0] * rep.nvertices
-    for j, (a, b) in enumerate(rep.tree_arcs):
-        alpha[a] += norm.gamma[j]
-        alpha[b] -= norm.gamma[j]
+    nv = rep.nvertices
+    alpha = [0] * (nv + len(rep.tree_arcs))
+    for g, (a, b) in zip(norm.gamma, rep.tree_arcs):
+        alpha[a] += g
+        alpha[b] -= g
     if sum(alpha) != 0:
         raise CctuError("tree-cut vertex weights do not sum to zero")
+    plus = [(a, nv + j) for j, (a, _) in enumerate(rep.tree_arcs)]
+    minus = [(b, nv + j) for j, (_, b) in enumerate(rep.tree_arcs)]
     return CtcInstance(
-        rep.nvertices,
-        rep.tree_arcs,
+        len(alpha),
+        tuple(plus + minus),
         rep.col_arcs,
         norm.b,
         tuple(alpha),
@@ -403,30 +319,12 @@ def solve_ctc_chain(ctc, budget=DEFAULT_ENUM_BUDGET):
 
 
 def labeling_to_solution(ctc, levels):
-    """x(u) = level(tail) - level(head) per tree arc; the chain-cut sum."""
+    """level(tail) - level(head) per tree arc: the chain-cut sum."""
     return tuple([levels[a] - levels[b] for (a, b) in ctc.tree_arcs])
 
 
 # ---------------------------------------------------------------------------
 # pipelines
-
-
-def _split_network(rep):
-    """The representation of [T | -T] from one of T: the column arcs, then
-    each column arc reversed."""
-    return NetworkRepresentation(
-        rep.nvertices, rep.tree_arcs, rep.col_arcs + tuple([(w, v) for v, w in rep.col_arcs])
-    )
-
-
-def _split_transposed(rep):
-    """The representation of [T | -T]^T from one of T^T: tree arc j = (a, b)
-    becomes (a, z_j) and the row of x-_j the arc (b, z_j) for a fresh vertex
-    z_j, so every path through (a, b) crosses the pair with opposite signs."""
-    nv = rep.nvertices
-    plus = [(a, nv + j) for j, (a, _) in enumerate(rep.tree_arcs)]
-    minus = [(b, nv + j) for j, (_, b) in enumerate(rep.tree_arcs)]
-    return NetworkRepresentation(nv + len(plus), tuple(plus + minus), rep.col_arcs)
 
 
 def _network_solve(norm, rep, budget):
@@ -435,18 +333,17 @@ def _network_solve(norm, rep, budget):
     if flows is None:
         return None
     if not check_circulation(ccc, flows):
-        raise SolutionCheckError("circulation violates conservation or capacities")
+        raise SolutionCheckError("circulation violates conservation or bounds")
     if circulation_residue(ccc, flows) not in ccc.R:
         raise SolutionCheckError("circulation misses the target residues")
-    ntree = len(rep.tree_arcs)
-    return norm.lift(tuple([flows[2 * ntree + j] for j in range(len(norm.gamma))]))
+    return norm.lift(flows[len(rep.tree_arcs):])
 
 
 def solve_network_cctu(inst, rep, budget=DEFAULT_ENUM_BUDGET):
     """Solve `inst` over a network constraint matrix via the circulation
     reduction, for all of inst.R at once; `rep` realizes the constraint
     matrix.  Returns a feasible point or None."""
-    return _network_solve(normalize(inst), _split_network(rep), budget)
+    return _network_solve(normalize(inst), rep, budget)
 
 
 def _transposed_solve(norm, rep, budget):
@@ -454,10 +351,11 @@ def _transposed_solve(norm, rep, budget):
     levels = solve_ctc_chain(ctc, budget)
     if levels is None:
         return None
-    xhat = labeling_to_solution(ctc, levels)
-    if any(v < 0 for v in xhat):
-        raise SolutionCheckError("level labeling gives a negative split variable")
-    return norm.lift(xhat)
+    drops = labeling_to_solution(ctc, levels)
+    if any(v < 0 for v in drops):
+        raise SolutionCheckError("level labeling rises along a tree arc")
+    n = len(norm.gamma)
+    return norm.lift([p - q for p, q in zip(drops[:n], drops[n:])])
 
 
 def _stems(mat, log):
@@ -483,45 +381,43 @@ def solve_const_core(norm, budget=DEFAULT_ENUM_BUDGET):
     its constraint matrix has a small core, by guessing the core-column
     scalar products.  Returns a point of the original instance, or None.
 
-    Each guess pins s_i.x for the stem-support rows s_i, which determines the
+    Each guess pins s_i.y for the stem-support rows s_i, which determines the
     rows stemming from the core; replacing them by the guess rows yields a
-    system that is a network matrix (and a transposed one), solved by the
-    circulation pipeline.  (2m-1)^l guesses for an l-column core, all inside
-    the proximity box, so one pass serves every target residue.  Only the
-    right-hand side depends on the guess, so the guessed matrix is built and
-    recognized once.
+    system over the same n free variables that is a network matrix (and a
+    transposed one), solved by the circulation pipeline.  (2m-1)^l guesses
+    for an l-column core, all inside the proximity box, so one pass serves
+    every target residue.  Only the right-hand side depends on the guess, so
+    the guessed matrix is built and recognized once.
     """
     core, log = reduce_to_core(norm.T)
     ell = core.ncols
     if ell > CORE_COL_CAP:
         raise ScaleError(f"{ell}-column core exceeds the guessing cap")
     row_stems, col_stems = _stems(norm.T, log)
-    nhat = len(norm.gamma)
-    khat = norm.T.nrows
+    n = norm.T.ncols
     s_rows = []
     for i in range(ell):
         s_rows.append(
             tuple([
                 (col_stems[j][1] if col_stems[j] is not None and col_stems[j][0] == i else 0)
-                for j in range(nhat)
+                for j in range(n)
             ])
         )
-    stem_rows = [t for t in range(khat) if row_stems[t] is not None]
-    other_rows = [t for t in range(khat) if row_stems[t] is None]
+    stem_rows = [t for t in range(norm.T.nrows) if row_stems[t] is not None]
+    other_rows = [t for t in range(norm.T.nrows) if row_stems[t] is None]
     rows = []
     for s_row in s_rows:
         rows.append(s_row)
         rows.append(tuple([-v for v in s_row]))
     for t in stem_rows:
-        rows.append(tuple([0 if col_stems[j] is not None else norm.T[t, j] for j in range(nhat)]))
+        rows.append(tuple([0 if col_stems[j] is not None else norm.T[t, j] for j in range(n)]))
     for t in other_rows:
         rows.append(norm.T.rows[t])
-    rows.extend(_nonneg_rows(nhat))
-    guessed_T = TUMatrix.trusted(IntMatrix(tuple(rows), nhat))
+    guessed_T = TUMatrix.trusted(IntMatrix(tuple(rows), n))
     rep = recognize_network_matrix(guessed_T.matrix, *reduce_to_core(guessed_T.matrix))
     if rep is None:
         raise ScaleError("guessed constant-core system is not a network matrix")
-    fixed_rhs = tuple([norm.b[t] for t in other_rows]) + (0,) * nhat
+    fixed_rhs = tuple([norm.b[t] for t in other_rows])
     for sigma in product(range(-norm.m + 1, norm.m), repeat=ell):
         rhs = []
         for sv in sigma:
@@ -537,11 +433,11 @@ def solve_const_core(norm, budget=DEFAULT_ENUM_BUDGET):
             norm.R,
         )
         try:
-            xhat = solve_network_cctu(guessed, rep, budget)
+            y = solve_network_cctu(guessed, rep, budget)
         except InfeasibleRelaxationError:
             continue
-        if xhat is not None:
-            return norm.lift(xhat)
+        if y is not None:
+            return norm.lift(y)
     return None
 
 
@@ -560,9 +456,9 @@ def solve_base_block(inst, cls, budget=DEFAULT_ENUM_BUDGET, *, vertex=None):
     except InfeasibleRelaxationError:
         return None
     if cls.tag == "network":
-        x = _network_solve(norm, _split_network(cls.network), budget)
+        x = _network_solve(norm, cls.network, budget)
     elif cls.tag == "transposed_network":
-        x = _transposed_solve(norm, _split_transposed(cls.network), budget)
+        x = _transposed_solve(norm, cls.network, budget)
     else:
         x = solve_const_core(norm, budget)
     if x is not None and not inst.is_feasible_point(x):

@@ -11,7 +11,6 @@ import json
 import sys
 import time
 
-from . import kernels
 from .errors import (
     CctuError,
     InputFormatError,
@@ -192,7 +191,7 @@ def cmd_check_tu(args):
     if args.json:
         print('{"totally_unimodular": %s}' % ("true" if verdict else "false"))
     elif verdict:
-        print(f"totally unimodular ({mat.nrows}x{mat.ncols}, backend={kernels.BACKEND})")
+        print(f"totally unimodular ({mat.nrows}x{mat.ncols})")
     else:
         witness = non_tu_witness(mat)
         if witness is None:

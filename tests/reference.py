@@ -2,11 +2,10 @@
 
 A Laplace-expansion determinant, brute-force definitions of TU-appendable
 rows and elementary vectors, the special-core match, the core-reduction
-scan as it first stood, the circulation reduction's forward map, a scan of
-a whole box and the optimum over the LP bounding box that it gives, and
-`certified`, which wraps a matrix the tests build by hand once it is
-checked TU.  The library never calls them; they are oracles, kept next to
-the tests that use them.
+scan as it first stood, a scan of a whole box and the optimum over the LP
+bounding box that it gives, and `certified`, which wraps a matrix the tests
+build by hand once it is checked TU.  The library never calls them; they
+are oracles, kept next to the tests that use them.
 """
 
 from functools import lru_cache
@@ -16,7 +15,7 @@ from operator import mul
 from cctu.errors import DimensionError, ScaleError
 from cctu.matrices import CoreOp, IntMatrix, TUMatrix, is_totally_unimodular
 from cctu.polyhedra import lp_range
-from cctu.seymour import SPECIAL_CORES, tree_adjacency, tree_path
+from cctu.seymour import SPECIAL_CORES
 
 ELEMENTARY_ENUM_CAP = 14  # hard cap on 3^n candidate-row enumeration
 
@@ -144,32 +143,6 @@ def scan_lines(axis, lines, live, across, log):
         else:
             log.append(CoreOp(axis, i, "dup" if twin[1] == sign else "negdup", twin[0]))
     return kept
-
-
-def solution_to_circulation(ccc, rep, xhat):
-    """Forward mapping: a normalized solution (entries in {0..m-1}) to a
-    feasible circulation of equal residue.
-
-    Routes x(e) units along the reverse column arc and its tree path, then
-    cancels flow on antiparallel tree-arc pairs; feasibility of x within the
-    proximity box makes the capacities work out.
-    """
-    ntree = len(rep.tree_arcs)
-    flows = [0] * len(ccc.arcs)
-    adj = tree_adjacency(rep.nvertices, rep.tree_arcs)
-    for j, (v, w) in enumerate(rep.col_arcs):
-        x = xhat[j]
-        flows[2 * ntree + j] += x  # reverse column arc (w, v)
-        for idx, sgn in tree_path(adj, v, w):
-            if sgn == 1:
-                flows[idx] += x
-            else:
-                flows[ntree + idx] += x
-    for idx in range(ntree):
-        cancel = min(flows[idx], flows[ntree + idx])
-        flows[idx] -= cancel
-        flows[ntree + idx] -= cancel
-    return tuple(flows)
 
 
 def full_box(rows, b, gamma, m, rmask, lo, hi, c):

@@ -7,8 +7,6 @@ from pathlib import Path
 import cctu.baseblocks as bb
 from cctu.baseblocks import (
     CccInstance,
-    _split_network,
-    _split_transposed,
     cctu_to_ccc,
     check_circulation,
     circulation_residue,
@@ -18,24 +16,29 @@ from cctu.baseblocks import (
     solve_ccc,
     solve_ctc_chain,
 )
-from cctu.generators import random_network_matrix
 from cctu.matrices import IntMatrix, TUMatrix
 from cctu.patterns import solve_rcctuf
 from cctu.polyhedra import Polyhedron, RCctufInstance, oracle_solve
 from cctu.seymour import SPECIAL_CORES, classify, recognize_network_matrix, reduce_to_core
+from cctu.verify import verify_solution
 from random_systems import boxed, random_tu_matrix
-from reference import certified, is_tu_appendable, solution_to_circulation
+from reference import certified, is_tu_appendable
 
 
-def test_normalize_shifts_and_splits():
+def test_normalize_shifts_the_vertex_to_the_origin():
     P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (0, 5))
     inst = RCctufInstance(P, (1,), 3, frozenset({2}))
     norm = normalize(inst)
     assert norm.x0 == (0,)
     assert norm.R == frozenset({2})
     assert all(v >= 0 for v in norm.b)
-    assert norm.T.ncols == 2
-    assert norm.lift((3, 1)) == (2,)
+    assert norm.T.ncols == inst.nvars
+    assert norm.lift((2,)) == (2,)
+    # a vertex away from the origin shifts b and R, and lift shifts back
+    P = Polyhedron(certified(IntMatrix(((-1,), (1,)))), (-2, 5))
+    norm = normalize(RCctufInstance(P, (1,), 3, frozenset({2})))
+    assert norm.x0 == (2,) and norm.b == (0, 3) and norm.R == frozenset({0})
+    assert norm.lift((-2,)) == (0,)
 
 
 def test_normalized_matrix_stays_network():
@@ -47,36 +50,14 @@ def test_normalized_matrix_stays_network():
         norm = normalize(inst)
         rep = recognize_network_matrix(norm.T, *reduce_to_core(norm.T))
         assert rep is not None and rep.rebuild().rows == norm.T.rows
-        # and with the nonnegativity unit rows appended explicitly
-        n = norm.T.ncols
-        with_units = IntMatrix(
-            norm.T.rows + tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
-        )
-        rep2 = recognize_network_matrix(with_units, *reduce_to_core(with_units))
-        assert rep2 is not None and rep2.rebuild().rows == with_units.rows
-
-
-def split(mat):
-    return IntMatrix(tuple([row + tuple([-v for v in row]) for row in mat.rows]), 2 * mat.ncols)
-
-
-def test_split_representations_rebuild_the_split_matrix():
-    """The classifier's representation of T (or of T^T) yields one of the
-    normalized matrix [T | -T] (or of its transpose) without recognition."""
-    rng = random.Random(5)
-    for _ in range(40):
-        N = random_network_matrix(rng, rng.randint(0, 6), rng.randint(0, 5))
-        rep = recognize_network_matrix(N, *reduce_to_core(N))
-        assert _split_network(rep).rebuild() == split(N)
-        # rep realizes T^T for T = N^T
-        assert _split_transposed(rep).rebuild().transpose() == split(N.transpose())
 
 
 def two_cycle_ccc():
-    # two vertices, arcs both ways
+    # two vertices, edges both ways
     return CccInstance(
         2,
         ((0, 1), (1, 0)),
+        (0, 0),
         (2, 2),
         (1, 0),
         3,
@@ -93,13 +74,13 @@ def test_solve_ccc_two_cycle():
 
 
 def test_solve_ccc_zero_target_trivial():
-    ccc = CccInstance(2, ((0, 1), (1, 0)), (2, 2), (1, 0), 3, frozenset({0}))
+    ccc = CccInstance(2, ((0, 1), (1, 0)), (0, 0), (2, 2), (1, 0), 3, frozenset({0}))
     flows = solve_ccc(ccc)
     assert flows == (0, 0)
 
 
 def test_solve_ccc_single_arc_infeasible():
-    ccc = CccInstance(2, ((0, 1),), (5,), (1,), 3, frozenset({2}))
+    ccc = CccInstance(2, ((0, 1),), (-5,), (5,), (1,), 3, frozenset({2}))
     assert solve_ccc(ccc) is None
 
 
@@ -117,6 +98,7 @@ def random_ccc(rng):
     return CccInstance(
         nv,
         tuple(arcs),
+        tuple(rng.randint(-(m - 1), 0) for _ in arcs),
         tuple(rng.randint(0, m - 1) for _ in arcs),
         tuple(rng.randrange(m) for _ in arcs),
         m,
@@ -125,12 +107,13 @@ def random_ccc(rng):
 
 
 def brute_force_ccc(ccc):
-    """Whether some capacity-respecting circulation hits the target set."""
+    """Whether some circulation within [lo, hi] on every edge hits the
+    target set."""
     from itertools import product
 
     return any(
         check_circulation(ccc, flows) and circulation_residue(ccc, flows) in ccc.R
-        for flows in product(*(range(u + 1) for u in ccc.u))
+        for flows in product(*(range(lo, hi + 1) for lo, hi in zip(ccc.lo, ccc.hi)))
     )
 
 
@@ -352,7 +335,8 @@ def test_infeasible_relaxation_returns_none(rng):
 
 def test_circulation_solution_roundtrip(rng):
     """Forward and backward mappings between box solutions and circulations
-    preserve feasibility and residue."""
+    preserve feasibility and residue: y maps to the flows (T.y, y), and the
+    column-edge flows read back y."""
     from itertools import product as iproduct
 
     done = 0
@@ -366,25 +350,42 @@ def test_circulation_solution_roundtrip(rng):
         if rep is None:
             continue
         ccc = cctu_to_ccc(norm, rep)
-        ncols = len(norm.gamma)
+        top = norm.m - 1
         # forward: every box point of the normalized problem maps to a
         # feasible circulation of equal residue
-        for xhat in iproduct(range(norm.m), repeat=ncols):
-            if any(a > bv for a, bv in zip(norm.T.mul_vec(xhat), norm.b)):
+        for y in iproduct(range(-top, top + 1), repeat=norm.T.ncols):
+            prods = norm.T.mul_vec(y)
+            if any(p > bv or abs(p) > top for p, bv in zip(prods, norm.b)):
                 continue
-            prods = norm.T.mul_vec(xhat)
-            if any(abs(p) > norm.m - 1 for p in prods):
-                continue
-            flows = solution_to_circulation(ccc, rep, xhat)
-            assert check_circulation(ccc, flows), (xhat, flows)
+            flows = tuple(prods) + y
+            assert check_circulation(ccc, flows), (y, flows)
             assert circulation_residue(ccc, flows) == (
-                sum(gv * xv for gv, xv in zip(norm.gamma, xhat)) % norm.m
+                sum(gv * yv for gv, yv in zip(norm.gamma, y)) % norm.m
             )
             # backward: reading the column flows reproduces the solution
-            ntree = len(rep.tree_arcs)
-            back = tuple(flows[2 * ntree + j] for j in range(ncols))
-            assert back == tuple(xhat)
+            assert flows[len(rep.tree_arcs):] == y
         done += 1
+
+
+def test_negated_columns_with_cancelling_weights_match_the_oracle():
+    """Column 1 is the negation of column 0 and their weights cancel mod 3,
+    so their column edges are antiparallel with weights summing to zero.
+    Each edge carries its own variable, and the answer agrees with the
+    oracle and passes verification."""
+    P = Polyhedron(certified(IntMatrix(((1, -1), (-1, 1)))), (2, 1))
+    for R in (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({1, 2})):
+        inst = RCctufInstance(P, (1, 2), 3, R)
+        cls = classify(inst.P.T.matrix)
+        assert cls.tag == "network"
+        norm = normalize(inst)
+        ccc = cctu_to_ccc(norm, cls.network)
+        ntree = len(cls.network.tree_arcs)
+        col = ccc.edges[ntree:]
+        assert col[1] == col[0][::-1] and sum(ccc.eta[ntree:]) % 3 == 0
+        x = solve_base_block(inst, cls)
+        ora = oracle_solve(inst)
+        assert ora.status == "feasible" and x is not None
+        assert verify_solution(inst, x).ok
 
 
 def test_three_sum_border_rows_are_tu_appendable():

@@ -201,7 +201,7 @@ R 0
     path.write_text(text)
     code = run_cli(tmp_path, "check-tu", "--input", str(path))
     assert code == 0
-    assert "totally unimodular" in capsys.readouterr().out
+    assert capsys.readouterr().out == "totally unimodular (5x5)\n"
 
 
 def test_cli_check_tu_negative(tmp_path, capsys):
